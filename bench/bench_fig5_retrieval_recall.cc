@@ -28,12 +28,12 @@ int main() {
   const std::vector<size_t> ks = {5, 10, 15, 20};
   const std::vector<size_t> leaf_budgets = {1, 2, 3, 4, 5, 6, 8};
 
-  // True nearest neighbors per query via linear scan.
+  // True nearest neighbors per query (exact search).
   std::vector<std::vector<std::set<uint32_t>>> truth(
       tb.workload.queries.size());
   for (size_t qi = 0; qi < tb.workload.queries.size(); ++qi) {
     for (size_t k : ks) {
-      const auto nn = tree.LinearScanKnn(tb.workload.queries[qi].probs(), k);
+      const auto nn = tree.ExactKnn(tb.workload.queries[qi].probs(), k);
       std::set<uint32_t> ids;
       for (const auto& nb : nn) ids.insert(nb.point_id);
       truth[qi].push_back(std::move(ids));

@@ -10,7 +10,7 @@
 
 #include "common/evaluation.h"
 #include "common/testbed.h"
-#include "inflex/baselines.h"
+#include "oracle/celfpp_oracle.h"
 #include "stats/descriptive.h"
 #include "tic/tic_learner.h"
 #include "tic/tic_model.h"
@@ -118,7 +118,7 @@ int main() {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  core::OfflineImOptions oopts;
+  oracle::OfflineImOptions oopts;
   oopts.num_snapshots = tb.config.oracle_snapshots;
   tic::TicModel true_model(&tb.graph());
   im::MonteCarloOptions mc;
@@ -147,9 +147,9 @@ int main() {
     if (item_id == tb.dataset->catalog.size()) continue;
     const auto& true_item = tb.dataset->catalog[item_id];
     const auto& learned_item = learned.item_topics[item_id];
-    auto seeds_true = core::OfflineTicSeeds(tb.graph(), true_item, 20, oopts);
+    auto seeds_true = oracle::OfflineTicSeeds(tb.graph(), true_item, 20, oopts);
     auto seeds_learned =
-        core::OfflineTicSeeds(learned_graph, learned_item, 20, oopts);
+        oracle::OfflineTicSeeds(learned_graph, learned_item, 20, oopts);
     if (!seeds_true.ok() || !seeds_learned.ok()) continue;
     const double s_true =
         true_model.EstimateSpread(true_item, seeds_true.ValueOrDie().seeds, mc)

@@ -213,18 +213,6 @@ void BM_BbTreeInflexSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_BbTreeInflexSearch);
 
-void BM_LinearScanKnn(benchmark::State& state) {
-  const auto points = BenchPoints(1000, 10);
-  auto tree = bbtree::BbTree::Build(points, {});
-  INFLEX_CHECK(tree.ok());
-  Rng rng(9);
-  for (auto _ : state) {
-    const auto q = simplex::SampleUniformSimplex(10, &rng);
-    benchmark::DoNotOptimize(tree.ValueOrDie().LinearScanKnn(q, 10));
-  }
-}
-BENCHMARK(BM_LinearScanKnn);
-
 rank::RankedList RandomList(size_t ell, size_t universe, Rng* rng) {
   std::vector<rank::Item> ids(universe);
   std::iota(ids.begin(), ids.end(), 0u);

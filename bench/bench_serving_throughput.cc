@@ -363,7 +363,7 @@ OracleSummary RunOracleScenario(const Testbed& tb, bool quick) {
     mopts.oracle.backend = backend;
     switch (backend) {
       case oracle::OracleBackend::kCelfPp:
-        if (quick) mopts.oracle_snapshots = 20;
+        if (quick) mopts.oracle.num_snapshots = 20;
         break;
       case oracle::OracleBackend::kRis:
         mopts.oracle.num_rr_sets = quick ? 8000 : 30000;
@@ -451,7 +451,7 @@ ChurnSummary RunChurnScenario(const Testbed& tb,
   // Scaled-down precompute per admitted point: the scenario measures the
   // publication/eviction machinery, not CELF++ runtime.
   mopts.seed_list_length = quick ? 6 : 10;
-  mopts.oracle_snapshots = quick ? 4 : 8;
+  mopts.oracle.num_snapshots = quick ? 4 : 8;
   // The churn scenario exercises the publication/eviction machinery under
   // whichever precompute backend --oracle selects (CI smokes it with ris).
   // Precompute cost is scaled down to match the snapshot counts above: the

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "im/heuristics.h"
-#include "inflex/baselines.h"
+#include "oracle/celfpp_oracle.h"
 #include "rank/kendall_tau.h"
 #include "stats/descriptive.h"
 #include "tic/tic_model.h"
@@ -150,13 +150,13 @@ Result<StrategyMetrics> EvaluateOfflineTic(const Testbed& tb, size_t k) {
 Result<StrategyMetrics> EvaluateOfflineIc(const Testbed& tb, size_t k) {
   StrategyMetrics m;
   m.name = "offline IC";
-  core::OfflineImOptions oopts;
+  oracle::OfflineImOptions oopts;
   oopts.num_snapshots = tb.config.oracle_snapshots;
   oopts.seed = tb.config.seed + 9;
   oopts.selection.parallel_first_iteration = false;
   Timer t;
   INFLEX_ASSIGN_OR_RETURN(im::SeedSelectionResult blind,
-                          core::OfflineIcSeeds(tb.graph(), k, oopts));
+                          oracle::OfflineIcSeeds(tb.graph(), k, oopts));
   const double blind_ms = t.ElapsedMillis();
   rank::RankedList seeds(blind.seeds.begin(), blind.seeds.end());
   std::vector<double> truth_spread;

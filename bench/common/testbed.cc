@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "data/dataset_io.h"
-#include "inflex/baselines.h"
+#include "oracle/celfpp_oracle.h"
 #include "util/serialize.h"
 #include "util/timer.h"
 
@@ -167,7 +167,7 @@ Result<std::shared_ptr<Testbed>> BuildTestbed(const TestbedConfig& config,
 
   Progress("computing offline TIC ground truth per query (CELF++ from "
            "scratch — the computation INFLEX replaces)");
-  core::OfflineImOptions oopts;
+  oracle::OfflineImOptions oopts;
   oopts.num_snapshots = config.oracle_snapshots;
   oopts.seed = config.seed + 3;
   tb->ground_truth.resize(tb->workload.queries.size());
@@ -175,8 +175,8 @@ Result<std::shared_ptr<Testbed>> BuildTestbed(const TestbedConfig& config,
     Timer t;
     INFLEX_ASSIGN_OR_RETURN(
         im::SeedSelectionResult truth,
-        core::OfflineTicSeeds(tb->dataset->graph, tb->workload.queries[i],
-                              config.seed_list_length, oopts));
+        oracle::OfflineTicSeeds(tb->dataset->graph, tb->workload.queries[i],
+                                config.seed_list_length, oopts));
     tb->ground_truth[i].offline_seconds = t.ElapsedSeconds();
     tb->ground_truth[i].seeds.assign(truth.seeds.begin(), truth.seeds.end());
     if ((i + 1) % 10 == 0) {

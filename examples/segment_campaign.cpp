@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "data/synthetic.h"
-#include "inflex/baselines.h"
 #include "inflex/index_points.h"
 #include "inflex/inflex_index.h"
+#include "oracle/celfpp_oracle.h"
 #include "tic/tic_model.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -89,9 +89,9 @@ int main() {
   std::printf("\na new item %s enters the catalog: one offline CELF++ run, "
               "then it is indexed online\n",
               new_item.ToString().c_str());
-  core::OfflineImOptions oopts;
+  oracle::OfflineImOptions oopts;
   oopts.num_snapshots = 60;
-  auto new_seeds = core::OfflineTicSeeds(ds.graph, new_item, 20, oopts);
+  auto new_seeds = oracle::OfflineTicSeeds(ds.graph, new_item, 20, oopts);
   INFLEX_CHECK_OK(new_seeds.status());
   rank::RankedList new_list(new_seeds.ValueOrDie().seeds.begin(),
                             new_seeds.ValueOrDie().seeds.end());

@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "data/synthetic.h"
-#include "inflex/baselines.h"
 #include "inflex/inflex_index.h"
 #include "inflex/query_cache.h"
+#include "oracle/celfpp_oracle.h"
 #include "tic/tic_model.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -102,9 +102,9 @@ int main() {
   // What would a topic-blind platform do? One generic seed set for all ads.
   std::printf("\ntopic-blind comparison (one generic seed set for every "
               "ad, as pre-TIC platforms would):\n");
-  core::OfflineImOptions oopts;
+  oracle::OfflineImOptions oopts;
   oopts.num_snapshots = 60;
-  auto blind = core::OfflineIcSeeds(ds.graph, 8, oopts);
+  auto blind = oracle::OfflineIcSeeds(ds.graph, 8, oopts);
   INFLEX_CHECK_OK(blind.status());
   for (const auto& ad : campaigns) {
     auto item = simplex::TopicDistribution::Create(ad.topic_mix);

@@ -58,24 +58,17 @@ struct InflexSearchOptions {
   /// Disable the AD early stop (the paper's leaf-count-only `approxKNN`
   /// search sets this false).
   bool use_ad_early_stop = true;
-  /// Compute the Eq. 5 screen D_KL(q ‖ μ) for all bypassed siblings of a
-  /// descent in one batched kernel sweep at enqueue time instead of one
-  /// scalar evaluation per CanPrune call at dequeue time (DESIGN.md §10).
-  /// The screen depends only on (query, ball), never on δ, so the pruning
-  /// decisions — and therefore the result set — are bit-identical either
-  /// way; only when the evaluations happen changes. Off = the pre-batching
-  /// code path (kept for A/B tests and the equivalence suite).
-  bool batched_screen = true;
 };
 
 /// \brief One queued (bypassed, not yet descended) subtree of a search:
-/// the heap key plus the batched-screen value D_KL(q ‖ μ) when one was
-/// precomputed for the ball (negative = no screen yet; the pruning test
-/// then evaluates it on demand, exactly as before batching).
+/// the heap key plus the Eq. 5 screen D_KL(q ‖ μ) of its ball, computed for
+/// the whole bypassed frontier in one batched kernel sweep at enqueue time
+/// (DESIGN.md §10). The screen depends only on (query, ball), never on δ,
+/// so the dequeue-time pruning test needs only the δ-dependent refinement.
 struct QueuedSubtree {
   double key = 0.0;
   uint32_t node = 0;
-  double screen = -1.0;
+  double screen = 0.0;
 };
 
 /// \brief Result of the INFLEX similarity search.
@@ -106,14 +99,13 @@ class SearchContext {
   SearchContext() = default;
 
   /// Total retained scratch capacity in doubles (ops/testing visibility;
-  /// sibling/screen-id entries count as one double each).
+  /// sibling entries count as one double each).
   size_t retained_capacity() const {
     return kl_.retained_capacity() + bisect_.x.capacity() +
            bisect_.u.capacity() + siblings_.capacity() +
            child_divs_.capacity() + leaf_divs_.capacity() + mean_.capacity() +
            direction_.capacity() + sample_.capacity() +
-           screen_rows_.capacity() + screen_divs_.capacity() +
-           screen_ids_.capacity();
+           screen_rows_.capacity() + screen_divs_.capacity();
   }
 
  private:
@@ -129,11 +121,10 @@ class SearchContext {
   BisectionScratch bisect_;
   /// Bypassed siblings of one descent, hoisted out of the per-level loop.
   std::vector<QueuedSubtree> siblings_;
-  /// Batched-screen gather scratch (BbTree::ScreenBalls): the queued balls'
-  /// log-centers as stride-padded 64B-aligned rows, the node ids gathered,
-  /// and the screen divergences the one-sweep kernel writes.
+  /// Batched-screen gather scratch (BbTree::ScreenSiblings): the bypassed
+  /// balls' log-centers as stride-padded 64B-aligned rows and the screen
+  /// divergences the one-sweep kernel writes.
   util::AlignedVector<double> screen_rows_;
-  std::vector<uint32_t> screen_ids_;
   std::vector<double> screen_divs_;
   /// Per-level child divergences (was `evaluated`, reallocated per level).
   std::vector<double> child_divs_;
@@ -178,9 +169,9 @@ class BbTree {
   /// each level the child minimizing D_KL(center ‖ point) (the same rule
   /// every search uses to order its descent), appends the point to the
   /// reached leaf, and conservatively enlarges each ball on the path to
-  /// contain the point. All search bounds stay sound — ExactKnn remains
-  /// exact — but leaves grow beyond max_leaf_size and ball radii beyond
-  /// their built-time tightness, which is what degradation() tracks.
+  /// contain the point. All search bounds stay sound, but leaves grow
+  /// beyond max_leaf_size and ball radii beyond their built-time tightness,
+  /// which is what degradation() tracks.
   /// The point's row is appended to the flat buffer (inserted points are not
   /// leaf-contiguous until the next Build/Compact). Returns the new point id
   /// (= num_points() before the call). Fails on a dimension mismatch.
@@ -197,9 +188,9 @@ class BbTree {
   /// renumbered to dense ids preserving their relative order, the flat SoA
   /// rows are physically compacted in row order (surviving leaf runs stay
   /// contiguous), and the ids are dropped from their leaves. Balls are NOT
-  /// shrunk — a conservative (too large) ball only weakens pruning, every
-  /// bound stays sound and ExactKnn stays exact — which is what degradation()
-  /// tracks until the next Build/Compact rebuild restores tightness.
+  /// shrunk — a conservative (too large) ball only weakens pruning and
+  /// every bound stays sound — which is what degradation() tracks until the
+  /// next Build/Compact rebuild restores tightness.
   Status RemovePoints(std::span<const uint32_t> ids);
 
   /// Quality loss of the incrementally maintained tree, 0 for a freshly
@@ -237,18 +228,15 @@ class BbTree {
     return point_negent_[row_of_id_[id]];
   }
 
-  /// Exact K nearest neighbors under D_KL(point ‖ query), by best-first
-  /// branch-and-bound with the Eq. 5 bound (used by the paper's `exactKNN`
-  /// baseline; also the ground truth for recall experiments).
-  /// `batched_screen` mirrors InflexSearchOptions::batched_screen: child
-  /// lower bounds start from one batched screen sweep per expanded node
-  /// instead of a scalar evaluation per child. Results, pruning decisions
-  /// and kl_evaluations counts are identical either way (the sweep performs
-  /// exactly the per-child screen evaluations it replaces).
+  /// Exact K nearest neighbors under D_KL(point ‖ query), ascending by
+  /// (divergence, point id) — equal divergences come back in ascending id
+  /// order. Used by the paper's `exactKNN` baseline and as the ground truth
+  /// for recall experiments. A linear scan of the flat buffer in row order,
+  /// O(Z·h) as the paper notes: at every measured (h, Z, k) it beat a
+  /// branch-and-bound on the Eq. 5 bound by 16–104× (DESIGN.md §10).
   std::vector<Neighbor> ExactKnn(const simplex::TopicVector& query, size_t k,
                                  SearchStats* stats = nullptr,
-                                 SearchContext* ctx = nullptr,
-                                 bool batched_screen = true) const;
+                                 SearchContext* ctx = nullptr) const;
 
   /// Approximate K-NN bounded by a maximum number of visited leaves
   /// (the paper's `approxKNN` baseline; with max_leaves = num_leaves() it
@@ -263,12 +251,6 @@ class BbTree {
   InflexSearchResult InflexSearch(const simplex::TopicVector& query,
                                   const InflexSearchOptions& options = {},
                                   SearchContext* ctx = nullptr) const;
-
-  /// Linear scan over all points (reference; O(Z·h) as the paper notes).
-  /// Sweeps the flat buffer in row order.
-  std::vector<Neighbor> LinearScanKnn(const simplex::TopicVector& query,
-                                      size_t k, SearchStats* stats = nullptr,
-                                      SearchContext* ctx = nullptr) const;
 
  private:
   friend class BbTreeBuilder;
@@ -306,7 +288,7 @@ class BbTree {
   /// child whose center is closest to the query (arg min of D_KL(μ_c ‖ q),
   /// as in Algorithm 1, evaluated as one batch over the node's child matrix)
   /// and appending the bypassed siblings to ctx.siblings_; returns the leaf
-  /// id. Shared by all tree searches.
+  /// id. The descent step of InflexSearch (and so of LeafBoundedKnn).
   uint32_t DescendToLeaf(uint32_t node_id, SearchContext& ctx,
                          SearchStats* stats) const;
 
@@ -316,14 +298,12 @@ class BbTree {
                 SearchStats* stats) const;
 
   /// The batched bisection screen (DESIGN.md §10): gathers the log-centers
-  /// of the given nodes' balls into ctx.screen_rows_ (stride-padded aligned
-  /// rows) and computes every screen divergence D_KL(q ‖ μ_i) in one
-  /// KlBatchTargets sweep into ctx.screen_divs_ (aligned with node_ids).
-  /// Each entry is bit-identical to what KlQueryContext::KlOfQueryAgainst
-  /// would return for that ball, so downstream pruning decisions are
-  /// unchanged by batching.
-  void ScreenBalls(const uint32_t* node_ids, size_t m, SearchContext& ctx,
-                   SearchStats* stats) const;
+  /// of the balls in ctx.siblings_ into ctx.screen_rows_ (stride-padded
+  /// aligned rows), computes every screen divergence D_KL(q ‖ μ_i) in one
+  /// KlBatchTargets sweep and stores each in its sibling's `screen`. Each is
+  /// bit-identical to what KlQueryContext::KlOfQueryAgainst returns for that
+  /// ball.
+  void ScreenSiblings(SearchContext& ctx, SearchStats* stats) const;
 
   /// The `similar_enough` AD test of Algorithm 1 over a leaf population.
   bool SimilarEnough(const std::vector<uint32_t>& leaf_ids, SearchContext& ctx,

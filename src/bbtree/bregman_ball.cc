@@ -57,85 +57,6 @@ bool BregmanBall::Contains(const simplex::TopicVector& x, double slack) const {
   return simplex::KlDivergence(x, center_) <= radius_ + slack;
 }
 
-// The unscreened entry points evaluate the screen D_KL(q ‖ μ) themselves and
-// hand off to the *Screened refinements below; a batched search precomputes
-// the same value for a whole frontier in one kernel sweep instead. Either
-// way the refinement sees a bit-identical div_q_center (same dispatched dot
-// product over the same operands), so decisions and bounds cannot diverge.
-
-double BregmanBall::MinDivergenceFrom(const simplex::KlQueryContext& query,
-                                      BisectionScratch* scratch,
-                                      SearchStats* stats) const {
-  INFLEX_CHECK_EQ(query.dim(), center_.size());
-  Timer timer;
-  const double div_q_center = query.KlOfQueryAgainst(log_center_.data());
-  if (stats != nullptr) {
-    stats->kl_evaluations += 1;
-    stats->kl_ns += static_cast<uint64_t>(timer.ElapsedSeconds() * 1e9);
-  }
-  return MinDivergenceScreened(query, div_q_center, scratch, stats);
-}
-
-double BregmanBall::MinDivergenceScreened(const simplex::KlQueryContext& query,
-                                          double div_q_center,
-                                          BisectionScratch* scratch,
-                                          SearchStats* stats) const {
-  INFLEX_CHECK_EQ(query.dim(), center_.size());
-  Timer timer;
-  size_t evals = 0;
-  const double* log_q = query.log_query();
-  double bound = 0.0;
-  if (div_q_center > radius_) {
-    // Bisect λ for the boundary crossing: D_KL(x_λ ‖ μ) decreases from
-    // D_KL(q ‖ μ) > R at λ=0 to 0 at λ=1. Keep x_{λ_out} outside and
-    // x_{λ_in} inside the ball; the projection lies between them and
-    // D_KL(x_λ ‖ q) is increasing in λ, so x_{λ_out} gives a lower bound.
-    const size_t n = center_.size();
-    double lambda_out = 0.0, lambda_in = 1.0;
-    for (int it = 0;
-         it < kMaxBisectionIters && lambda_in - lambda_out > kLambdaTolerance;
-         ++it) {
-      const double mid = 0.5 * (lambda_out + lambda_in);
-      const double neg_entropy_x =
-          GeodesicPoint(log_q, log_center_.data(), n, mid, scratch);
-      const double d_to_center = std::max(
-          neg_entropy_x -
-              simplex::DotProduct(scratch->x.data(), log_center_.data(), n),
-          0.0);
-      ++evals;
-      if (d_to_center > radius_) {
-        lambda_out = mid;
-      } else {
-        lambda_in = mid;
-      }
-    }
-    const double neg_entropy_x =
-        GeodesicPoint(log_q, log_center_.data(), n, lambda_out, scratch);
-    bound = std::max(
-        neg_entropy_x - simplex::DotProduct(scratch->x.data(), log_q, n), 0.0);
-    ++evals;
-  }
-  if (stats != nullptr) {
-    stats->kl_evaluations += evals;
-    stats->kl_ns += static_cast<uint64_t>(timer.ElapsedSeconds() * 1e9);
-  }
-  return bound;
-}
-
-bool BregmanBall::CanPrune(const simplex::KlQueryContext& query, double delta,
-                           BisectionScratch* scratch,
-                           SearchStats* stats) const {
-  INFLEX_CHECK_EQ(query.dim(), center_.size());
-  if (delta == std::numeric_limits<double>::infinity()) return false;
-  Timer timer;
-  const double div_q_center = query.KlOfQueryAgainst(log_center_.data());
-  if (stats != nullptr) {
-    stats->kl_evaluations += 1;
-    stats->kl_ns += static_cast<uint64_t>(timer.ElapsedSeconds() * 1e9);
-  }
-  return CanPruneScreened(query, div_q_center, delta, scratch, stats);
-}
-
 bool BregmanBall::CanPruneScreened(const simplex::KlQueryContext& query,
                                    double div_q_center, double delta,
                                    BisectionScratch* scratch,
@@ -186,28 +107,6 @@ bool BregmanBall::CanPruneScreened(const simplex::KlQueryContext& query,
     stats->kl_evaluations += evals;
     stats->kl_ns += static_cast<uint64_t>(timer.ElapsedSeconds() * 1e9);
   }
-  return prune;
-}
-
-double BregmanBall::MinDivergenceFrom(const simplex::TopicVector& q,
-                                      size_t* kl_evaluations) const {
-  simplex::KlQueryContext ctx;
-  ctx.Reset(q);
-  BisectionScratch scratch;
-  SearchStats stats;
-  const double bound = MinDivergenceFrom(ctx, &scratch, &stats);
-  if (kl_evaluations != nullptr) *kl_evaluations += stats.kl_evaluations;
-  return bound;
-}
-
-bool BregmanBall::CanPrune(const simplex::TopicVector& q, double delta,
-                           size_t* kl_evaluations) const {
-  simplex::KlQueryContext ctx;
-  ctx.Reset(q);
-  BisectionScratch scratch;
-  SearchStats stats;
-  const bool prune = CanPrune(ctx, delta, &scratch, &stats);
-  if (kl_evaluations != nullptr) *kl_evaluations += stats.kl_evaluations;
   return prune;
 }
 

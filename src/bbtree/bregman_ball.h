@@ -69,42 +69,18 @@ class BregmanBall {
   /// True when x lies in the ball: D_KL(x ‖ center) ≤ radius (+slack).
   bool Contains(const simplex::TopicVector& x, double slack = 1e-12) const;
 
-  /// Lower bound on min_{x ∈ B} D_KL(x ‖ q). Exact up to bisection
-  /// tolerance; always ≤ the true minimum. `stats` (optional) accumulates
-  /// kl_evaluations and kernel time.
-  double MinDivergenceFrom(const simplex::KlQueryContext& query,
-                           BisectionScratch* scratch,
-                           SearchStats* stats = nullptr) const;
-
   /// Resolves the Eq. 5 test "min_{x ∈ B} D_KL(x ‖ q) < δ" with early
   /// bisection exit: returns true when the subtree can be pruned
-  /// (min ≥ δ). δ = +inf never prunes.
-  bool CanPrune(const simplex::KlQueryContext& query, double delta,
-                BisectionScratch* scratch, SearchStats* stats = nullptr) const;
-
-  /// Both pruning primitives split into a *screen* — the single evaluation
-  /// D_KL(q ‖ μ); if it is ≤ R the query is inside the ball and the bound is
-  /// 0 — and a per-ball geodesic-bisection *refinement*. The screen depends
-  /// only on (query, ball), so a search can precompute it for a whole
-  /// frontier in one batched kernel sweep (BbTree::ScreenBalls) and pass it
-  /// here via `div_q_center`. With a screen value bit-equal to
-  /// query.KlOfQueryAgainst(log_center()), these return exactly what the
-  /// unscreened methods return; only the screen evaluation itself (already
-  /// counted by the batch sweep) is skipped here.
-  double MinDivergenceScreened(const simplex::KlQueryContext& query,
-                               double div_q_center, BisectionScratch* scratch,
-                               SearchStats* stats = nullptr) const;
+  /// (min ≥ δ). δ = +inf never prunes. `div_q_center` is the *screen*
+  /// D_KL(q ‖ μ), which depends only on (query, ball): a search computes it
+  /// for a whole frontier in one batched kernel sweep (BbTree::ScreenSiblings)
+  /// and passes it here. A screen ≤ R puts the query inside the ball (never
+  /// prunable); otherwise the geodesic bisection refines the bound. `stats`
+  /// (optional) accumulates the refinement's kl_evaluations and kernel time.
   bool CanPruneScreened(const simplex::KlQueryContext& query,
                         double div_q_center, double delta,
                         BisectionScratch* scratch,
                         SearchStats* stats = nullptr) const;
-
-  /// Convenience overloads building a context/scratch per call (tests and
-  /// cold paths; the searches pass their per-query context instead).
-  double MinDivergenceFrom(const simplex::TopicVector& q,
-                           size_t* kl_evaluations = nullptr) const;
-  bool CanPrune(const simplex::TopicVector& q, double delta,
-                size_t* kl_evaluations = nullptr) const;
 
  private:
   simplex::TopicVector center_;

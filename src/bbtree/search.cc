@@ -17,9 +17,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Min-heap entries keyed by divergence / lower bound. The carried screen
-// value is derived data and deliberately NOT part of the ordering: batched
-// and unbatched searches pop nodes in the same order.
+// Min-heap entries keyed by the descent divergence. The carried screen
+// value is derived data and deliberately NOT part of the ordering.
 struct QueuedSubtreeGreater {
   bool operator()(const QueuedSubtree& a, const QueuedSubtree& b) const {
     if (a.key != b.key) return a.key > b.key;
@@ -28,10 +27,6 @@ struct QueuedSubtreeGreater {
 };
 using MinHeap = std::priority_queue<QueuedSubtree, std::vector<QueuedSubtree>,
                                     QueuedSubtreeGreater>;
-
-// No screen was precomputed for this entry (screens are true divergences,
-// hence never negative); the pruning test evaluates one on demand.
-constexpr double kNoScreen = -1.0;
 
 // Resolves the caller's context: a nullptr falls back to a thread_local
 // instance, so steady-state search is allocation-free either way. Every
@@ -81,9 +76,7 @@ void SearchContext::BindTo(size_t dim, size_t max_leaf, size_t max_children) {
   const size_t queue_bound = std::max<size_t>(max_children * 8, 16);
   BoundCapacity(siblings_, queue_bound);
   // The batched-screen gather scratch is bounded by the same frontier size
-  // (ScreenBalls runs over one descent's bypassed siblings or one node's
-  // children, whichever the search batches).
-  BoundCapacity(screen_ids_, queue_bound);
+  // (ScreenSiblings runs over one descent's bypassed siblings).
   BoundCapacity(screen_divs_, queue_bound);
   BoundCapacity(screen_rows_, queue_bound * util::AlignedRowStride(dim));
 }
@@ -148,8 +141,7 @@ uint32_t BbTree::DescendToLeaf(uint32_t node_id, SearchContext& ctx,
     }
     for (size_t c = 0; c < m; ++c) {
       if (c != best) {
-        ctx.siblings_.push_back(
-            {ctx.child_divs_[c], node.children[c], kNoScreen});
+        ctx.siblings_.push_back({ctx.child_divs_[c], node.children[c]});
       }
     }
     current = node.children[best];
@@ -158,15 +150,16 @@ uint32_t BbTree::DescendToLeaf(uint32_t node_id, SearchContext& ctx,
   return current;
 }
 
-void BbTree::ScreenBalls(const uint32_t* node_ids, size_t m,
-                         SearchContext& ctx, SearchStats* stats) const {
+void BbTree::ScreenSiblings(SearchContext& ctx, SearchStats* stats) const {
   // Gather the balls' cached log-centers into stride-padded aligned rows.
   // Stale padding from a previous (larger) batch is harmless: the kernel
   // reads exactly dim_ values per row.
+  const size_t m = ctx.siblings_.size();
   const size_t stride = row_stride_;
   ctx.screen_rows_.resize(m * stride);
   for (size_t i = 0; i < m; ++i) {
-    const std::vector<double>& lc = nodes_[node_ids[i]].ball.log_center();
+    const std::vector<double>& lc =
+        nodes_[ctx.siblings_[i].node].ball.log_center();
     std::copy(lc.begin(), lc.end(), ctx.screen_rows_.begin() + i * stride);
   }
   ctx.screen_divs_.resize(m);
@@ -176,6 +169,7 @@ void BbTree::ScreenBalls(const uint32_t* node_ids, size_t m,
                           ctx.screen_divs_.data());
   stats->kl_ns += ElapsedNs(timer);
   stats->kl_evaluations += m;
+  for (size_t i = 0; i < m; ++i) ctx.siblings_[i].screen = ctx.screen_divs_[i];
 }
 
 void BbTree::ScanLeaf(const Node& leaf, SearchContext& ctx,
@@ -202,40 +196,26 @@ InflexSearchResult BbTree::InflexSearch(const simplex::TopicVector& query,
   SearchStats& stats = result.stats;
 
   MinHeap pending;
-  pending.push({0.0, 0, kNoScreen});  // root
+  pending.push({0.0, 0});  // root
   double delta = kInf;  // max divergence in the current solution set
 
   while (!pending.empty() && stats.leaves_visited < options.max_leaves) {
     const QueuedSubtree top = pending.top();
     pending.pop();
-    if (options.use_pruning && !result.neighbors.empty()) {
-      // With a precomputed screen (batched mode) the test skips straight to
-      // the δ-dependent bisection refinement; the decision is identical.
-      const BregmanBall& ball = nodes_[top.node].ball;
-      const bool prune =
-          top.screen >= 0.0
-              ? ball.CanPruneScreened(ctx.kl_, top.screen, delta, &ctx.bisect_,
-                                      &stats)
-              : ball.CanPrune(ctx.kl_, delta, &ctx.bisect_, &stats);
-      if (prune) {
-        ++stats.subtrees_pruned;
-        continue;
-      }
+    // The root is popped while the solution set is still empty, so every
+    // tested entry is a bypassed sibling carrying its enqueue-time screen.
+    if (options.use_pruning && !result.neighbors.empty() &&
+        nodes_[top.node].ball.CanPruneScreened(ctx.kl_, top.screen, delta,
+                                               &ctx.bisect_, &stats)) {
+      ++stats.subtrees_pruned;
+      continue;
     }
     ctx.siblings_.clear();
     const uint32_t leaf = DescendToLeaf(top.node, ctx, &stats);
-    if (options.batched_screen && options.use_pruning &&
-        !ctx.siblings_.empty()) {
+    if (options.use_pruning && !ctx.siblings_.empty()) {
       // One kernel sweep screens the whole bypassed frontier at enqueue
       // time; each entry carries its screen to the eventual pruning test.
-      ctx.screen_ids_.clear();
-      for (const QueuedSubtree& s : ctx.siblings_) {
-        ctx.screen_ids_.push_back(s.node);
-      }
-      ScreenBalls(ctx.screen_ids_.data(), ctx.screen_ids_.size(), ctx, &stats);
-      for (size_t i = 0; i < ctx.siblings_.size(); ++i) {
-        ctx.siblings_[i].screen = ctx.screen_divs_[i];
-      }
+      ScreenSiblings(ctx, &stats);
     }
     for (const auto& s : ctx.siblings_) pending.push(s);
 
@@ -280,86 +260,9 @@ std::vector<Neighbor> BbTree::LeafBoundedKnn(const simplex::TopicVector& query,
 
 std::vector<Neighbor> BbTree::ExactKnn(const simplex::TopicVector& query,
                                        size_t k, SearchStats* stats,
-                                       SearchContext* ctx_in,
-                                       bool batched_screen) const {
+                                       SearchContext* ctx_in) const {
   INFLEX_CHECK_EQ(query.size(), dim());
   INFLEX_CHECK_GT(k, 0u);
-  SearchContext& ctx = Scratch(ctx_in);
-  BindScratch(ctx);
-  ctx.kl_.Reset(query);
-  SearchStats local;
-  SearchStats& st = stats != nullptr ? *stats : local;
-
-  // Best-first branch-and-bound on the Eq. 5 lower bound; a min-heap keyed
-  // by the bound lets us stop as soon as the bound exceeds the k-th best.
-  MinHeap pending;
-  pending.push({0.0, 0, kNoScreen});
-  std::priority_queue<Neighbor> best;  // max-heap: worst of the best on top
-
-  while (!pending.empty()) {
-    const auto [lower_bound, node_id, screen] = pending.top();
-    pending.pop();
-    (void)screen;  // ExactKnn refines bounds at enqueue time, not dequeue
-    const double delta = best.size() == k ? best.top().divergence : kInf;
-    if (lower_bound >= delta) {
-      ++st.subtrees_pruned;
-      break;  // min-heap: every remaining bound is at least as large
-    }
-    const Node& node = nodes_[node_id];
-    ++st.nodes_visited;
-    if (node.is_leaf()) {
-      ++st.leaves_visited;
-      ScanLeaf(node, ctx, &st);
-      for (size_t i = 0; i < node.point_ids.size(); ++i) {
-        const uint32_t pid = node.point_ids[i];
-        const double d = ctx.leaf_divs_[i];
-        if (best.size() < k) {
-          best.push(Neighbor{pid, d});
-        } else if (d < best.top().divergence) {
-          best.pop();
-          best.push(Neighbor{pid, d});
-        }
-      }
-    } else {
-      // Batched mode screens all children in one kernel sweep, then refines
-      // each bound from its precomputed screen — the same evaluations the
-      // per-child path performs, reordered, so kl_evaluations and every
-      // pruning decision are identical.
-      const size_t m = node.children.size();
-      if (batched_screen && m > 0) {
-        ScreenBalls(node.children.data(), m, ctx, &st);
-      }
-      for (size_t c = 0; c < m; ++c) {
-        const uint32_t child = node.children[c];
-        const BregmanBall& ball = nodes_[child].ball;
-        const double lb =
-            batched_screen
-                ? ball.MinDivergenceScreened(ctx.kl_, ctx.screen_divs_[c],
-                                             &ctx.bisect_, &st)
-                : ball.MinDivergenceFrom(ctx.kl_, &ctx.bisect_, &st);
-        const double cur_delta =
-            best.size() == k ? best.top().divergence : kInf;
-        if (lb < cur_delta) {
-          pending.push({lb, child, kNoScreen});
-        } else {
-          ++st.subtrees_pruned;
-        }
-      }
-    }
-  }
-
-  std::vector<Neighbor> out(best.size());
-  for (size_t i = best.size(); i-- > 0;) {
-    out[i] = best.top();
-    best.pop();
-  }
-  return out;
-}
-
-std::vector<Neighbor> BbTree::LinearScanKnn(const simplex::TopicVector& query,
-                                            size_t k, SearchStats* stats,
-                                            SearchContext* ctx_in) const {
-  INFLEX_CHECK_EQ(query.size(), dim());
   SearchContext& ctx = Scratch(ctx_in);
   BindScratch(ctx);
   ctx.kl_.Reset(query);

@@ -1,7 +1,6 @@
 #include "im/celf.h"
 
 #include <algorithm>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -39,13 +38,8 @@ Result<SeedSelectionResult> SelectSeedsCelf(
     ParallelFor(
         0, n,
         [&](size_t v) {
-          thread_local std::unique_ptr<SnapshotSpreadOracle::Workspace> tws;
-          if (tws == nullptr) {
-            tws = std::make_unique<SnapshotSpreadOracle::Workspace>(
-                oracle->MakeWorkspace());
-          }
-          init_gains[v] =
-              oracle->MarginalGain(static_cast<graph::NodeId>(v), tws.get());
+          init_gains[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v),
+                                               oracle->ThreadWorkspace());
         },
         options.pool);
   } else {

@@ -1,7 +1,6 @@
 #include "im/celfpp.h"
 
 #include <limits>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -48,13 +47,8 @@ Result<SeedSelectionResult> SelectSeedsCelfPp(
     ParallelFor(
         0, n,
         [&](size_t v) {
-          thread_local std::unique_ptr<SnapshotSpreadOracle::Workspace> tws;
-          if (tws == nullptr) {
-            tws = std::make_unique<SnapshotSpreadOracle::Workspace>(
-                oracle->MakeWorkspace());
-          }
           mg1[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v),
-                                        tws.get());
+                                        oracle->ThreadWorkspace());
         },
         options.pool);
   } else {
@@ -78,14 +72,9 @@ Result<SeedSelectionResult> SelectSeedsCelfPp(
       prev_best[v] = kInvalidNode;
       return;
     }
-    thread_local std::unique_ptr<SnapshotSpreadOracle::Workspace> tws;
-    if (tws == nullptr) {
-      tws = std::make_unique<SnapshotSpreadOracle::Workspace>(
-          oracle->MakeWorkspace());
-    }
     double a = 0.0, b = 0.0;
-    oracle->MarginalGainPair(static_cast<graph::NodeId>(v), best0, tws.get(),
-                             &a, &b);
+    oracle->MarginalGainPair(static_cast<graph::NodeId>(v), best0,
+                             oracle->ThreadWorkspace(), &a, &b);
     mg1[v] = a;  // identical to the first pass (deterministic oracle)
     mg2[v] = b;
     prev_best[v] = best0;

@@ -1,7 +1,6 @@
 #include "im/greedy.h"
 
 #include <limits>
-#include <memory>
 
 namespace inflex {
 namespace im {
@@ -48,13 +47,8 @@ Result<SeedSelectionResult> SelectSeedsGreedy(
       ParallelFor(
           0, n,
           [&](size_t v) {
-            thread_local std::unique_ptr<SnapshotSpreadOracle::Workspace> tws;
-            if (tws == nullptr) {
-              tws = std::make_unique<SnapshotSpreadOracle::Workspace>(
-                  oracle->MakeWorkspace());
-            }
-            gains[v] =
-                oracle->MarginalGain(static_cast<graph::NodeId>(v), tws.get());
+            gains[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v),
+                                            oracle->ThreadWorkspace());
           },
           options.pool);
       result.num_evaluations += n;

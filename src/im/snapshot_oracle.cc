@@ -1,6 +1,7 @@
 #include "im/snapshot_oracle.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/check.h"
 #include "util/random.h"
@@ -47,6 +48,15 @@ Result<SnapshotSpreadOracle> SnapshotSpreadOracle::Create(
   }
   oracle.targets_ = std::move(kept_targets);
   return oracle;
+}
+
+SnapshotSpreadOracle::Workspace* SnapshotSpreadOracle::ThreadWorkspace()
+    const {
+  thread_local std::unique_ptr<Workspace> ws;
+  if (ws == nullptr || ws->stamps_.size() != num_nodes_) {
+    ws = std::make_unique<Workspace>(num_nodes_);
+  }
+  return ws.get();
 }
 
 double SnapshotSpreadOracle::MarginalGain(graph::NodeId v,

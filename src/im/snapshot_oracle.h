@@ -59,6 +59,11 @@ class SnapshotSpreadOracle {
 
   Workspace MakeWorkspace() const { return Workspace(num_nodes_); }
 
+  /// The calling thread's own workspace, for marginal gains fanned out over
+  /// a pool. One per thread, rebuilt whenever the thread meets an oracle of
+  /// a different node count, so one thread can serve graphs of any size.
+  Workspace* ThreadWorkspace() const;
+
   /// Average number of nodes v would newly reach across snapshots, given the
   /// currently committed seeds. Thread-safe w.r.t. other MarginalGain calls.
   double MarginalGain(graph::NodeId v, Workspace* ws) const;

@@ -1,6 +1,7 @@
 #include "im/spread_estimator.h"
 
 #include <cmath>
+#include <memory>
 
 #include "im/cascade.h"
 #include "util/random.h"
@@ -31,15 +32,14 @@ Result<SpreadEstimate> EstimateSpread(const graph::TopicGraph& g,
     // Deterministic per-simulation stream: results do not depend on thread
     // scheduling or pool size.
     Rng rng(options.seed ^ (0x51ed2700abcd1234ULL + i * 0x9e3779b97f4a7c15ULL));
-    thread_local CascadeWorkspace* ws = nullptr;
+    thread_local std::unique_ptr<CascadeWorkspace> ws;
     thread_local size_t ws_nodes = 0;
     if (ws == nullptr || ws_nodes != g.num_nodes()) {
-      delete ws;
-      ws = new CascadeWorkspace(g.num_nodes());
+      ws = std::make_unique<CascadeWorkspace>(g.num_nodes());
       ws_nodes = g.num_nodes();
     }
-    counts[i] =
-        static_cast<double>(SimulateCascadeCount(g, arc_probs, seeds, &rng, ws));
+    counts[i] = static_cast<double>(
+        SimulateCascadeCount(g, arc_probs, seeds, &rng, ws.get()));
   };
 
   if (options.parallel && r >= 32) {

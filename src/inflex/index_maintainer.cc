@@ -57,15 +57,11 @@ IndexMaintainer::IndexMaintainer(std::shared_ptr<const InflexIndex> initial,
   INFLEX_CHECK(initial != nullptr);
   INFLEX_CHECK(graph_ != nullptr);
   INFLEX_CHECK_GT(options_.admission_threshold, 0.0);
-  INFLEX_CHECK_GT(options_.oracle_snapshots, 0u);
   options_.max_batch = std::max<size_t>(options_.max_batch, 1);
-  // Zero-valued oracle seed/snapshots inherit the maintainer's own, so the
-  // default configuration reproduces the historical CELF++ path exactly
-  // (same snapshot seed per ticket, same snapshot count).
+  // A zero-valued oracle seed inherits the maintainer's own, so the default
+  // configuration reproduces the historical CELF++ path exactly (same
+  // snapshot seed per ticket).
   if (options_.oracle.seed == 0) options_.oracle.seed = options_.seed;
-  if (options_.oracle.num_snapshots == 0) {
-    options_.oracle.num_snapshots = options_.oracle_snapshots;
-  }
   auto oracle_result = oracle::MakeSpreadOracle(graph_, options_.oracle);
   INFLEX_CHECK(oracle_result.ok());  // misconfiguration is a programming error
   oracle_ = std::move(oracle_result).ValueOrDie();

@@ -104,20 +104,17 @@ struct IndexMaintainerOptions {
   /// ℓ of the precomputed seed list for admitted points (0 = the current
   /// index's seed_list_length()).
   size_t seed_list_length = 0;
-  /// Live-edge snapshots behind each CELF++ precompute (when
-  /// `oracle.backend` selects it; equals `oracle.num_snapshots` when that
-  /// is left 0).
-  size_t oracle_snapshots = 150;
   uint64_t seed = 101;
   /// Which spread oracle runs the stage-2 seed precompute, and its tuning.
-  /// Zero-valued `oracle.seed` / `oracle.num_snapshots` inherit `seed` /
-  /// `oracle_snapshots` above. The maintainer defaults to the RIS backend:
-  /// orders-of-magnitude cheaper admission-time precompute at gate-verified
-  /// relevance (the golden-corpus quality gate, DESIGN.md §15, scores every
-  /// backend against exact-CELF++ goldens on every change; RIS cleared it
-  /// before becoming the default). Set `oracle.backend` to kCelfPp to
-  /// reproduce the historical hard-coded snapshot-CELF++ path bit-for-bit,
-  /// or kSketch for the shared-universe estimator (DESIGN.md §14).
+  /// A zero-valued `oracle.seed` inherits `seed` above; `oracle.num_snapshots`
+  /// sets the live-edge snapshots behind each CELF++ precompute. The
+  /// maintainer defaults to the RIS backend: orders-of-magnitude cheaper
+  /// admission-time precompute at gate-verified relevance (the golden-corpus
+  /// quality gate, DESIGN.md §15, scores every backend against exact-CELF++
+  /// goldens on every change; RIS cleared it before becoming the default).
+  /// Set `oracle.backend` to kCelfPp to reproduce the historical hard-coded
+  /// snapshot-CELF++ path bit-for-bit, or kSketch for the shared-universe
+  /// estimator (DESIGN.md §14).
   oracle::SpreadOracleOptions oracle{.backend = oracle::OracleBackend::kRis};
   /// Publish-time tree-quality gate: when the batch's inserts/removals push
   /// the clone's tree degradation() to this, the new generation is produced

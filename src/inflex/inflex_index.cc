@@ -4,8 +4,7 @@
 #include <atomic>
 #include <numeric>
 
-#include "im/celfpp.h"
-#include "im/snapshot_oracle.h"
+#include "oracle/celfpp_oracle.h"
 #include "simplex/topic_distribution.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -65,41 +64,30 @@ Result<InflexIndex> InflexIndex::Build(
   // it is parallelized across points (each task owns its oracle).
   std::vector<rank::RankedList> seed_lists(h);
   std::vector<Status> statuses(h);
-  auto precompute_one = [&](size_t i) {
-    simplex::TopicVector point = selection.points[i];
-    auto item = simplex::TopicDistribution::Create(std::move(point));
-    if (!item.ok()) {
-      statuses[i] = item.status();
-      return;
-    }
-    const graph::ArcProbabilities probs =
-        graph.ItemArcProbabilities(item.ValueOrDie());
-    im::SnapshotSpreadOracle::Options oopts;
-    oopts.num_snapshots = options.oracle_snapshots;
-    oopts.seed = options.seed + i;
-    auto oracle = im::SnapshotSpreadOracle::Create(graph, probs, oopts);
-    if (!oracle.ok()) {
-      statuses[i] = oracle.status();
-      return;
-    }
-    im::SeedSelectionOptions sopts;
-    // The outer loop already saturates the pool; nested parallelism would
-    // deadlock a pool waiting on itself.
-    sopts.parallel_first_iteration = false;
-    auto seeds = im::SelectSeedsCelfPp(&oracle.ValueOrDie(),
-                                       options.seed_list_length, sopts);
-    if (!seeds.ok()) {
-      statuses[i] = seeds.status();
-      return;
-    }
-    seed_lists[i].assign(seeds.ValueOrDie().seeds.begin(),
-                         seeds.ValueOrDie().seeds.end());
-  };
-  if (options.parallel_precompute) {
-    ParallelFor(0, h, precompute_one, options.pool);
-  } else {
-    for (size_t i = 0; i < h; ++i) precompute_one(i);
-  }
+  ParallelFor(
+      0, h,
+      [&](size_t i) {
+        auto item = simplex::TopicDistribution::Create(selection.points[i]);
+        if (!item.ok()) {
+          statuses[i] = item.status();
+          return;
+        }
+        oracle::OfflineImOptions oopts;
+        oopts.num_snapshots = options.oracle_snapshots;
+        oopts.seed = options.seed + i;
+        // The outer loop already spreads the points across the pool, so
+        // each selection stays serial.
+        oopts.selection.parallel_first_iteration = false;
+        auto seeds = oracle::OfflineTicSeeds(
+            graph, item.ValueOrDie(), options.seed_list_length, oopts);
+        if (!seeds.ok()) {
+          statuses[i] = seeds.status();
+          return;
+        }
+        seed_lists[i].assign(seeds.ValueOrDie().seeds.begin(),
+                             seeds.ValueOrDie().seeds.end());
+      },
+      options.pool);
   for (const Status& s : statuses) {
     INFLEX_RETURN_NOT_OK(s);
   }

@@ -24,7 +24,7 @@ enum class QueryStrategy {
   /// Algorithm 1 search (ε-exact + AD early stop + pruning) followed by
   /// automatic neighbor selection and weighted aggregation.
   kInflex,
-  /// Exact K-NN via branch-and-bound, weighted aggregation, no selection.
+  /// Exact K-NN (a linear scan), weighted aggregation, no selection.
   kExactKnn,
   /// Leaf-bounded approximate K-NN, weighted aggregation, no selection.
   kApproxKnn,
@@ -98,8 +98,6 @@ struct InflexBuildOptions {
   size_t oracle_snapshots = 150;
   bbtree::BbTreeOptions tree;
   uint64_t seed = 17;
-  /// Run the per-index-point CELF++ computations across the pool.
-  bool parallel_precompute = true;
   ThreadPool* pool = nullptr;
 };
 

@@ -1,18 +1,44 @@
 #ifndef INFLEX_ORACLE_CELFPP_ORACLE_H_
 #define INFLEX_ORACLE_CELFPP_ORACLE_H_
 
+#include "im/greedy.h"
 #include "oracle/spread_oracle.h"
 
 namespace inflex {
 namespace oracle {
 
-/// \brief The golden-reference backend: materialize Eq. 1 arc probabilities,
-/// sample `num_snapshots` live-edge subgraphs, run CELF++ — exactly the
-/// sequence `core::OfflineTicSeeds` performs and InflexIndex::Build trusts.
-/// It stays the referee for the cheaper backends: snapshot averaging is an
-/// unbiased σ estimator with no sketch/sampling shortcuts, so RIS and sketch
-/// quality are always measured against it (check_bench_json.py enforces the
-/// ratio). Every call samples fresh snapshots; nothing is shared or cached.
+/// \brief Options of the offline CELF++ seed computation.
+struct OfflineImOptions {
+  /// Live-edge snapshots backing the CELF++ oracle (the paper used 5k plain
+  /// Monte-Carlo trials; snapshots are the standard variance-reduced
+  /// equivalent).
+  size_t num_snapshots = 200;
+  uint64_t seed = 31;
+  im::SeedSelectionOptions selection;
+};
+
+/// "offline TIC": the ground truth of every experiment — materialize Eq. 1
+/// arc probabilities, sample `num_snapshots` live-edge subgraphs, run
+/// CELF++. This is what INFLEX approximates in milliseconds and what took the
+/// authors ~60 hours per item at full scale. It is the one CELF++ precompute
+/// in the repo: InflexIndex::Build runs it per index point, CelfPpOracle per
+/// admitted delta, and the golden-corpus regeneration per query (with its
+/// segment candidate mask).
+Result<im::SeedSelectionResult> OfflineTicSeeds(
+    const graph::TopicGraph& g, const simplex::TopicDistribution& item,
+    size_t k, const OfflineImOptions& options = {});
+
+/// "offline IC": the topic-blind baseline — CELF++ with a uniform topic
+/// distribution (Table 2 shows it reaching less than half the TIC spread).
+Result<im::SeedSelectionResult> OfflineIcSeeds(
+    const graph::TopicGraph& g, size_t k, const OfflineImOptions& options = {});
+
+/// \brief The golden-reference backend: OfflineTicSeeds per request, seeded
+/// `seed + salt`. It stays the referee for the cheaper backends: snapshot
+/// averaging is an unbiased σ estimator with no sketch/sampling shortcuts,
+/// so RIS and sketch quality are always measured against it
+/// (check_bench_json.py enforces the ratio). Every call samples fresh
+/// snapshots; nothing is shared or cached.
 class CelfPpOracle final : public SpreadOracle {
  public:
   CelfPpOracle(const graph::TopicGraph* graph,

@@ -36,7 +36,7 @@ Result<OracleBackend> ParseOracleBackend(const std::string& name);
 
 /// \brief Tuning for a SpreadOracle. Zero-valued `seed` / `num_snapshots`
 /// mean "inherit from context": an IndexMaintainer substitutes its own
-/// `seed` / `oracle_snapshots`; MakeSpreadOracle falls back to 97 / 150.
+/// `seed`; MakeSpreadOracle falls back to 97 / 150.
 struct SpreadOracleOptions {
   OracleBackend backend = OracleBackend::kCelfPp;
   uint64_t seed = 0;

@@ -11,11 +11,10 @@
 #include <vector>
 
 #include "data/synthetic.h"
-#include "im/celfpp.h"
-#include "im/snapshot_oracle.h"
 #include "im/spread_estimator.h"
 #include "inflex/index_maintainer.h"
 #include "inflex/query_engine.h"
+#include "oracle/celfpp_oracle.h"
 #include "simplex/divergence.h"
 
 namespace inflex {
@@ -131,7 +130,7 @@ Result<BackendReport> ScoreBackend(
 
   core::IndexMaintainerOptions mopts;
   mopts.admission_threshold = sc.admission_threshold;
-  mopts.oracle_snapshots = sc.maintainer_snapshots;
+  mopts.oracle.num_snapshots = sc.maintainer_snapshots;
   mopts.seed = sc.maintainer_seed;
   mopts.oracle.backend = backend;
   mopts.oracle.num_rr_sets = sc.ris_rr_sets;
@@ -452,16 +451,14 @@ Status RegenerateGoldens(const CorpusWorld& world, RelevanceCorpus* corpus) {
   for (CorpusQuery& q : corpus->queries) {
     const graph::ArcProbabilities arc_probs =
         world.graph().ItemArcProbabilities(q.item);
-    im::SnapshotSpreadOracle::Options oopts;
+    oracle::OfflineImOptions oopts;
     oopts.num_snapshots = corpus->golden_oracle_snapshots;
     oopts.seed = corpus->golden_oracle_seed;
+    oopts.selection.candidate_mask =
+        SegmentMask(q.segment, world.graph().num_nodes());
     INFLEX_ASSIGN_OR_RETURN(
-        im::SnapshotSpreadOracle oracle,
-        im::SnapshotSpreadOracle::Create(world.graph(), arc_probs, oopts));
-    im::SeedSelectionOptions sopts;
-    sopts.candidate_mask = SegmentMask(q.segment, world.graph().num_nodes());
-    INFLEX_ASSIGN_OR_RETURN(im::SeedSelectionResult golden,
-                            im::SelectSeedsCelfPp(&oracle, q.k, sopts));
+        im::SeedSelectionResult golden,
+        oracle::OfflineTicSeeds(world.graph(), q.item, q.k, oopts));
     q.golden_seeds = std::move(golden.seeds);
     INFLEX_ASSIGN_OR_RETURN(
         im::SpreadEstimate est,

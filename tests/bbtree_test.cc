@@ -9,6 +9,7 @@
 #include "simplex/divergence.h"
 #include "simplex/sampling.h"
 #include "stats/dirichlet.h"
+#include "util/aligned.h"
 #include "util/random.h"
 
 namespace inflex {
@@ -31,6 +32,29 @@ std::vector<TopicVector> ClusteredPoints(size_t n, size_t dim, uint64_t seed) {
   return points;
 }
 
+// Brute-force reference with the reference divergence, deliberately not
+// touching the tree's storage or kernel.
+std::vector<Neighbor> ReferenceKnn(const std::vector<TopicVector>& points,
+                                   const TopicVector& q, size_t k) {
+  std::vector<Neighbor> all;
+  all.reserve(points.size());
+  for (uint32_t id = 0; id < points.size(); ++id) {
+    all.push_back({id, simplex::KlDivergence(points[id], q)});
+  }
+  std::sort(all.begin(), all.end());
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+// The Eq. 5 pruning test with its screen D_KL(q ‖ μ) evaluated on the spot.
+bool Prunes(const BregmanBall& ball, const TopicVector& q, double delta) {
+  simplex::KlQueryContext ctx;
+  ctx.Reset(q);
+  BisectionScratch scratch;
+  return ball.CanPruneScreened(
+      ctx, ctx.KlOfQueryAgainst(ball.log_center().data()), delta, &scratch);
+}
+
 // ------------------------------------------------------------ BregmanBall ---
 
 TEST(BregmanBallTest, ContainsCenterAndRespectsRadius) {
@@ -42,20 +66,22 @@ TEST(BregmanBallTest, ContainsCenterAndRespectsRadius) {
 }
 
 TEST(BregmanBallTest, MinDivergenceZeroWhenQueryInside) {
+  // A query inside the ball is at divergence 0 from the ball's closest
+  // point, so no positive δ may prune it.
   BregmanBall ball({0.5, 0.5}, 0.1);
-  EXPECT_DOUBLE_EQ(ball.MinDivergenceFrom({0.52, 0.48}), 0.0);
+  EXPECT_FALSE(Prunes(ball, {0.52, 0.48}, 1e-12));
 }
 
 TEST(BregmanBallTest, MinDivergenceIsValidLowerBound) {
-  // Property: for any point x sampled inside the ball,
-  // KL(x ‖ q) ≥ MinDivergenceFrom(q) − tolerance.
+  // Soundness: the test must never prune a ball that holds a point x with
+  // D_KL(x ‖ q) < δ. Checked for every x sampled inside the ball, at δ just
+  // above its divergence.
   Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {
     const TopicVector center = simplex::SampleUniformSimplex(4, &rng);
     const double radius = rng.Uniform(0.01, 0.2);
     BregmanBall ball(center, radius);
     const TopicVector q = simplex::SampleUniformSimplex(4, &rng);
-    const double bound = ball.MinDivergenceFrom(q);
     // Rejection-sample points inside the ball around its center.
     int checked = 0;
     for (int i = 0; i < 3000 && checked < 300; ++i) {
@@ -68,7 +94,7 @@ TEST(BregmanBallTest, MinDivergenceIsValidLowerBound) {
       for (double& v : x) v /= sum;
       if (!ball.Contains(x)) continue;
       ++checked;
-      EXPECT_GE(simplex::KlDivergence(x, q), bound - 1e-7)
+      EXPECT_FALSE(Prunes(ball, q, simplex::KlDivergence(x, q) + 1e-7))
           << "trial " << trial;
     }
     ASSERT_GT(checked, 0) << "sampler never hit the ball";
@@ -76,60 +102,84 @@ TEST(BregmanBallTest, MinDivergenceIsValidLowerBound) {
 }
 
 TEST(BregmanBallTest, MinDivergenceTightOnBoundaryCase) {
-  // For a tiny ball the bound approaches KL(center ‖ q).
+  // For a tiny ball the minimum approaches KL(center ‖ q): the test prunes
+  // just below it and keeps just above it.
   Rng rng(5);
   for (int t = 0; t < 10; ++t) {
     const TopicVector center = simplex::SampleUniformSimplex(3, &rng);
     const TopicVector q = simplex::SampleUniformSimplex(3, &rng);
     BregmanBall ball(center, 1e-10);
-    EXPECT_NEAR(ball.MinDivergenceFrom(q), simplex::KlDivergence(center, q),
-                1e-3);
+    const double d = simplex::KlDivergence(center, q);
+    if (d < 1e-2) continue;
+    EXPECT_TRUE(Prunes(ball, q, d - 1e-3)) << "t=" << t;
+    EXPECT_FALSE(Prunes(ball, q, d + 1e-3)) << "t=" << t;
   }
 }
 
 TEST(BregmanBallTest, CanPruneConsistentWithBound) {
+  // The center lies in the ball, so δ above D_KL(μ ‖ q) never prunes; and
+  // the decision is monotone in δ: pruning at δ implies pruning below it.
   Rng rng(7);
+  int pruned = 0;
   for (int t = 0; t < 50; ++t) {
     const TopicVector center = simplex::SampleUniformSimplex(4, &rng);
     BregmanBall ball(center, rng.Uniform(0.01, 0.3));
     const TopicVector q = simplex::SampleUniformSimplex(4, &rng);
-    const double bound = ball.MinDivergenceFrom(q);
-    // Far above the bound: never prune; far below: always prune.
-    EXPECT_FALSE(ball.CanPrune(q, bound + 0.5));
-    if (bound > 1e-6) {
-      EXPECT_TRUE(ball.CanPrune(q, bound * 0.5));
+    const double d = simplex::KlDivergence(center, q);
+    EXPECT_FALSE(Prunes(ball, q, d + 1e-6)) << "t=" << t;
+    bool pruned_above = false;
+    for (double delta = d; delta > 1e-6; delta *= 0.5) {
+      const bool prune = Prunes(ball, q, delta);
+      if (pruned_above) {
+        EXPECT_TRUE(prune) << "t=" << t << " delta=" << delta;
+      }
+      pruned_above = pruned_above || prune;
     }
+    pruned += pruned_above;
   }
+  EXPECT_GT(pruned, 0);  // the check above is not vacuous
 }
 
 TEST(BregmanBallTest, InfiniteDeltaNeverPrunes) {
   BregmanBall ball({0.5, 0.5}, 0.01);
   EXPECT_FALSE(
-      ball.CanPrune({0.9, 0.1}, std::numeric_limits<double>::infinity()));
+      Prunes(ball, {0.9, 0.1}, std::numeric_limits<double>::infinity()));
 }
 
 TEST(BregmanBallTest, ScreenedPrimitivesMatchUnscreenedExactly) {
-  // The batched searches precompute the screen D_KL(q ‖ μ) and pass it to
-  // the *Screened refinements; with a screen bit-equal to what the
-  // unscreened methods compute themselves (guaranteed: same dispatched
-  // kernel over the same operands), bounds and decisions must be identical.
+  // InflexSearch screens a whole bypassed frontier in one KlBatchTargets
+  // sweep over the balls' cached log-centers. Each batched screen must equal
+  // the scalar KlOfQueryAgainst bit for bit, so the pruning decision cannot
+  // depend on which path computed it.
+  constexpr size_t kDim = 6;
+  constexpr size_t kBalls = 7;
+  const size_t stride = util::AlignedRowStride(kDim);
   Rng rng(471);
   simplex::KlQueryContext ctx;
   BisectionScratch scratch;
-  for (int t = 0; t < 50; ++t) {
-    const TopicVector center = simplex::SampleUniformSimplex(6, &rng);
-    BregmanBall ball(center, rng.Uniform(0.005, 0.3));
-    const TopicVector q = simplex::SampleUniformSimplex(6, &rng);
+  for (int t = 0; t < 10; ++t) {
+    std::vector<BregmanBall> balls;
+    util::AlignedVector<double> rows(kBalls * stride, 0.0);
+    for (size_t b = 0; b < kBalls; ++b) {
+      balls.emplace_back(simplex::SampleUniformSimplex(kDim, &rng),
+                         rng.Uniform(0.005, 0.3));
+      std::copy(balls[b].log_center().begin(), balls[b].log_center().end(),
+                rows.begin() + b * stride);
+    }
+    const TopicVector q = simplex::SampleUniformSimplex(kDim, &rng);
     ctx.Reset(q);
-    const double screen = ctx.KlOfQueryAgainst(ball.log_center().data());
-    EXPECT_DOUBLE_EQ(ball.MinDivergenceScreened(ctx, screen, &scratch),
-                     ball.MinDivergenceFrom(ctx, &scratch));
-    const double bound = ball.MinDivergenceFrom(ctx, &scratch);
-    for (double delta : {bound * 0.5, bound, bound + 1e-6, bound + 0.5,
-                         std::numeric_limits<double>::infinity()}) {
-      EXPECT_EQ(ball.CanPruneScreened(ctx, screen, delta, &scratch),
-                ball.CanPrune(ctx, delta, &scratch))
-          << "t=" << t << " delta=" << delta;
+    std::vector<double> screens(kBalls);
+    simplex::KlBatchTargets(ctx.query(), ctx.query_neg_entropy(), rows.data(),
+                            kBalls, kDim, stride, screens.data());
+    for (size_t b = 0; b < kBalls; ++b) {
+      const double scalar = ctx.KlOfQueryAgainst(balls[b].log_center().data());
+      EXPECT_EQ(screens[b], scalar) << "t=" << t << " ball=" << b;
+      for (double delta : {scalar * 0.1, scalar * 0.5, scalar, scalar + 0.5,
+                           std::numeric_limits<double>::infinity()}) {
+        EXPECT_EQ(balls[b].CanPruneScreened(ctx, screens[b], delta, &scratch),
+                  balls[b].CanPruneScreened(ctx, scalar, delta, &scratch))
+            << "t=" << t << " delta=" << delta;
+      }
     }
   }
 }
@@ -197,6 +247,7 @@ TEST(BbTreeBuildTest, DeterministicForFixedSeed) {
 class ExactKnnPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ExactKnnPropertyTest, MatchesLinearScan) {
+  // Against the brute-force reference scan.
   const auto points = ClusteredPoints(250, 6, GetParam());
   BbTreeOptions opts;
   opts.max_leaf_size = 10;
@@ -210,7 +261,7 @@ TEST_P(ExactKnnPropertyTest, MatchesLinearScan) {
     const TopicVector q = simplex::SampleUniformSimplex(6, &rng);
     for (size_t k : {1u, 5u, 10u}) {
       const auto exact = tree.ExactKnn(q, k);
-      const auto linear = tree.LinearScanKnn(q, k);
+      const auto linear = ReferenceKnn(points, q, k);
       ASSERT_EQ(exact.size(), k);
       ASSERT_EQ(linear.size(), k);
       for (size_t i = 0; i < k; ++i) {
@@ -225,24 +276,44 @@ TEST_P(ExactKnnPropertyTest, MatchesLinearScan) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactKnnPropertyTest,
                          ::testing::Values(21, 22, 23, 24));
 
-TEST(ExactKnnTest, PrunesComparedToLinearScan) {
-  const auto points = ClusteredPoints(500, 6, 31);
-  BbTreeOptions opts;
-  opts.max_leaf_size = 16;
-  auto tree_r = BbTree::Build(points, opts);
-  ASSERT_TRUE(tree_r.ok());
-  Rng rng(32);
-  size_t total_leaves = 0;
-  const int trials = 20;
-  for (int t = 0; t < trials; ++t) {
-    SearchStats stats;
-    tree_r.ValueOrDie().ExactKnn(simplex::SampleUniformSimplex(6, &rng), 5,
-                                 &stats);
-    total_leaves += stats.leaves_visited;
+TEST(ExactKnnTest, EqualDivergencesComeBackInAscendingIdOrder) {
+  // The maintainer re-points a published delta at its 1-NN
+  // (index_maintainer.cc) and relies on a deterministic answer when index
+  // points coincide: ties are broken by ascending point id, whatever the
+  // physical row order.
+  const auto base = ClusteredPoints(40, 5, 33);
+  std::vector<TopicVector> points;
+  for (int copy = 0; copy < 3; ++copy) {
+    points.insert(points.end(), base.begin(), base.end());
   }
-  // On clustered data branch-and-bound should rarely touch every leaf.
-  EXPECT_LT(total_leaves,
-            trials * tree_r.ValueOrDie().num_leaves());
+  auto tree_r = BbTree::Build(points, {});
+  ASSERT_TRUE(tree_r.ok());
+  BbTree& tree = tree_r.ValueOrDie();
+  // An inserted fourth copy lands in a later row than its twins.
+  ASSERT_TRUE(tree.Insert(base[7]).ok());
+  const uint32_t inserted = 120;
+
+  const auto nn = tree.ExactKnn(base[7], 4);
+  ASSERT_EQ(nn.size(), 4u);
+  const std::vector<uint32_t> want = {7, 47, 87, inserted};
+  for (size_t i = 0; i < nn.size(); ++i) {
+    EXPECT_EQ(nn[i].point_id, want[i]) << "i=" << i;
+    EXPECT_EQ(nn[i].divergence, nn[0].divergence) << "i=" << i;
+  }
+  // A k-boundary inside a block of ties keeps the smallest ids.
+  const auto nn2 = tree.ExactKnn(base[7], 2);
+  ASSERT_EQ(nn2.size(), 2u);
+  EXPECT_EQ(nn2[0].point_id, 7u);
+  EXPECT_EQ(nn2[1].point_id, 47u);
+  // Every answer is ascending by (divergence, id).
+  Rng rng(34);
+  for (int t = 0; t < 20; ++t) {
+    const TopicVector q = simplex::SampleUniformSimplex(5, &rng);
+    const auto got = tree.ExactKnn(q, 9);
+    for (size_t i = 1; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i - 1] < got[i]) << "t=" << t << " i=" << i;
+    }
+  }
 }
 
 TEST(LeafBoundedKnnTest, RecallImprovesWithLeafBudget) {
@@ -259,7 +330,7 @@ TEST(LeafBoundedKnnTest, RecallImprovesWithLeafBudget) {
   const int trials = 30;
   for (int t = 0; t < trials; ++t) {
     const TopicVector q = simplex::SampleUniformSimplex(6, &rng);
-    const auto truth = tree.LinearScanKnn(q, k);
+    const auto truth = tree.ExactKnn(q, k);
     std::set<uint32_t> truth_ids;
     for (const auto& nb : truth) truth_ids.insert(nb.point_id);
     auto count_hits = [&truth_ids](const std::vector<Neighbor>& got) {
@@ -370,69 +441,6 @@ TEST(InflexSearchTest, PruningDoesNotChangeVisitedLeafResults) {
   }
 }
 
-// --------------------------------------------------------- batched screens ---
-
-TEST(BatchedScreenTest, InflexSearchTraversalIdenticalWithAndWithoutBatching) {
-  // The batched screen only moves WHEN the screen evaluations happen (one
-  // sweep at enqueue vs one scalar eval at dequeue); the values are
-  // bit-identical, so the result set and every traversal decision must
-  // match exactly.
-  const auto points = ClusteredPoints(500, 8, 481);
-  BbTreeOptions bopts;
-  bopts.max_leaf_size = 8;  // deep tree: the pruning heap actually works
-  auto tree = BbTree::Build(points, bopts).ValueOrDie();
-  Rng rng(482);
-  for (int t = 0; t < 20; ++t) {
-    const TopicVector q = simplex::SampleUniformSimplex(8, &rng);
-    InflexSearchOptions batched;
-    batched.use_ad_early_stop = false;
-    batched.max_leaves = 24;
-    batched.batched_screen = true;
-    InflexSearchOptions unbatched = batched;
-    unbatched.batched_screen = false;
-    const auto a = tree.InflexSearch(q, batched);
-    const auto b = tree.InflexSearch(q, unbatched);
-    ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << "t=" << t;
-    for (size_t i = 0; i < a.neighbors.size(); ++i) {
-      EXPECT_EQ(a.neighbors[i].point_id, b.neighbors[i].point_id);
-      EXPECT_DOUBLE_EQ(a.neighbors[i].divergence, b.neighbors[i].divergence);
-    }
-    EXPECT_EQ(a.epsilon_exact, b.epsilon_exact);
-    // Identical pruning decisions → identical traversal counters. (The
-    // kl_evaluations totals may legitimately differ: batching screens every
-    // queued sibling, the scalar path only the ones whose pruning test
-    // runs.)
-    EXPECT_EQ(a.stats.subtrees_pruned, b.stats.subtrees_pruned) << "t=" << t;
-    EXPECT_EQ(a.stats.leaves_visited, b.stats.leaves_visited) << "t=" << t;
-    EXPECT_EQ(a.stats.nodes_visited, b.stats.nodes_visited) << "t=" << t;
-  }
-}
-
-TEST(BatchedScreenTest, ExactKnnIdenticalIncludingEvaluationCounts) {
-  // For ExactKnn the batched sweep performs exactly the per-child screen
-  // evaluations it replaces, so even kl_evaluations must be equal.
-  const auto points = ClusteredPoints(400, 10, 483);
-  auto tree = BbTree::Build(points).ValueOrDie();
-  Rng rng(484);
-  for (size_t k : {1u, 5u, 20u}) {
-    for (int t = 0; t < 8; ++t) {
-      const TopicVector q = simplex::SampleUniformSimplex(10, &rng);
-      SearchStats on, off;
-      const auto a = tree.ExactKnn(q, k, &on, nullptr, true);
-      const auto b = tree.ExactKnn(q, k, &off, nullptr, false);
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].point_id, b[i].point_id) << "k=" << k << " t=" << t;
-        EXPECT_DOUBLE_EQ(a[i].divergence, b[i].divergence);
-      }
-      EXPECT_EQ(on.kl_evaluations, off.kl_evaluations) << "k=" << k;
-      EXPECT_EQ(on.subtrees_pruned, off.subtrees_pruned) << "k=" << k;
-      EXPECT_EQ(on.nodes_visited, off.nodes_visited) << "k=" << k;
-      EXPECT_EQ(on.leaves_visited, off.leaves_visited) << "k=" << k;
-    }
-  }
-}
-
 // ----------------------------------------------------------- online insert ---
 
 TEST(InsertTest, RejectsDimensionMismatch) {
@@ -442,14 +450,16 @@ TEST(InsertTest, RejectsDimensionMismatch) {
 }
 
 TEST(InsertTest, InsertedPointsFoundByExactKnn) {
-  // ExactKnn must stay exact after inserts: conservative ball enlargement
-  // keeps every Eq. 5 bound sound.
-  auto tree_r = BbTree::Build(ClusteredPoints(200, 5, 311), {});
+  // ExactKnn must stay exact after inserts, which append rows out of leaf
+  // order.
+  auto points = ClusteredPoints(200, 5, 311);
+  auto tree_r = BbTree::Build(points, {});
   ASSERT_TRUE(tree_r.ok());
   BbTree& tree = tree_r.ValueOrDie();
   Rng rng(312);
   for (int i = 0; i < 25; ++i) {
-    auto id = tree.Insert(simplex::SampleUniformSimplex(5, &rng));
+    points.push_back(simplex::SampleUniformSimplex(5, &rng));
+    auto id = tree.Insert(points.back());
     ASSERT_TRUE(id.ok());
     EXPECT_EQ(id.ValueOrDie(), 200u + static_cast<uint32_t>(i));
   }
@@ -458,11 +468,11 @@ TEST(InsertTest, InsertedPointsFoundByExactKnn) {
   for (int t = 0; t < 20; ++t) {
     const TopicVector q = simplex::SampleUniformSimplex(5, &rng);
     const auto got = tree.ExactKnn(q, 7);
-    const auto want = tree.LinearScanKnn(q, 7);
+    const auto want = ReferenceKnn(points, q, 7);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].point_id, want[i].point_id) << "query " << t;
-      EXPECT_DOUBLE_EQ(got[i].divergence, want[i].divergence);
+      EXPECT_NEAR(got[i].divergence, want[i].divergence, 1e-12);
     }
   }
 }
@@ -566,16 +576,16 @@ TEST(RemoveTest, PrunedTreeSearchesMatchFreshBuildOnSurvivors) {
 
   for (int t = 0; t < 20; ++t) {
     const TopicVector q = simplex::SampleUniformSimplex(5, &rng);
-    // Exactness within the pruned tree itself (balls stayed conservative).
+    // Exactness within the pruned tree itself...
     const auto got = tree.ExactKnn(q, 6);
-    const auto scan = tree.LinearScanKnn(q, 6);
+    const auto scan = ReferenceKnn(survivors, q, 6);
     // ...and bit-identity against the pristine rebuild.
     const auto want = fresh.ExactKnn(q, 6);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].point_id, scan[i].point_id) << "query " << t;
       EXPECT_EQ(got[i].point_id, want[i].point_id) << "query " << t;
-      EXPECT_DOUBLE_EQ(got[i].divergence, scan[i].divergence);
+      EXPECT_NEAR(got[i].divergence, scan[i].divergence, 1e-12);
       EXPECT_DOUBLE_EQ(got[i].divergence, want[i].divergence);
     }
   }
@@ -697,21 +707,20 @@ TEST(SearchContextTest, RetainedCapacityIsBoundedAfterWorstCaseSearch) {
 
   SearchContext ctx;
   Rng rng(453);
-  // Phase 1 — batched screens on (the default): every descent's bypassed
-  // frontier of the deep tree is gathered into ctx's screen rows.
+  InflexSearchOptions explore;
+  explore.use_ad_early_stop = false;
+  explore.max_leaves = 32;
+  // Phase 1 — every descent's bypassed frontier of the deep tree is
+  // gathered into ctx's screen rows.
   for (int t = 0; t < 3; ++t) {
-    InflexSearchOptions explore;
-    explore.use_ad_early_stop = false;
-    explore.max_leaves = 32;
     deep.InflexSearch(simplex::SampleUniformSimplex(16, &rng), explore, &ctx);
-    deep.ExactKnn(simplex::SampleUniformSimplex(16, &rng), 10, nullptr, &ctx);
   }
   const size_t after_deep = ctx.retained_capacity();
   ASSERT_GT(after_deep, 0u);  // includes the screen gather rows
   // Phase 2 — the one-leaf tree inflates the leaf-scan scratch on top (its
   // dim-8 bind keeps phase 1's screen scratch: not "far beyond" its needs).
   for (int t = 0; t < 3; ++t) {
-    big.ExactKnn(simplex::SampleUniformSimplex(8, &rng), 10, nullptr, &ctx);
+    big.InflexSearch(simplex::SampleUniformSimplex(8, &rng), explore, &ctx);
   }
   const size_t inflated = ctx.retained_capacity();
   ASSERT_GT(inflated, after_deep);

@@ -390,6 +390,34 @@ TEST(SeedSelectorTest, ParallelFirstIterationMatchesSerial) {
   EXPECT_EQ(a.ValueOrDie().seeds, b.ValueOrDie().seeds);
 }
 
+TEST(SeedSelectorTest, ParallelSelectionAcrossGraphSizesInOneProcess) {
+  // The parallel first iteration keeps one oracle workspace per pool
+  // thread. A thread that first served a small graph must rebuild it for a
+  // larger one instead of writing past it (a heap overflow under ASan).
+  // ctest runs every TEST in its own process, so both sizes share this one.
+  using Selector = Result<SeedSelectionResult> (*)(
+      SnapshotSpreadOracle*, size_t, const SeedSelectionOptions&);
+  SnapshotSpreadOracle::Options opts;
+  opts.num_snapshots = 10;
+  SeedSelectionOptions serial;
+  serial.parallel_first_iteration = false;
+  for (const size_t n : {300u, 3000u}) {
+    const TopicGraph g = MakeRandomGraph(n, 4 * n, 0.05, 0.3, 29 + n);
+    for (const Selector select :
+         {&SelectSeedsGreedy, &SelectSeedsCelf, &SelectSeedsCelfPp}) {
+      auto o1 = SnapshotSpreadOracle::Create(g, SingleTopicProbs(g), opts);
+      auto o2 = SnapshotSpreadOracle::Create(g, SingleTopicProbs(g), opts);
+      ASSERT_TRUE(o1.ok());
+      ASSERT_TRUE(o2.ok());
+      auto a = select(&o1.ValueOrDie(), 4, serial);
+      auto b = select(&o2.ValueOrDie(), 4, {});
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a.ValueOrDie().seeds, b.ValueOrDie().seeds) << "n=" << n;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- heuristics ---
 
 TEST(HeuristicsTest, RandomSeedsDistinctAndInRange) {

@@ -5,10 +5,10 @@
 #include <set>
 
 #include "data/synthetic.h"
-#include "inflex/baselines.h"
 #include "inflex/index_points.h"
 #include "inflex/inflex_index.h"
 #include "inflex/weighting.h"
+#include "oracle/celfpp_oracle.h"
 #include "simplex/divergence.h"
 #include "simplex/sampling.h"
 #include "util/random.h"
@@ -196,10 +196,10 @@ TEST(BaselinesTest, OfflineTicVsIcDifferOnTopicalItem) {
 
   const auto topical =
       simplex::TopicDistribution::Delta(4, 0).SmoothedTowardUniform(0.05);
-  OfflineImOptions opts;
+  oracle::OfflineImOptions opts;
   opts.num_snapshots = 80;
-  auto tic_seeds = OfflineTicSeeds(g, topical, 5, opts);
-  auto ic_seeds = OfflineIcSeeds(g, 5, opts);
+  auto tic_seeds = oracle::OfflineTicSeeds(g, topical, 5, opts);
+  auto ic_seeds = oracle::OfflineIcSeeds(g, 5, opts);
   ASSERT_TRUE(tic_seeds.ok());
   ASSERT_TRUE(ic_seeds.ok());
   EXPECT_EQ(tic_seeds.ValueOrDie().seeds.size(), 5u);
@@ -217,7 +217,8 @@ TEST(BaselinesTest, ValidatesDimensions) {
   auto ds = data::GenerateSyntheticDataset(dopts);
   ASSERT_TRUE(ds.ok());
   const auto wrong_dim = simplex::TopicDistribution::Uniform(5);
-  EXPECT_FALSE(OfflineTicSeeds(ds.ValueOrDie().graph, wrong_dim, 5, {}).ok());
+  EXPECT_FALSE(
+      oracle::OfflineTicSeeds(ds.ValueOrDie().graph, wrong_dim, 5, {}).ok());
 }
 
 // ------------------------------------------------------------- InflexIndex ---

@@ -8,9 +8,9 @@
 
 #include "data/synthetic.h"
 #include "data/workload.h"
-#include "inflex/baselines.h"
 #include "inflex/inflex_index.h"
 #include "im/heuristics.h"
+#include "oracle/celfpp_oracle.h"
 #include "simplex/sampling.h"
 #include "rank/kendall_tau.h"
 #include "stats/descriptive.h"
@@ -75,12 +75,12 @@ TEST_F(EndToEndTest, InflexApproximatesOfflineTicSeeds) {
   auto workload = data::GenerateQueryWorkload(dataset_->catalog, wopts);
   ASSERT_TRUE(workload.ok());
 
-  core::OfflineImOptions oopts;
+  oracle::OfflineImOptions oopts;
   oopts.num_snapshots = 60;
   Rng rng(79);
   std::vector<double> inflex_dist, random_dist;
   for (const auto& q : workload.ValueOrDie().queries) {
-    auto truth = core::OfflineTicSeeds(dataset_->graph, q, kEll, oopts);
+    auto truth = oracle::OfflineTicSeeds(dataset_->graph, q, kEll, oopts);
     ASSERT_TRUE(truth.ok());
     rank::RankedList truth_list(truth.ValueOrDie().seeds.begin(),
                                 truth.ValueOrDie().seeds.end());
@@ -116,7 +116,7 @@ TEST_F(EndToEndTest, InflexSpreadNearOfflineAndAboveRandom) {
   ASSERT_TRUE(workload.ok());
 
   tic::TicModel model(&dataset_->graph);
-  core::OfflineImOptions oopts;
+  oracle::OfflineImOptions oopts;
   oopts.num_snapshots = 60;
   im::MonteCarloOptions mc;
   mc.num_simulations = 2000;
@@ -124,7 +124,7 @@ TEST_F(EndToEndTest, InflexSpreadNearOfflineAndAboveRandom) {
   Rng rng(89);
   double inflex_total = 0.0, offline_total = 0.0, random_total = 0.0;
   for (const auto& q : workload.ValueOrDie().queries) {
-    auto truth = core::OfflineTicSeeds(dataset_->graph, q, kEll, oopts);
+    auto truth = oracle::OfflineTicSeeds(dataset_->graph, q, kEll, oopts);
     ASSERT_TRUE(truth.ok());
     auto answer = index_->Query(q, kEll);
     ASSERT_TRUE(answer.ok());
@@ -153,10 +153,10 @@ TEST_F(EndToEndTest, TopicBlindSeedsUnderperformOnTopicalItems) {
   // topic-blind (uniform mixture) spread far less than topic-aware seeds.
   const auto item = simplex::TopicDistribution::Delta(kTopics, 1)
                         .SmoothedTowardUniform(0.05);
-  core::OfflineImOptions oopts;
+  oracle::OfflineImOptions oopts;
   oopts.num_snapshots = 80;
-  auto tic_seeds = core::OfflineTicSeeds(dataset_->graph, item, kEll, oopts);
-  auto ic_seeds = core::OfflineIcSeeds(dataset_->graph, kEll, oopts);
+  auto tic_seeds = oracle::OfflineTicSeeds(dataset_->graph, item, kEll, oopts);
+  auto ic_seeds = oracle::OfflineIcSeeds(dataset_->graph, kEll, oopts);
   ASSERT_TRUE(tic_seeds.ok());
   ASSERT_TRUE(ic_seeds.ok());
 

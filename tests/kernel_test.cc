@@ -439,7 +439,7 @@ TEST(KernelSearchTest, SearchStatsAccumulateKernelTime) {
   auto tree = bbtree::BbTree::Build(points).ValueOrDie();
   Rng rng(67);
   bbtree::SearchStats stats;
-  tree.LinearScanKnn(SampleUniformSimplex(10, &rng), 5, &stats);
+  tree.ExactKnn(SampleUniformSimplex(10, &rng), 5, &stats);
   EXPECT_EQ(stats.kl_evaluations, points.size());
   // kl_ns is wall time of the scan loop: non-zero for 300 evaluations.
   EXPECT_GT(stats.kl_ns, 0u);

@@ -66,7 +66,7 @@ class MaintenanceTest : public ::testing::Test {
   /// Maintainer options sized for the small test graph.
   static core::IndexMaintainerOptions FastOptions() {
     core::IndexMaintainerOptions mopts;
-    mopts.oracle_snapshots = 20;
+    mopts.oracle.num_snapshots = 20;
     mopts.admission_threshold = 0.05;
     return mopts;
   }

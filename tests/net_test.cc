@@ -832,7 +832,7 @@ TEST_F(NetServingTest, DeltaBackpressureMapsToOverloaded) {
 
   core::IndexMaintainerOptions mopts;
   mopts.admission_threshold = 0.05;
-  mopts.oracle_snapshots = 10;
+  mopts.oracle.num_snapshots = 10;
   mopts.pending_high_watermark = 1;
   mopts.pool = &maintenance_pool;
   core::IndexMaintainer maintainer(index_, &dataset_->graph, &engine, mopts);
@@ -894,7 +894,7 @@ TEST_F(NetServingTest, LoopbackStormWithLivePublishingRepliesBitIdentical) {
 
   core::IndexMaintainerOptions mopts;
   mopts.admission_threshold = 0.05;
-  mopts.oracle_snapshots = 10;
+  mopts.oracle.num_snapshots = 10;
   mopts.on_publish = [&](uint64_t epoch,
                          std::shared_ptr<const core::InflexIndex> gen) {
     std::lock_guard<std::mutex> lock(generations_mu);
@@ -1270,7 +1270,7 @@ TEST_F(NetServingTest, TenantsServeIsolatedCatalogsOverOneServer) {
   tenant::TenantOptions topts;
   topts.engine.pool = &pool;
   topts.maintainer.admission_threshold = 0.05;
-  topts.maintainer.oracle_snapshots = 10;
+  topts.maintainer.oracle.num_snapshots = 10;
   for (const char* id :
        {tenant::kDefaultTenantId, "alpha", "beta"}) {
     topts.id = id;

@@ -308,7 +308,6 @@ TEST_F(OracleTest, MaintainerAttributesPrecomputePerBackend) {
     auto initial = InitialGeneration();
     core::QueryEngine engine(initial);
     core::IndexMaintainerOptions mopts;
-    mopts.oracle_snapshots = 20;
     mopts.admission_threshold = 0.05;
     mopts.oracle = TunedOptions(b);
     core::IndexMaintainer m(initial, &dataset_->graph, &engine, mopts);
@@ -340,7 +339,7 @@ TEST_F(OracleTest, DefaultMaintainerOptionsReproduceRisPath) {
   for (const bool explicit_backend : {false, true}) {
     auto initial = InitialGeneration();
     core::IndexMaintainerOptions mopts;
-    mopts.oracle_snapshots = 20;
+    mopts.oracle.num_snapshots = 20;
     mopts.admission_threshold = 0.05;
     if (explicit_backend) mopts.oracle.backend = OracleBackend::kRis;
     core::IndexMaintainer m(initial, &dataset_->graph, nullptr, mopts);
@@ -374,7 +373,6 @@ TEST_F(OracleTest, ConcurrentStormMatchesSerialReplayPerBackend) {
     }
 
     core::IndexMaintainerOptions mopts;
-    mopts.oracle_snapshots = 10;
     mopts.admission_threshold = 0.05;
     mopts.oracle = TunedOptions(b);
     mopts.oracle.num_rr_sets = 4000;  // storm cares about races, not quality

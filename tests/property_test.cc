@@ -234,29 +234,6 @@ TEST_P(BbTreeInvariantTest, SearchResultsAreAlwaysValidPoints) {
 INSTANTIATE_TEST_SUITE_P(LeafSizes, BbTreeInvariantTest,
                          ::testing::Values(2, 4, 16, 64));
 
-TEST(BbTreeInvariantTest, ExactKnnPrunesOnClusteredData) {
-  Rng rng(99);
-  std::vector<simplex::TopicVector> points;
-  for (int i = 0; i < 400; ++i) {
-    std::vector<double> alpha(8, 0.15);
-    alpha[i % 8] = 8.0;
-    stats::Dirichlet d(alpha);
-    points.push_back(d.Sample(&rng));
-  }
-  bbtree::BbTreeOptions opts;
-  opts.max_leaf_size = 10;
-  auto tree = bbtree::BbTree::Build(points, opts);
-  ASSERT_TRUE(tree.ok());
-  size_t pruned = 0;
-  for (int t = 0; t < 20; ++t) {
-    bbtree::SearchStats stats;
-    tree.ValueOrDie().ExactKnn(simplex::SampleUniformSimplex(8, &rng), 3,
-                               &stats);
-    pruned += stats.subtrees_pruned;
-  }
-  EXPECT_GT(pruned, 0u);  // the Eq. 5 bound actually prunes
-}
-
 // ---------------------------------------------------- dataset invariants ---
 
 class DatasetSweepTest

@@ -2,6 +2,7 @@
 // cleanly (Status, never a crash or silent garbage) under truncation and
 // byte corruption, and API boundaries must reject hostile input.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -20,8 +21,21 @@
 namespace inflex {
 namespace {
 
+// One scratch directory per process: ctest runs every TEST as its own
+// process, each SetUpTestSuite rewrites the artifacts, and tests running in
+// parallel must not read each other's half-written files.
+const std::string& ProcessTempDir() {
+  static const std::string dir = [] {
+    const std::string d =
+        testing::TempDir() + "/robustness_" + std::to_string(::getpid());
+    std::filesystem::create_directories(d);
+    return d;
+  }();
+  return dir;
+}
+
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return ProcessTempDir() + "/" + name;
 }
 
 std::vector<char> ReadAll(const std::string& path) {
@@ -67,6 +81,7 @@ class ArtifactFuzzTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete dataset_;
     dataset_ = nullptr;
+    std::filesystem::remove_all(ProcessTempDir());
   }
 
   // Attempts to load `path` with the matching loader; must return a Status

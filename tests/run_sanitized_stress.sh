@@ -4,9 +4,11 @@
 # directory and runs them. Any data race in the sharded QueryCache, the
 # QueryEngine batch path, the ThreadPool re-entrancy logic, or the
 # IndexMaintainer generation-swap pipeline fails this script.
-# A second phase builds kernel_test under ASan+UBSan (-DINFLEX_SANITIZE=
-# address): the KL kernel layer works on raw pointers into flat SoA buffers
-# that Insert() reallocates, exactly the kind of code ASan exists for.
+# A second phase builds kernel_test and im_test under ASan+UBSan
+# (-DINFLEX_SANITIZE=address): the KL kernel layer works on raw pointers
+# into flat SoA buffers that Insert() reallocates, and the seed selectors
+# reuse per-thread oracle workspaces across graphs of different sizes —
+# exactly the kind of code ASan exists for.
 #
 # Usage: tests/run_sanitized_stress.sh [source-dir] [build-dir] [asan-dir]
 # (defaults: the repo root containing this script, <source>/build-tsan,
@@ -87,8 +89,9 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test)"
-cmake --build "$BUILD_ASAN" --target kernel_test -j "$(nproc)" > /dev/null
+echo "== build (kernel_test im_test)"
+cmake --build "$BUILD_ASAN" --target kernel_test im_test -j "$(nproc)" \
+  > /dev/null
 
 echo "== run KL kernel + SoA search tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
@@ -101,4 +104,10 @@ echo "== re-run under ASan+UBSan with INFLEX_FORCE_SCALAR=1"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
   "$BUILD_ASAN/tests/kernel_test"
 
-echo "ASan kernel tests: OK (dispatched + forced-scalar)"
+echo "== run influence-maximization tests under ASan+UBSan"
+# One process runs parallel seed selection on a small graph, then a large
+# one: each pool thread's workspace must follow the oracle's node count.
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/im_test"
+
+echo "ASan tests: OK (kernel dispatched + forced-scalar, im)"

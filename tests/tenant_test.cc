@@ -167,7 +167,7 @@ TEST_F(TenantTest, AdoptedTenantWrapsExternalStack) {
   eopts.pool = &pool;
   core::QueryEngine engine(index_, eopts);
   core::IndexMaintainerOptions mopts;
-  mopts.oracle_snapshots = 10;
+  mopts.oracle.num_snapshots = 10;
   core::IndexMaintainer maintainer(index_, &dataset_->graph, &engine, mopts);
 
   tenant::TenantRegistry registry;
@@ -269,7 +269,7 @@ TEST_F(TenantTest, DecaySweepsHonorPerTenantFloorsAndNeverCrossTenants) {
     topts.engine.pool = &pool;
     topts.engine.enable_hit_accounting = true;
     topts.maintainer.admission_threshold = 0.05;
-    topts.maintainer.oracle_snapshots = 10;
+    topts.maintainer.oracle.num_snapshots = 10;
     topts.maintainer.max_batch_delay_ms = 0.0;
     topts.maintainer.min_index_points = floor;
     ASSERT_TRUE(registry.CreateTenant(topts, index_, &dataset_->graph).ok())
@@ -443,7 +443,7 @@ TEST_F(TenantTest, MultiTenantStormRepliesBitIdenticalPerTenantGeneration) {
     topts.id = id;
     topts.engine.pool = &pool;
     topts.maintainer.admission_threshold = 0.05;
-    topts.maintainer.oracle_snapshots = 10;
+    topts.maintainer.oracle.num_snapshots = 10;
     topts.maintainer.on_publish =
         [&generations_mu, &generations, id](
             uint64_t epoch, std::shared_ptr<const core::InflexIndex> gen) {

@@ -15,9 +15,9 @@
 #include "data/dataset_io.h"
 #include "data/synthetic.h"
 #include "data/workload.h"
-#include "inflex/baselines.h"
 #include "inflex/index_points.h"
 #include "inflex/inflex_index.h"
+#include "oracle/celfpp_oracle.h"
 #include "rank/kendall_tau.h"
 #include "stats/descriptive.h"
 #include "tic/tic_learner.h"
@@ -277,9 +277,9 @@ int CmdAddItem(ArgParser& args) {
   const size_t list_len = ell > 0 ? static_cast<size_t>(ell)
                                   : index.ValueOrDie().seed_list_length();
   Timer t;
-  core::OfflineImOptions oopts;
-  auto seeds = core::OfflineTicSeeds(ds.ValueOrDie().graph,
-                                     item.ValueOrDie(), list_len, oopts);
+  oracle::OfflineImOptions oopts;
+  auto seeds = oracle::OfflineTicSeeds(ds.ValueOrDie().graph,
+                                       item.ValueOrDie(), list_len, oopts);
   if (!seeds.ok()) return Fail(seeds.status());
   rank::RankedList list(seeds.ValueOrDie().seeds.begin(),
                         seeds.ValueOrDie().seeds.end());
@@ -320,11 +320,11 @@ int CmdEvaluate(ArgParser& args) {
   auto workload = data::GenerateQueryWorkload(ds.ValueOrDie().catalog, wopts);
   if (!workload.ok()) return Fail(workload.status());
 
-  core::OfflineImOptions oopts;
+  oracle::OfflineImOptions oopts;
   std::vector<double> kendall, ms;
   for (const auto& q : workload.ValueOrDie().queries) {
-    auto truth = core::OfflineTicSeeds(ds.ValueOrDie().graph, q,
-                                       static_cast<size_t>(k), oopts);
+    auto truth = oracle::OfflineTicSeeds(ds.ValueOrDie().graph, q,
+                                         static_cast<size_t>(k), oopts);
     if (!truth.ok()) return Fail(truth.status());
     Timer t;
     auto answer = index.ValueOrDie().Query(q, static_cast<size_t>(k));

@@ -339,6 +339,9 @@ Result<std::unique_ptr<ServingStack>> BuildStack(
   }
   INFLEX_RETURN_NOT_OK(quantization.status());
   INFLEX_RETURN_NOT_OK(admission.status());
+  if (delta_snapshots.ValueOrDie() < 1) {
+    return Status::InvalidArgument("--delta-snapshots must be at least 1");
+  }
 
   auto stack = std::make_unique<ServingStack>();
   auto ds = data::LoadDataset(data_dir);
@@ -360,7 +363,8 @@ Result<std::unique_ptr<ServingStack>> BuildStack(
 
   core::IndexMaintainerOptions& mopts = stack->maintainer_opts;
   mopts.admission_threshold = admission.ValueOrDie();
-  mopts.oracle_snapshots = static_cast<size_t>(delta_snapshots.ValueOrDie());
+  mopts.oracle.num_snapshots =
+      static_cast<size_t>(delta_snapshots.ValueOrDie());
   mopts.oracle.backend = oracle_backend;
   mopts.seed = static_cast<uint64_t>(seed.ValueOrDie()) + 100;
   mopts.pending_high_watermark =
