@@ -70,11 +70,11 @@ int main() {
     for (int inst = 0; inst < 500; ++inst) {
       const auto lists =
           MakeInstance(shape.m, shape.voters, shape.noise, &rng);
-      auto exact = rank::ExactKemenyAggregate(lists, {});
+      const auto pm = rank::PreferenceMatrix::Build(lists, {}).ValueOrDie();
+      auto exact = rank::ExactKemenyAggregate(pm);
       if (!exact.ok()) continue;
       const double optimum =
-          rank::PairwiseKemenyCost(exact.ValueOrDie(), lists, {})
-              .ValueOrDie();
+          rank::PairwiseKemenyCost(exact.ValueOrDie(), pm).ValueOrDie();
       if (optimum <= 0.0) continue;  // unanimous instance: ratio undefined
       ++scored;
       bool any_hit = false;
@@ -85,8 +85,7 @@ int main() {
         auto heur = rank::AggregateRankings(lists, {}, shape.m, opts);
         if (!heur.ok()) continue;
         const double cost =
-            rank::PairwiseKemenyCost(heur.ValueOrDie(), lists, {})
-                .ValueOrDie();
+            rank::PairwiseKemenyCost(heur.ValueOrDie(), pm).ValueOrDie();
         ratios[c].push_back(cost / optimum);
         if (cost <= optimum + 1e-9) any_hit = true;
       }

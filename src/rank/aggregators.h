@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "rank/preference_matrix.h"
 #include "rank/ranked_list.h"
 
 namespace inflex {
@@ -38,16 +39,17 @@ Result<std::vector<double>> WeightedBordaScores(
     const std::vector<RankedList>& lists, const std::vector<double>& weights);
 
 /// Weighted Copeland scores (Algorithm 2): Copeland^w(v) = number of items
-/// v' beaten by v under the weighted pairwise majority. Returned in U's
-/// first-appearance order.
-Result<std::vector<double>> WeightedCopelandScores(
-    const std::vector<RankedList>& lists, const std::vector<double>& weights);
+/// v' beaten by v under the weighted pairwise majority. Aligned with
+/// `pm.items()`.
+std::vector<double> WeightedCopelandScores(const PreferenceMatrix& pm);
 
 /// Full INFLEX aggregation pipeline: score with the chosen method, order by
-/// descending score (ties broken by item id for determinism), optionally
-/// Local-Kemenize against the weighted inputs, and truncate to the top-k.
-/// `k` may exceed |U|, in which case all of U is returned — the paper's
-/// mechanism for answering k > ℓ queries.
+/// descending score (ties broken by ascending item id for determinism),
+/// optionally Local-Kemenize against the weighted inputs, and truncate to
+/// the top-k. Every stage that reads pairwise preferences shares one
+/// PreferenceMatrix; Borda without Local Kemenization reads none and builds
+/// none. `k` may exceed |U|, in which case all of U is returned — the
+/// paper's mechanism for answering k > ℓ queries.
 Result<RankedList> AggregateRankings(const std::vector<RankedList>& lists,
                                      const std::vector<double>& weights,
                                      size_t k,

@@ -5,40 +5,38 @@
 #include <limits>
 #include <unordered_map>
 
-#include "rank/preference_matrix.h"
-
 namespace inflex {
 namespace rank {
 
 Result<double> PairwiseKemenyCost(const RankedList& ranking,
-                                  const std::vector<RankedList>& lists,
-                                  const std::vector<double>& weights) {
+                                  const PreferenceMatrix& pm) {
   INFLEX_RETURN_NOT_OK(ValidateRankedList(ranking));
-  INFLEX_ASSIGN_OR_RETURN(PreferenceMatrix pm,
-                          PreferenceMatrix::Build(lists, weights));
   if (ranking.size() != pm.num_items()) {
     return Status::InvalidArgument(
         "ranking must cover exactly the union of the input lists");
   }
-  for (Item v : ranking) {
-    if (pm.IndexOf(v) == PreferenceMatrix::npos) {
+  std::unordered_map<Item, size_t> slot_of;
+  slot_of.reserve(pm.num_items() * 2);
+  for (size_t x = 0; x < pm.num_items(); ++x) slot_of[pm.items()[x]] = x;
+  std::vector<size_t> slots(ranking.size());
+  for (size_t i = 0; i < ranking.size(); ++i) {
+    const auto it = slot_of.find(ranking[i]);
+    if (it == slot_of.end()) {
       return Status::InvalidArgument("ranking contains an item outside U");
     }
+    slots[i] = it->second;
   }
   double cost = 0.0;
-  for (size_t i = 0; i < ranking.size(); ++i) {
-    for (size_t j = i + 1; j < ranking.size(); ++j) {
-      cost += pm.Preference(ranking[j], ranking[i]);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    for (size_t j = i + 1; j < slots.size(); ++j) {
+      cost += pm.Votes(slots[j], slots[i]);
     }
   }
   return cost;
 }
 
-Result<RankedList> ExactKemenyAggregate(const std::vector<RankedList>& lists,
-                                        const std::vector<double>& weights,
+Result<RankedList> ExactKemenyAggregate(const PreferenceMatrix& pm,
                                         size_t max_union_size) {
-  INFLEX_ASSIGN_OR_RETURN(PreferenceMatrix pm,
-                          PreferenceMatrix::Build(lists, weights));
   const size_t m = pm.num_items();
   // Hard cap 20: dp tables are 2^m entries (8 MiB of doubles at m = 20).
   if (m > max_union_size || m > 20) {
@@ -50,18 +48,10 @@ Result<RankedList> ExactKemenyAggregate(const std::vector<RankedList>& lists,
   const RankedList& items = pm.items();
   if (m <= 1) return items;
 
-  // against[x][y] = weight of lists preferring items[y] over items[x]:
-  // the cost incurred for every pair placed as (x before y).
-  std::vector<double> against(m * m, 0.0);
-  for (size_t x = 0; x < m; ++x) {
-    for (size_t y = 0; y < m; ++y) {
-      if (x != y) against[x * m + y] = pm.Preference(items[y], items[x]);
-    }
-  }
-
   // Held-Karp over subsets: dp[S] = minimal cost of ordering the items of S
   // as the ranking's prefix. Transition: append v ∉ S at the next position;
-  // v now precedes every item outside S ∪ {v}, incurring Σ against[v][u].
+  // v now precedes every item u outside S ∪ {v}, incurring the weight of
+  // lists preferring u over v.
   const size_t full = (size_t{1} << m) - 1;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> dp(full + 1, kInf);
@@ -74,9 +64,7 @@ Result<RankedList> ExactKemenyAggregate(const std::vector<RankedList>& lists,
       const size_t next = mask | (size_t{1} << v);
       double added = 0.0;
       for (size_t u = 0; u < m; ++u) {
-        if (u != v && !(next & (size_t{1} << u))) {
-          added += against[v * m + u];
-        }
+        if (u != v && !(next & (size_t{1} << u))) added += pm.Votes(u, v);
       }
       if (dp[mask] + added < dp[next]) {
         dp[next] = dp[mask] + added;
@@ -85,6 +73,8 @@ Result<RankedList> ExactKemenyAggregate(const std::vector<RankedList>& lists,
     }
   }
 
+  // parent[mask] is the item placed last among mask's prefix, i.e. at
+  // position |mask|−1, so the ranking is rebuilt back to front.
   RankedList result(m);
   size_t mask = full;
   for (size_t pos = m; pos-- > 0;) {
@@ -92,8 +82,6 @@ Result<RankedList> ExactKemenyAggregate(const std::vector<RankedList>& lists,
     result[pos] = items[v];
     mask &= ~(size_t{1} << v);
   }
-  // Reconstruction fills front-to-back in reverse: parent[mask] is the item
-  // placed LAST among mask's prefix — i.e. at position |mask|−1.
   return result;
 }
 

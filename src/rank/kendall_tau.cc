@@ -98,26 +98,22 @@ Result<double> KendallTauTopL(const RankedList& a, const RankedList& b,
   const size_t ell = a.size();
   constexpr size_t kAbsent = static_cast<size_t>(-1);
 
-  std::unordered_map<Item, size_t> pos_a, pos_b;
-  pos_a.reserve(ell * 2);
-  pos_b.reserve(ell * 2);
-  for (size_t i = 0; i < ell; ++i) pos_a[a[i]] = i;
-  for (size_t i = 0; i < ell; ++i) pos_b[b[i]] = i;
-
-  RankedList u = UnionOfLists({a, b});
-  auto position = [kAbsent](const std::unordered_map<Item, size_t>& pos,
-                            Item v) {
-    auto it = pos.find(v);
-    return it == pos.end() ? kAbsent : it->second;
-  };
+  // Positions in a and b of each item of the union, by union slot.
+  const RankedList u = UnionOfLists({a, b});
+  std::unordered_map<Item, size_t> slot_of;
+  slot_of.reserve(u.size() * 2);
+  for (size_t x = 0; x < u.size(); ++x) slot_of[u[x]] = x;
+  std::vector<size_t> pos_a(u.size(), kAbsent), pos_b(u.size(), kAbsent);
+  for (size_t i = 0; i < ell; ++i) {
+    pos_a[slot_of.at(a[i])] = i;
+    pos_b[slot_of.at(b[i])] = i;
+  }
 
   double penalty = 0.0;
   for (size_t x = 0; x < u.size(); ++x) {
     for (size_t y = x + 1; y < u.size(); ++y) {
-      const size_t ia = position(pos_a, u[x]);
-      const size_t ja = position(pos_a, u[y]);
-      const size_t ib = position(pos_b, u[x]);
-      const size_t jb = position(pos_b, u[y]);
+      const size_t ia = pos_a[x], ja = pos_a[y];
+      const size_t ib = pos_b[x], jb = pos_b[y];
       const bool x_in_a = ia != kAbsent, y_in_a = ja != kAbsent;
       const bool x_in_b = ib != kAbsent, y_in_b = jb != kAbsent;
 

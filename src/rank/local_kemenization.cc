@@ -1,33 +1,45 @@
 #include "rank/local_kemenization.h"
 
-#include "rank/preference_matrix.h"
+#include <unordered_map>
+#include <utility>
 
 namespace inflex {
 namespace rank {
+
+void LocalKemenization(const PreferenceMatrix& pm,
+                       std::vector<size_t>* slots) {
+  std::vector<size_t>& tau = *slots;
+  // Insertion sort under the (non-transitive) majority relation: the item at
+  // position i bubbles up while it strictly beats its predecessor.
+  for (size_t i = 1; i < tau.size(); ++i) {
+    for (size_t j = i; j > 0 && pm.Beats(tau[j], tau[j - 1]); --j) {
+      std::swap(tau[j - 1], tau[j]);
+    }
+  }
+}
 
 Status LocalKemenization(const std::vector<RankedList>& lists,
                          const std::vector<double>& weights,
                          RankedList* aggregated) {
   INFLEX_RETURN_NOT_OK(ValidateRankedList(*aggregated));
-  INFLEX_ASSIGN_OR_RETURN(PreferenceMatrix pm,
+  INFLEX_ASSIGN_OR_RETURN(const PreferenceMatrix pm,
                           PreferenceMatrix::Build(lists, weights));
+  std::unordered_map<Item, size_t> slot_of;
+  slot_of.reserve(pm.num_items() * 2);
+  for (size_t x = 0; x < pm.num_items(); ++x) slot_of[pm.items()[x]] = x;
+
+  // Items outside U split τ into runs; each run is Kemenized on its own.
   RankedList& tau = *aggregated;
-  // Insertion sort under the (non-transitive) majority relation: item at
-  // position i bubbles up while it strictly beats its predecessor. Items the
-  // input lists never mention cannot be compared and therefore never move.
-  for (size_t i = 1; i < tau.size(); ++i) {
-    size_t j = i;
-    while (j > 0) {
-      const Item above = tau[j - 1];
-      const Item below = tau[j];
-      if (pm.IndexOf(above) == PreferenceMatrix::npos ||
-          pm.IndexOf(below) == PreferenceMatrix::npos) {
-        break;
-      }
-      if (!pm.MajorityPrefers(below, above)) break;
-      std::swap(tau[j - 1], tau[j]);
-      --j;
+  std::vector<size_t> run;
+  for (size_t begin = 0, end = 0; begin < tau.size(); begin = end + 1) {
+    run.clear();
+    for (end = begin; end < tau.size(); ++end) {
+      const auto it = slot_of.find(tau[end]);
+      if (it == slot_of.end()) break;
+      run.push_back(it->second);
     }
+    LocalKemenization(pm, &run);
+    for (size_t i = 0; i < run.size(); ++i) tau[begin + i] = pm.items()[run[i]];
   }
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "rank/preference_matrix.h"
 #include "rank/ranked_list.h"
 
 namespace inflex {
@@ -15,11 +16,18 @@ namespace rank {
 /// bubbled up while the (weighted) majority of the input lists prefers it to
 /// its predecessor. Pass empty `weights` for the unweighted variant.
 ///
+/// Items the input lists never mention cannot be compared and therefore never
+/// move, nor does any item cross them.
+///
 /// The pass never worsens the weighted Kemeny objective (each accepted swap
 /// strictly decreases it), which tests assert property-style.
 Status LocalKemenization(const std::vector<RankedList>& lists,
                          const std::vector<double>& weights,
                          RankedList* aggregated);
+
+/// The same pass over a sequence of distinct slots of `pm`, in place. This is
+/// what AggregateRankings runs on its score order.
+void LocalKemenization(const PreferenceMatrix& pm, std::vector<size_t>* slots);
 
 }  // namespace rank
 }  // namespace inflex

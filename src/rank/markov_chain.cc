@@ -2,21 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include "rank/preference_matrix.h"
 
 namespace inflex {
 namespace rank {
 
 Result<std::vector<double>> Mc4StationaryDistribution(
-    const std::vector<RankedList>& lists, const std::vector<double>& weights,
-    const Mc4Options& options) {
+    const PreferenceMatrix& pm, const Mc4Options& options) {
   if (options.damping <= 0.0 || options.damping > 1.0) {
     return Status::InvalidArgument("damping must lie in (0, 1]");
   }
-  INFLEX_ASSIGN_OR_RETURN(PreferenceMatrix pm,
-                          PreferenceMatrix::Build(lists, weights));
   const size_t m = pm.num_items();
   if (m == 1) return std::vector<double>{1.0};
 
@@ -29,7 +23,7 @@ Result<std::vector<double>> Mc4StationaryDistribution(
     double stay = 0.0;
     for (size_t w = 0; w < m; ++w) {
       if (v == w) continue;
-      if (pm.MajorityPrefers(pm.items()[w], pm.items()[v])) {
+      if (pm.Beats(w, v)) {
         transition[v * m + w] = proposal;
       } else {
         stay += proposal;
@@ -57,23 +51,6 @@ Result<std::vector<double>> Mc4StationaryDistribution(
     if (l1 < options.tolerance) break;
   }
   return pi;
-}
-
-Result<RankedList> Mc4Aggregate(const std::vector<RankedList>& lists,
-                                const std::vector<double>& weights,
-                                const Mc4Options& options) {
-  INFLEX_ASSIGN_OR_RETURN(std::vector<double> pi,
-                          Mc4StationaryDistribution(lists, weights, options));
-  const RankedList u = UnionOfLists(lists);
-  std::vector<size_t> order(u.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (pi[a] != pi[b]) return pi[a] > pi[b];
-    return u[a] < u[b];
-  });
-  RankedList out(u.size());
-  for (size_t i = 0; i < u.size(); ++i) out[i] = u[order[i]];
-  return out;
 }
 
 }  // namespace rank

@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "rank/ranked_list.h"
+#include "rank/preference_matrix.h"
 
 namespace inflex {
 namespace rank {
@@ -17,25 +17,17 @@ struct Mc4Options {
   double tolerance = 1e-10;
 };
 
-/// MC4 rank aggregation (Dwork et al., WWW 2001) — the Markov-chain method
-/// the paper cites as the generalization of Copeland aggregation.
+/// Stationary distribution of the MC4 Markov chain (Dwork et al., WWW 2001)
+/// — the method the paper cites as the generalization of Copeland
+/// aggregation — aligned with `pm.items()`.
 ///
 /// States are the items of U = ∪ lists. From state v, the chain moves to a
-/// uniformly chosen item v'; if the (weighted) majority of the lists ranks
-/// v' ahead of v the transition is taken, otherwise the chain stays at v.
-/// Items are returned ordered by descending stationary probability (ties by
-/// item id). Uses the same top-ℓ pairwise semantics as Copeland/Local
-/// Kemenization (PreferenceMatrix), and the same weighting convention:
-/// empty `weights` means unweighted.
-Result<RankedList> Mc4Aggregate(const std::vector<RankedList>& lists,
-                                const std::vector<double>& weights,
-                                const Mc4Options& options = {});
-
-/// Stationary distribution of the MC4 chain, aligned with
-/// UnionOfLists(lists). Exposed for tests and diagnostics.
+/// uniformly chosen item v'; if the weighted majority of the lists ranks v'
+/// ahead of v the transition is taken, otherwise the chain stays at v.
+/// AggregateRankings with kMarkovChainMc4 ranks U by descending probability.
+/// Fails when `options.damping` lies outside (0, 1].
 Result<std::vector<double>> Mc4StationaryDistribution(
-    const std::vector<RankedList>& lists, const std::vector<double>& weights,
-    const Mc4Options& options = {});
+    const PreferenceMatrix& pm, const Mc4Options& options = {});
 
 }  // namespace rank
 }  // namespace inflex

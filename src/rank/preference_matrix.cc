@@ -1,14 +1,15 @@
 #include "rank/preference_matrix.h"
 
-#include "util/check.h"
+#include <algorithm>
+#include <unordered_map>
 
 namespace inflex {
 namespace rank {
 
-Result<PreferenceMatrix> PreferenceMatrix::Build(
-    const std::vector<RankedList>& lists, const std::vector<double>& weights) {
+Status PreferenceMatrix::Validate(const std::vector<RankedList>& lists,
+                                  const std::vector<double>& weights) {
   if (lists.empty()) {
-    return Status::InvalidArgument("preference matrix needs at least one list");
+    return Status::InvalidArgument("aggregation needs at least one list");
   }
   if (!weights.empty() && weights.size() != lists.size()) {
     return Status::InvalidArgument("one weight per list expected");
@@ -20,15 +21,26 @@ Result<PreferenceMatrix> PreferenceMatrix::Build(
   }
   for (const auto& list : lists) {
     INFLEX_RETURN_NOT_OK(ValidateRankedList(list));
+    if (list.empty()) {
+      return Status::InvalidArgument("cannot aggregate an empty list");
+    }
   }
+  return Status::OK();
+}
 
+Result<PreferenceMatrix> PreferenceMatrix::Build(
+    const std::vector<RankedList>& lists, const std::vector<double>& weights) {
+  INFLEX_RETURN_NOT_OK(Validate(lists, weights));
   PreferenceMatrix pm;
   pm.items_ = UnionOfLists(lists);
   const size_t m = pm.items_.size();
-  pm.index_.reserve(m * 2);
-  for (size_t i = 0; i < m; ++i) pm.index_[pm.items_[i]] = i;
+  std::unordered_map<Item, size_t> slot_of;
+  slot_of.reserve(m * 2);
+  for (size_t i = 0; i < m; ++i) slot_of[pm.items_[i]] = i;
   pm.tally_.assign(m * m, 0.0);
 
+  // Each cell receives its additions in list order, so tallies are
+  // reproducible bit for bit.
   std::vector<size_t> rank_of(m);
   constexpr size_t kAbsent = static_cast<size_t>(-1);
   for (size_t j = 0; j < lists.size(); ++j) {
@@ -36,7 +48,7 @@ Result<PreferenceMatrix> PreferenceMatrix::Build(
     if (w == 0.0) continue;
     std::fill(rank_of.begin(), rank_of.end(), kAbsent);
     for (size_t r = 0; r < lists[j].size(); ++r) {
-      rank_of[pm.index_.at(lists[j][r])] = r;
+      rank_of[slot_of.at(lists[j][r])] = r;
     }
     for (size_t x = 0; x < m; ++x) {
       const size_t rx = rank_of[x];
@@ -55,19 +67,6 @@ Result<PreferenceMatrix> PreferenceMatrix::Build(
     }
   }
   return pm;
-}
-
-double PreferenceMatrix::Preference(Item v, Item v_prime) const {
-  const size_t x = IndexOf(v);
-  const size_t y = IndexOf(v_prime);
-  INFLEX_CHECK_NE(x, npos);
-  INFLEX_CHECK_NE(y, npos);
-  return tally_[x * items_.size() + y];
-}
-
-size_t PreferenceMatrix::IndexOf(Item v) const {
-  auto it = index_.find(v);
-  return it == index_.end() ? npos : it->second;
 }
 
 }  // namespace rank

@@ -1,7 +1,6 @@
 #ifndef INFLEX_RANK_PREFERENCE_MATRIX_H_
 #define INFLEX_RANK_PREFERENCE_MATRIX_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "rank/ranked_list.h"
@@ -12,17 +11,21 @@ namespace rank {
 /// \brief Dense weighted pairwise-preference tally over the union U of the
 /// input lists: P(v, v') = Σ_j w_j · 1{τ_j ranks v ahead of v'}.
 ///
-/// Top-ℓ semantics (matching the Copeland formulation in Algorithm 2 and the
-/// Local Kemenization majority test): within a list, a present item is
-/// preferred to an absent one; two absent items yield no vote.
-///
-/// Shared by weighted Copeland and by Local Kemenization so both see exactly
-/// the same majority relation.
+/// The one place that knows the top-ℓ pairwise rule (matching the Copeland
+/// formulation in Algorithm 2 and the Local Kemenization majority test):
+/// within a list, a present item is preferred to an absent one; two absent
+/// items yield no vote. Copeland, MC4, Local Kemenization and the Kemeny
+/// functions all read this one relation, addressed by slot: slot x is
+/// items()[x].
 class PreferenceMatrix {
  public:
-  /// Builds the tally. `weights` must be empty (treated as all-ones) or have
-  /// one entry per list. Fails on mismatched sizes, negative weights, or
-  /// duplicate items within a list.
+  /// The input check every aggregation shares. Fails on no lists, an empty
+  /// or duplicate-holding list, a weight count other than zero (all-ones) or
+  /// one per list, or a negative weight.
+  static Status Validate(const std::vector<RankedList>& lists,
+                         const std::vector<double>& weights);
+
+  /// Validates, then builds the tally.
   static Result<PreferenceMatrix> Build(const std::vector<RankedList>& lists,
                                         const std::vector<double>& weights);
 
@@ -30,24 +33,18 @@ class PreferenceMatrix {
   const RankedList& items() const { return items_; }
   size_t num_items() const { return items_.size(); }
 
-  /// Total weight of lists preferring v over v'. Items must belong to U.
-  double Preference(Item v, Item v_prime) const;
-
-  /// True when the weighted majority strictly prefers v over v'.
-  bool MajorityPrefers(Item v, Item v_prime) const {
-    return Preference(v, v_prime) > Preference(v_prime, v);
+  /// Total weight of lists ranking slot x ahead of slot y.
+  double Votes(size_t x, size_t y) const {
+    return tally_[x * items_.size() + y];
   }
 
-  /// Dense index of an item in [0, num_items()), or npos when not in U.
-  size_t IndexOf(Item v) const;
-
-  static constexpr size_t npos = static_cast<size_t>(-1);
+  /// True when the weighted majority strictly prefers slot x over slot y.
+  bool Beats(size_t x, size_t y) const { return Votes(x, y) > Votes(y, x); }
 
  private:
   PreferenceMatrix() = default;
 
   RankedList items_;
-  std::unordered_map<Item, size_t> index_;
   std::vector<double> tally_;  // num_items × num_items, row-major
 };
 

@@ -4,10 +4,11 @@
 # directory and runs them. Any data race in the sharded QueryCache, the
 # QueryEngine batch path, the ThreadPool re-entrancy logic, or the
 # IndexMaintainer generation-swap pipeline fails this script.
-# A second phase builds kernel_test and im_test under ASan+UBSan
-# (-DINFLEX_SANITIZE=address): the KL kernel layer works on raw pointers
-# into flat SoA buffers that Insert() reallocates, and the seed selectors
-# reuse per-thread oracle workspaces across graphs of different sizes —
+# A second phase builds kernel_test, im_test, rank_test and extensions_test
+# under ASan+UBSan (-DINFLEX_SANITIZE=address): the KL kernel layer works on
+# raw pointers into flat SoA buffers that Insert() reallocates, the seed
+# selectors reuse per-thread oracle workspaces across graphs of different
+# sizes, and rank aggregation indexes one flat m×m preference tally by slot —
 # exactly the kind of code ASan exists for.
 #
 # Usage: tests/run_sanitized_stress.sh [source-dir] [build-dir] [asan-dir]
@@ -89,9 +90,9 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test im_test)"
-cmake --build "$BUILD_ASAN" --target kernel_test im_test -j "$(nproc)" \
-  > /dev/null
+echo "== build (kernel_test im_test rank_test extensions_test)"
+cmake --build "$BUILD_ASAN" --target kernel_test im_test rank_test \
+  extensions_test -j "$(nproc)" > /dev/null
 
 echo "== run KL kernel + SoA search tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
@@ -110,4 +111,12 @@ echo "== run influence-maximization tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/im_test"
 
-echo "ASan tests: OK (kernel dispatched + forced-scalar, im)"
+echo "== run rank-aggregation tests under ASan+UBSan"
+# Copeland, MC4, Local Kemenization and the Kemeny functions all index the
+# one m×m PreferenceMatrix tally by slot; extensions_test holds the MC4 cases.
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/rank_test"
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/extensions_test"
+
+echo "ASan tests: OK (kernel dispatched + forced-scalar, im, rank, extensions)"
