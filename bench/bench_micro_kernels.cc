@@ -1,7 +1,9 @@
 // Google-benchmark microbenchmarks of the hot kernels: KL divergence (the
 // reference scalar path vs the factorized vectorized kernel layer), ILR,
 // Eq. 1 instance materialization, cascade simulation, snapshot-oracle
-// marginal gains, bb-tree searches, Kendall-τ, and the aggregation kernels.
+// marginal gains, the offline phase's layers (snapshot sampling, one index
+// point's CELF++ precompute, index-point selection), bb-tree searches,
+// Kendall-τ, and the aggregation kernels.
 // After the google-benchmark suite, main() runs a self-timed reference-vs-
 // kernel comparison across topic counts and leaf-scan batch sizes and writes
 // it to BENCH_kernels.json (see RunKernelComparison below).
@@ -13,11 +15,14 @@
 #include <vector>
 
 #include "bbtree/bbtree.h"
+#include "common/testbed.h"
 #include "data/synthetic.h"
 #include "im/cascade.h"
 #include "im/lt_model.h"
 #include "im/ris.h"
 #include "im/snapshot_oracle.h"
+#include "inflex/index_points.h"
+#include "oracle/celfpp_oracle.h"
 #include "rank/aggregators.h"
 #include "rank/kendall_tau.h"
 #include "simplex/divergence.h"
@@ -174,6 +179,66 @@ void BM_SnapshotMarginalGain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotMarginalGain)->Arg(50)->Arg(100);
+
+// The offline phase layer by layer, on the test-bed world: the dataset of
+// benchsupport::TestbedConfig (INFLEX_BENCH_SCALE, default small) without
+// its index or ground truth, so no test-bed cache is built or read.
+const data::SyntheticDataset& TestbedDataset() {
+  static const data::SyntheticDataset* ds = [] {
+    const auto config = benchsupport::TestbedConfig::FromEnv();
+    data::SyntheticDatasetOptions opts;
+    opts.num_users = config.num_users;
+    opts.num_topics = config.num_topics;
+    opts.num_items = config.num_items;
+    opts.avg_degree = config.avg_degree;
+    opts.seed = config.seed;
+    auto r = data::GenerateSyntheticDataset(opts);
+    INFLEX_CHECK(r.ok());
+    return new data::SyntheticDataset(std::move(r).ValueOrDie());
+  }();
+  return *ds;
+}
+
+// Sampling the W = 100 live-edge snapshots of one item's IC instance.
+void BM_SnapshotCreate(benchmark::State& state) {
+  const auto& ds = TestbedDataset();
+  const auto probs = ds.graph.ItemArcProbabilities(ds.catalog[0]);
+  im::SnapshotSpreadOracle::Options opts;
+  opts.num_snapshots = 100;
+  for (auto _ : state) {
+    auto oracle = im::SnapshotSpreadOracle::Create(ds.graph, probs, opts);
+    benchmark::DoNotOptimize(oracle.ok());
+  }
+}
+BENCHMARK(BM_SnapshotCreate)->Unit(benchmark::kMillisecond);
+
+// One index point's precompute as InflexIndex::Build runs it: snapshots,
+// then a serial CELF++ run for an ℓ = 50 seed list.
+void BM_OfflineTicSeeds(benchmark::State& state) {
+  const auto& ds = TestbedDataset();
+  oracle::OfflineImOptions opts;
+  opts.num_snapshots = 100;
+  opts.selection.parallel_first_iteration = false;
+  for (auto _ : state) {
+    auto seeds = oracle::OfflineTicSeeds(ds.graph, ds.catalog[0], 50, opts);
+    benchmark::DoNotOptimize(seeds.ok());
+  }
+}
+BENCHMARK(BM_OfflineTicSeeds)->Unit(benchmark::kMillisecond);
+
+// §3.1 index-point selection: Dirichlet fit, 30k samples, h = 256 Bregman
+// K-means++ centroids (seeding and Lloyd's assignment across the pool).
+void BM_SelectIndexPoints(benchmark::State& state) {
+  const auto& ds = TestbedDataset();
+  core::IndexPointOptions opts;
+  opts.num_index_points = 256;
+  opts.num_dirichlet_samples = 30000;
+  for (auto _ : state) {
+    auto selection = core::SelectIndexPoints(ds.catalog, opts);
+    benchmark::DoNotOptimize(selection.ok());
+  }
+}
+BENCHMARK(BM_SelectIndexPoints)->Unit(benchmark::kMillisecond);
 
 std::vector<simplex::TopicVector> BenchPoints(size_t n, size_t dim) {
   Rng rng(6);

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "simplex/divergence.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace inflex {
 namespace cluster {
@@ -25,6 +27,22 @@ double BregmanDivergence(BregmanDivergenceKind kind,
 
 namespace {
 
+// Below this many divergence evaluations per pass (n·k) the loops stay
+// serial: G-means' two-way splits in BbTree::Build and in maintainer tree
+// rebuilds are far smaller, and a pool round trip would dominate them.
+constexpr size_t kParallelWork = size_t{1} << 15;
+
+// Runs fn(i) for i in [0, n): across the global pool when the pass is large
+// enough, else serially. Each i writes only its own slots, so the result is
+// the same either way.
+void ForEachPoint(size_t n, size_t k, const std::function<void(size_t)>& fn) {
+  if (n * k >= kParallelWork) {
+    ParallelFor(0, n, fn);
+  } else {
+    for (size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 // K-means++ seeding: first center uniform, then proportional to the current
 // divergence to the closest chosen center.
 std::vector<simplex::TopicVector> SeedCenters(
@@ -36,9 +54,9 @@ std::vector<simplex::TopicVector> SeedCenters(
   centers.push_back(points[rng->UniformInt(n)]);
 
   std::vector<double> min_div(n);
-  for (size_t i = 0; i < n; ++i) {
+  ForEachPoint(n, k, [&](size_t i) {
     min_div[i] = BregmanDivergence(kind, points[i], centers.back());
-  }
+  });
   while (centers.size() < k) {
     double total = 0.0;
     for (double d : min_div) total += d;
@@ -58,10 +76,10 @@ std::vector<simplex::TopicVector> SeedCenters(
       }
     }
     centers.push_back(points[chosen]);
-    for (size_t i = 0; i < n; ++i) {
+    ForEachPoint(n, k, [&](size_t i) {
       min_div[i] = std::min(
           min_div[i], BregmanDivergence(kind, points[i], centers.back()));
-    }
+    });
   }
   return centers;
 }
@@ -93,13 +111,14 @@ Result<KMeansResult> KMeansPlusPlus(
 
   std::vector<double> sums(k * dim);
   std::vector<size_t> counts(k);
+  std::vector<double> best_div(n);
   double prev_objective = std::numeric_limits<double>::infinity();
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    // Assignment step.
-    double objective = 0.0;
-    for (size_t i = 0; i < n; ++i) {
+    // Assignment step, per point; the objective is then summed serially in
+    // point order, so it does not depend on how the points were split.
+    ForEachPoint(n, k, [&](size_t i) {
       double best = std::numeric_limits<double>::infinity();
       uint32_t best_c = 0;
       for (size_t c = 0; c < k; ++c) {
@@ -112,8 +131,10 @@ Result<KMeansResult> KMeansPlusPlus(
         }
       }
       result.assignment[i] = best_c;
-      objective += best;
-    }
+      best_div[i] = best;
+    });
+    double objective = 0.0;
+    for (double d : best_div) objective += d;
     result.objective = objective;
 
     // Update step: arithmetic mean (the right-type Bregman centroid).

@@ -7,6 +7,7 @@
 
 #include "im/cascade.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace inflex {
 namespace data {
@@ -178,13 +179,26 @@ Result<SyntheticDataset> GenerateSyntheticDataset(
   // --- Propagation log -------------------------------------------------------
   // Run real TIC cascades of every catalog item; the activation order is the
   // timestamp (the learner only needs the temporal order of adoptions).
+  // Item arc probabilities take no random draws and are most of the cost, so
+  // they are computed across the pool a batch of items ahead of the serial,
+  // RNG-ordered cascade loop.
   ds.log = tic::PropagationLog(n, options.num_items);
   im::CascadeWorkspace ws(n);
-  graph::ArcProbabilities item_probs;
+  std::vector<graph::ArcProbabilities> batch_probs(
+      std::min(2 * ThreadPool::Global().num_threads(), options.num_items),
+      graph::ArcProbabilities(ds.graph.num_arcs()));
   std::vector<graph::NodeId> activated;
   std::vector<graph::NodeId> seeds(options.seeds_per_cascade);
   for (uint32_t i = 0; i < options.num_items; ++i) {
-    ds.graph.ItemArcProbabilitiesInto(ds.catalog[i], &item_probs);
+    const size_t slot = i % batch_probs.size();
+    if (slot == 0) {
+      const size_t count =
+          std::min(batch_probs.size(), options.num_items - i);
+      ParallelFor(0, count, [&](size_t j) {
+        ds.graph.ItemArcProbabilitiesInto(ds.catalog[i + j], &batch_probs[j]);
+      });
+    }
+    const graph::ArcProbabilities& item_probs = batch_probs[slot];
     // Seed cascades from the item's dominant community so the log actually
     // exercises the topic-specific influence structure.
     const auto& gamma = ds.catalog[i].probs();

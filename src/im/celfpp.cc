@@ -66,23 +66,29 @@ Result<SeedSelectionResult> SelectSeedsCelfPp(
     }
   }
   INFLEX_CHECK_NE(best0, kInvalidNode);
-  auto fill_mg2 = [&](size_t v) {
-    if (v == best0) {
-      mg2[v] = mg1[v];
-      prev_best[v] = kInvalidNode;
-      return;
+  {
+    // Every pair below conditions on best0, the node with the largest reach:
+    // mark that reach once instead of re-walking it in each of the n pairs
+    // (freed before the lazy loop).
+    const std::vector<uint8_t> best0_reach = oracle->MarkReach(best0, &ws);
+    auto fill_mg2 = [&](size_t v) {
+      if (v == best0) {
+        mg2[v] = mg1[v];
+        prev_best[v] = kInvalidNode;
+        return;
+      }
+      double a = 0.0, b = 0.0;
+      oracle->MarginalGainPair(static_cast<graph::NodeId>(v), best0_reach,
+                               oracle->ThreadWorkspace(), &a, &b);
+      mg1[v] = a;  // identical to the first pass (deterministic oracle)
+      mg2[v] = b;
+      prev_best[v] = best0;
+    };
+    if (options.parallel_first_iteration && n >= 256) {
+      ParallelFor(0, n, fill_mg2, options.pool);
+    } else {
+      for (size_t v = 0; v < n; ++v) fill_mg2(v);
     }
-    double a = 0.0, b = 0.0;
-    oracle->MarginalGainPair(static_cast<graph::NodeId>(v), best0,
-                             oracle->ThreadWorkspace(), &a, &b);
-    mg1[v] = a;  // identical to the first pass (deterministic oracle)
-    mg2[v] = b;
-    prev_best[v] = best0;
-  };
-  if (options.parallel_first_iteration && n >= 256) {
-    ParallelFor(0, n, fill_mg2, options.pool);
-  } else {
-    for (size_t v = 0; v < n; ++v) fill_mg2(v);
   }
 
   std::priority_queue<HeapEntry> heap;

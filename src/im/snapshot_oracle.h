@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/topic_graph.h"
@@ -30,8 +31,11 @@ class SnapshotSpreadOracle {
     uint64_t seed = 7;
   };
 
-  /// Samples the W snapshots of the IC instance. Fails on a probability
-  /// vector of the wrong size or zero snapshots.
+  /// Samples the W snapshots of the IC instance: in snapshot order, each arc
+  /// with p > 0 takes one draw and is kept when it lands below p; arcs with
+  /// p <= 0 or NaN take none. Fails on a probability vector of the wrong
+  /// size, zero snapshots, or W · max(m, 1) > UINT32_MAX (snapshot offsets
+  /// are 32-bit), before allocating.
   static Result<SnapshotSpreadOracle> Create(
       const graph::TopicGraph& g, const graph::ArcProbabilities& arc_probs,
       const Options& options);
@@ -75,6 +79,18 @@ class SnapshotSpreadOracle {
   void MarginalGainPair(graph::NodeId v, graph::NodeId other, Workspace* ws,
                         double* mg1, double* mg2) const;
 
+  /// `other`'s incremental reach given the committed seeds, in every
+  /// snapshot: reach[s * n + u] != 0 iff `other` newly reaches u in snapshot
+  /// s. Valid until the next CommitSeed or ResetSeeds.
+  std::vector<uint8_t> MarkReach(graph::NodeId other, Workspace* ws) const;
+
+  /// MarginalGainPair with `other`'s reach read from MarkReach(other) instead
+  /// of re-walked per call; the gains are identical. CELF++'s first round
+  /// pairs all n nodes with the same best singleton, whose reach is the
+  /// largest in the graph, so it marks that reach once.
+  void MarginalGainPair(graph::NodeId v, std::span<const uint8_t> other_reach,
+                        Workspace* ws, double* mg1, double* mg2) const;
+
   /// Commits `v` as a seed: its incremental reach becomes covered in every
   /// snapshot. Returns the realized marginal gain. Not thread-safe.
   double CommitSeed(graph::NodeId v, Workspace* ws);
@@ -95,11 +111,24 @@ class SnapshotSpreadOracle {
  private:
   SnapshotSpreadOracle() = default;
 
+  // BFS from `other` over snapshot s's uncovered nodes, setting mark[t] =
+  // value on every node it reaches (mark[] != value means unvisited).
+  template <typename Mark>
+  void MarkSnapshotReach(graph::NodeId other, size_t s, Mark* mark,
+                         Mark value, Workspace* ws) const;
+
+  // Pass 2 of a pair evaluation in snapshot s: BFS from v over uncovered
+  // nodes, counting every newly reached node into gain1 and those outside
+  // `other`'s reach (in_other(t) false) into gain2.
+  template <typename InOther>
+  void CountPair(graph::NodeId v, size_t s, const InOther& in_other,
+                 Workspace* ws, uint64_t* gain1, uint64_t* gain2) const;
+
   // Snapshot adjacency, concatenated: snapshot g's arcs of node u live in
   // targets_[offsets_[g * (n+1) + u] .. offsets_[g * (n+1) + u + 1]).
   size_t num_nodes_ = 0;
   size_t num_snapshots_ = 0;
-  std::vector<uint64_t> offsets_;
+  std::vector<uint32_t> offsets_;
   std::vector<graph::NodeId> targets_;
 
   // covered_[g * n + v] != 0 iff v is reached by committed seeds in snapshot g.

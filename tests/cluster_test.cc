@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "cluster/gmeans.h"
@@ -141,6 +142,51 @@ TEST(KMeansTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.ValueOrDie().assignment, b.ValueOrDie().assignment);
   EXPECT_DOUBLE_EQ(a.ValueOrDie().objective, b.ValueOrDie().objective);
+}
+
+// K-means++ pinned bit-for-bit: centroids, assignment, objective and
+// iteration count for both divergences on a sample big enough (n·k well
+// past the parallel threshold) that seeding and Lloyd's assignment step
+// fan out over the pool. The constants were recorded on the serial code in
+// the default (non-INFLEX_NATIVE) build.
+TEST(KMeansTest, MatchesPinnedDigestAboveParallelThreshold) {
+#ifdef __FMA__
+  GTEST_SKIP() << "digests are pinned for builds without FMA contraction";
+#endif
+  Rng rng(77);
+  const std::vector<TopicVector> points =
+      stats::Dirichlet({0.6, 0.9, 0.4, 1.2, 0.7, 0.5}).SampleMany(4000, &rng);
+  struct Pinned {
+    BregmanDivergenceKind kind;
+    uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {BregmanDivergenceKind::kKl, 0xa8df5504748b97e4ULL},
+      {BregmanDivergenceKind::kSquaredEuclidean, 0xc27f387a7240aa2eULL},
+  };
+  for (const Pinned& config : pinned) {
+    KMeansOptions opts;
+    opts.num_clusters = 40;
+    opts.max_iterations = 12;
+    opts.divergence = config.kind;
+    opts.seed = 5;
+    auto r = KMeansPlusPlus(points, opts);
+    ASSERT_TRUE(r.ok());
+    const KMeansResult& result = r.ValueOrDie();
+    uint64_t digest = 0xcbf29ce484222325ULL;
+    const auto fold = [&digest](uint64_t v) {
+      digest = (digest ^ v) * 0x100000001b3ULL;
+    };
+    for (const TopicVector& c : result.centroids) {
+      for (double x : c) fold(std::bit_cast<uint64_t>(x));
+    }
+    for (uint32_t a : result.assignment) fold(a);
+    fold(std::bit_cast<uint64_t>(result.objective));
+    fold(static_cast<uint64_t>(result.iterations));
+    EXPECT_EQ(digest, config.digest)
+        << "divergence " << static_cast<int>(config.kind) << std::hex
+        << " digest 0x" << digest;
+  }
 }
 
 // ------------------------------------------------------------------ G-means ---

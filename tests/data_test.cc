@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "data/dataset_io.h"
@@ -95,6 +96,49 @@ TEST(SyntheticDatasetTest, DeterministicForFixedSeed) {
     EXPECT_EQ(a.ValueOrDie().catalog[i].probs(),
               b.ValueOrDie().catalog[i].probs());
   }
+}
+
+// The whole generated dataset pinned bit-for-bit: arcs with their per-topic
+// probabilities, the catalog, and every log record. The item count spans
+// many batches of the parallel arc-probability stage on any pool size up to
+// 64 threads. The constant was recorded on the serial generator in the
+// default (non-INFLEX_NATIVE) build.
+TEST(SyntheticDatasetTest, MatchesPinnedDigest) {
+#ifdef __FMA__
+  GTEST_SKIP() << "digests are pinned for builds without FMA contraction";
+#endif
+  SyntheticDatasetOptions o = SmallOptions(23);
+  o.num_users = 300;
+  o.num_items = 400;
+  auto r = GenerateSyntheticDataset(o);
+  ASSERT_TRUE(r.ok());
+  const SyntheticDataset& ds = r.ValueOrDie();
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto fold = [&digest](uint64_t v) {
+    digest = (digest ^ v) * 0x100000001b3ULL;
+  };
+  const graph::TopicGraph& g = ds.graph;
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    graph::ArcId a = g.OutArcBegin(u);
+    for (graph::NodeId v : g.OutNeighbors(u)) {
+      fold(u);
+      fold(v);
+      for (double p : g.ArcTopicProbs(a)) fold(std::bit_cast<uint64_t>(p));
+      ++a;
+    }
+  }
+  for (const auto& item : ds.catalog) {
+    for (double p : item.probs()) fold(std::bit_cast<uint64_t>(p));
+  }
+  fold(ds.log.size());
+  for (tic::ItemId i = 0; i < ds.log.num_items(); ++i) {
+    for (const tic::Activation& act : ds.log.ItemActivations(i)) {
+      fold(act.user);
+      fold(act.item);
+      fold(std::bit_cast<uint64_t>(act.timestamp));
+    }
+  }
+  EXPECT_EQ(digest, 0x3ec407a0023e049dULL) << std::hex << "digest 0x" << digest;
 }
 
 TEST(SyntheticDatasetTest, DifferentSeedsDiffer) {

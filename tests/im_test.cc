@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <set>
 
 #include "graph/topic_graph.h"
@@ -184,6 +186,71 @@ TEST(SnapshotOracleTest, DeterministicGraphExactSpread) {
   EXPECT_DOUBLE_EQ(o.CurrentSpread(), 2.0);
 }
 
+// Snapshot sampling keeps arc a exactly when the Bernoulli draw the reference
+// loop below makes would: one draw per arc with p > 0 (none for p <= 0 or
+// NaN), kept when Uniform() < p. Each edge-case arc sits alone behind its own
+// source, followed by a p = 0.5 probe arc, so a draw taken or skipped wrongly
+// shifts every later probe; SpreadOf({source}) exposes each arc's keep count.
+TEST(SnapshotOracleTest, EdgeProbabilitiesMatchBernoulliReference) {
+  const double edge[] = {0.0,
+                         -0.25,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::denorm_min(),
+                         0.5,
+                         1.0,
+                         1.0 + 1e-15,
+                         std::numeric_limits<double>::infinity()};
+  constexpr size_t kEdges = sizeof(edge) / sizeof(edge[0]);
+  TopicGraphBuilder b(4 * kEdges, 1);
+  ArcProbabilities probs;
+  for (size_t j = 0; j < 2 * kEdges; ++j) {
+    ASSERT_TRUE(b.AddArc(static_cast<NodeId>(2 * j),
+                         static_cast<NodeId>(2 * j + 1), {0.5})
+                    .ok());
+    probs.push_back(j % 2 == 0 ? edge[j / 2] : 0.5);
+  }
+  const TopicGraph g = b.Build().ValueOrDie();
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    SnapshotSpreadOracle::Options opts;
+    opts.num_snapshots = 1 + seed % 7;
+    opts.seed = seed;
+    auto oracle = SnapshotSpreadOracle::Create(g, probs, opts);
+    ASSERT_TRUE(oracle.ok());
+    auto ws = oracle.ValueOrDie().MakeWorkspace();
+
+    Rng rng(seed);
+    std::vector<size_t> kept(probs.size(), 0);
+    for (size_t s = 0; s < opts.num_snapshots; ++s) {
+      for (size_t a = 0; a < probs.size(); ++a) {
+        if (probs[a] > 0.0 && rng.Bernoulli(probs[a])) ++kept[a];
+      }
+    }
+    for (size_t a = 0; a < probs.size(); ++a) {
+      const std::vector<NodeId> source = {static_cast<NodeId>(2 * a)};
+      EXPECT_EQ(oracle.ValueOrDie().SpreadOf(source, &ws),
+                static_cast<double>(opts.num_snapshots + kept[a]) /
+                    static_cast<double>(opts.num_snapshots))
+          << "seed " << seed << " arc " << a << " p " << probs[a];
+    }
+  }
+}
+
+// W · m must fit the 32-bit snapshot offsets; the check runs before the
+// W · (n + 1) offset array would be allocated.
+TEST(SnapshotOracleTest, RejectsSnapshotCountBeyondOffsetRange) {
+  TopicGraphBuilder b(2, 1);
+  ASSERT_TRUE(b.AddArc(0, 1, {0.5}).ok());
+  ASSERT_TRUE(b.AddArc(1, 0, {0.5}).ok());
+  const TopicGraph g = b.Build().ValueOrDie();
+  for (const size_t w : {size_t{1} << 32, size_t{1} << 31}) {
+    SnapshotSpreadOracle::Options opts;
+    opts.num_snapshots = w;
+    auto r = SnapshotSpreadOracle::Create(g, SingleTopicProbs(g), opts);
+    ASSERT_FALSE(r.ok()) << w;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << w;
+  }
+}
+
 TEST(SnapshotOracleTest, MarginalGainMatchesSpreadDifference) {
   const TopicGraph g = MakeRandomGraph(80, 400, 0.1, 0.5, 7);
   SnapshotSpreadOracle::Options opts;
@@ -232,6 +299,32 @@ TEST(SnapshotOracleTest, MarginalGainPairConsistent) {
     EXPECT_NEAR(mg2, o.SpreadOf(both, &ws) - o.SpreadOf(base, &ws), 1e-9);
     // Submodularity of the pair: mg2 ≤ mg1.
     EXPECT_LE(mg2, mg1 + 1e-9);
+  }
+
+  // Reading `other`'s reach from MarkReach gives the per-call pair exactly,
+  // for every v, on random graphs with seeds already committed (including an
+  // `other` that the committed seeds cover).
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const TopicGraph rg = MakeRandomGraph(90, 450, 0.05, 0.5, 100 + seed);
+    opts.seed = seed;
+    auto r = SnapshotSpreadOracle::Create(rg, SingleTopicProbs(rg), opts);
+    ASSERT_TRUE(r.ok());
+    auto& ro = r.ValueOrDie();
+    auto rws = ro.MakeWorkspace();
+    for (size_t c = 0; c < seed; ++c) {
+      ro.CommitSeed(static_cast<NodeId>(rng.UniformInt(90)), &rws);
+    }
+    for (const NodeId other : {static_cast<NodeId>(rng.UniformInt(90)),
+                               static_cast<NodeId>(rng.UniformInt(90))}) {
+      const std::vector<uint8_t> reach = ro.MarkReach(other, &rws);
+      for (NodeId v = 0; v < 90; ++v) {
+        double want1 = 0, want2 = 0, got1 = 0, got2 = 0;
+        ro.MarginalGainPair(v, other, &rws, &want1, &want2);
+        ro.MarginalGainPair(v, reach, &rws, &got1, &got2);
+        EXPECT_EQ(got1, want1) << "seed " << seed << " v " << v;
+        EXPECT_EQ(got2, want2) << "seed " << seed << " v " << v;
+      }
+    }
   }
 }
 
@@ -415,6 +508,49 @@ TEST(SeedSelectorTest, ParallelSelectionAcrossGraphSizesInOneProcess) {
       ASSERT_TRUE(b.ok());
       EXPECT_EQ(a.ValueOrDie().seeds, b.ValueOrDie().seeds) << "n=" << n;
     }
+  }
+}
+
+// CELF++ pinned bit-for-bit: seeds, every marginal gain and the evaluation
+// count on seeded random graphs large enough (n >= 256) for the parallel
+// first iteration, folded into one FNV-1a digest. Serial and parallel first
+// rounds must both reproduce the constant recorded before the reach-once
+// first round and the integer-threshold snapshot sampler landed.
+TEST(SeedSelectorTest, CelfPpMatchesPinnedDigest) {
+  for (const bool parallel : {false, true}) {
+    uint64_t digest = 0xcbf29ce484222325ULL;
+    const auto fold = [&digest](uint64_t v) {
+      digest = (digest ^ v) * 0x100000001b3ULL;
+    };
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      const TopicGraph g =
+          MakeRandomGraph(300 + 50 * seed, 6 * (300 + 50 * seed), 0.02, 0.3,
+                          seed * 41);
+      SnapshotSpreadOracle::Options opts;
+      opts.num_snapshots = 50;
+      opts.seed = seed;
+      auto oracle = SnapshotSpreadOracle::Create(g, SingleTopicProbs(g), opts);
+      ASSERT_TRUE(oracle.ok());
+      SeedSelectionOptions sopts;
+      sopts.parallel_first_iteration = parallel;
+      if (seed == 3) {
+        // A segment mask moves the best singleton off the global argmax.
+        sopts.candidate_mask.assign(g.num_nodes(), 0);
+        for (size_t v = 1; v < g.num_nodes(); v += 2) {
+          sopts.candidate_mask[v] = 1;
+        }
+      }
+      auto r = SelectSeedsCelfPp(&oracle.ValueOrDie(), 15, sopts);
+      ASSERT_TRUE(r.ok());
+      const SeedSelectionResult& result = r.ValueOrDie();
+      for (NodeId v : result.seeds) fold(v);
+      for (double gain : result.marginal_gains) {
+        fold(std::bit_cast<uint64_t>(gain));
+      }
+      fold(result.num_evaluations);
+    }
+    EXPECT_EQ(digest, 0xf5b0118adae8c7c0ULL)
+        << "parallel " << parallel << std::hex << " digest 0x" << digest;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -271,6 +272,27 @@ TEST_F(InflexIndexTest, BuildProducesExpectedShape) {
     EXPECT_EQ(unique.size(), list.size());
     for (rank::Item v : list) EXPECT_LT(v, 300u);
   }
+}
+
+// The offline phase pinned bit-for-bit: every index point and seed list of
+// the fixture's index (n = 300 users; 3000 samples × 30 clusters puts
+// k-means past its parallel threshold). The constant was recorded before
+// the reach-once CELF++ first round, the integer-threshold snapshot sampler
+// and the parallel k-means and arc-probability stages landed, in the
+// default (non-INFLEX_NATIVE) build.
+TEST_F(InflexIndexTest, BuildMatchesPinnedDigest) {
+#ifdef __FMA__
+  GTEST_SKIP() << "digests are pinned for builds without FMA contraction";
+#endif
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto fold = [&digest](uint64_t v) {
+    digest = (digest ^ v) * 0x100000001b3ULL;
+  };
+  for (uint32_t i = 0; i < index_->num_index_points(); ++i) {
+    for (double x : index_->index_point(i)) fold(std::bit_cast<uint64_t>(x));
+    for (rank::Item v : index_->seed_list(i)) fold(v);
+  }
+  EXPECT_EQ(digest, 0xa6978481fe8ad5cbULL) << std::hex << "digest 0x" << digest;
 }
 
 TEST_F(InflexIndexTest, QueryReturnsRequestedK) {

@@ -3,13 +3,17 @@
 # under ThreadSanitizer (-DINFLEX_SANITIZE=thread) in a dedicated build
 # directory and runs them. Any data race in the sharded QueryCache, the
 # QueryEngine batch path, the ThreadPool re-entrancy logic, or the
-# IndexMaintainer generation-swap pipeline fails this script.
-# A second phase builds kernel_test, im_test, rank_test and extensions_test
-# under ASan+UBSan (-DINFLEX_SANITIZE=address): the KL kernel layer works on
-# raw pointers into flat SoA buffers that Insert() reallocates, the seed
-# selectors reuse per-thread oracle workspaces across graphs of different
-# sizes, and rank aggregation indexes one flat m×m preference tally by slot —
-# exactly the kind of code ASan exists for.
+# IndexMaintainer generation-swap pipeline fails this script. The same
+# phase runs cluster_test, data_test and im_test, whose k-means passes,
+# dataset arc probabilities and CELF++ first round fan out over the pool.
+# A second phase builds kernel_test, im_test, rank_test, extensions_test,
+# cluster_test and data_test under ASan+UBSan (-DINFLEX_SANITIZE=address):
+# the KL kernel layer works on raw pointers into flat SoA buffers that
+# Insert() reallocates, the seed selectors reuse per-thread oracle workspaces
+# across graphs of different sizes, snapshot sampling appends through a raw
+# pointer past the kept count, rank aggregation indexes one flat m×m
+# preference tally by slot, and the pooled k-means and arc-probability passes
+# write per-point slots — exactly the kind of code ASan exists for.
 #
 # Usage: tests/run_sanitized_stress.sh [source-dir] [build-dir] [asan-dir]
 # (defaults: the repo root containing this script, <source>/build-tsan,
@@ -28,9 +32,10 @@ cmake -B "$BUILD" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (serving_test maintenance_test oracle_test util_test net_test quality_test tenant_test)"
+echo "== build (serving_test maintenance_test oracle_test util_test net_test quality_test tenant_test cluster_test data_test im_test)"
 cmake --build "$BUILD" --target serving_test maintenance_test oracle_test \
-  util_test net_test quality_test tenant_test -j "$(nproc)" > /dev/null
+  util_test net_test quality_test tenant_test cluster_test data_test im_test \
+  -j "$(nproc)" > /dev/null
 
 echo "== run serving stress + thread-pool tests under TSan"
 # halt_on_error: any reported race is a hard failure, not a log line.
@@ -80,6 +85,16 @@ echo "== run multi-tenant storm under TSan"
 TSAN_OPTIONS="halt_on_error=1 suppressions=$SRC/tests/tsan.supp ${TSAN_OPTIONS:-}" \
   "$BUILD/tests/tenant_test"
 
+echo "== run offline-phase pool fan-outs under TSan"
+# K-means seeding and assignment, the dataset's batched arc probabilities
+# and CELF++'s parallel first round (reading one shared reach-mark array)
+# all write per-index slots from pool workers; their pinned digests must
+# still match.
+for t in cluster_test data_test im_test; do
+  TSAN_OPTIONS="halt_on_error=1 suppressions=$SRC/tests/tsan.supp ${TSAN_OPTIONS:-}" \
+    "$BUILD/tests/$t"
+done
+
 echo "TSan stress: OK (zero reported races)"
 
 echo "== configure ($BUILD_ASAN, INFLEX_SANITIZE=address)"
@@ -90,9 +105,9 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test im_test rank_test extensions_test)"
+echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test)"
 cmake --build "$BUILD_ASAN" --target kernel_test im_test rank_test \
-  extensions_test -j "$(nproc)" > /dev/null
+  extensions_test cluster_test data_test -j "$(nproc)" > /dev/null
 
 echo "== run KL kernel + SoA search tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
@@ -119,4 +134,11 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/extensions_test"
 
-echo "ASan tests: OK (kernel dispatched + forced-scalar, im, rank, extensions)"
+echo "== run clustering + dataset tests under ASan+UBSan"
+# Pooled k-means passes and the batched per-item arc-probability buffers.
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/cluster_test"
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/data_test"
+
+echo "ASan tests: OK (kernel dispatched + forced-scalar, im, rank, extensions, cluster, data)"
