@@ -21,6 +21,7 @@
 #include "im/lt_model.h"
 #include "im/ris.h"
 #include "im/snapshot_oracle.h"
+#include "im/snapshot_sampler.h"
 #include "inflex/index_points.h"
 #include "oracle/celfpp_oracle.h"
 #include "rank/aggregators.h"
@@ -199,18 +200,23 @@ const data::SyntheticDataset& TestbedDataset() {
   return *ds;
 }
 
-// Sampling the W = 100 live-edge snapshots of one item's IC instance.
+// Sampling the W = 100 live-edge snapshots of one item's IC instance, as
+// SnapshotSpreadOracle::Create does: Arg(0) pins the scalar reference
+// sampler, Arg(1) runs the process's active variant (the four-lane AVX2
+// sampler on AVX2 CPUs unless INFLEX_FORCE_SCALAR is set).
 void BM_SnapshotCreate(benchmark::State& state) {
   const auto& ds = TestbedDataset();
   const auto probs = ds.graph.ItemArcProbabilities(ds.catalog[0]);
-  im::SnapshotSpreadOracle::Options opts;
-  opts.num_snapshots = 100;
+  const im::internal::SnapshotSampler sample =
+      state.range(0) == 0 ? im::internal::ResolveSnapshotSampler(true)
+                          : im::internal::ActiveSnapshotSampler();
   for (auto _ : state) {
-    auto oracle = im::SnapshotSpreadOracle::Create(ds.graph, probs, opts);
-    benchmark::DoNotOptimize(oracle.ok());
+    const auto arrays =
+        sample(im::internal::PrepareDraws(ds.graph, probs), 100, 7);
+    benchmark::DoNotOptimize(arrays.targets.data());
   }
 }
-BENCHMARK(BM_SnapshotCreate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotCreate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One index point's precompute as InflexIndex::Build runs it: snapshots,
 // then a serial CELF++ run for an ℓ = 50 seed list.

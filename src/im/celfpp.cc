@@ -1,5 +1,6 @@
 #include "im/celfpp.h"
 
+#include <algorithm>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -39,22 +40,22 @@ Result<SeedSelectionResult> SelectSeedsCelfPp(
   std::vector<graph::NodeId> prev_best(n, kInvalidNode);
   std::vector<uint32_t> flag(n, 0);
 
-  // Initial pass: mg1 of every singleton, in parallel. mg2 w.r.t. the
-  // eventual global best singleton is filled in a second parallel pass, so
-  // the parallel code matches the sequential semantics ("cur_best after
-  // examining all nodes" = the global argmax).
-  if (options.parallel_first_iteration && n >= 256) {
+  // First round: every singleton gain, in node blocks that each sweep the
+  // snapshots once and write only their own slots. It counts as n
+  // evaluations, including the mg2 each node gets below.
+  constexpr size_t kBlock = 256;
+  if (options.parallel_first_iteration && n >= kBlock) {
     ParallelFor(
-        0, n,
-        [&](size_t v) {
-          mg1[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v),
-                                        oracle->ThreadWorkspace());
+        0, (n + kBlock - 1) / kBlock,
+        [&](size_t b) {
+          oracle->SingletonGains(
+              static_cast<graph::NodeId>(b * kBlock),
+              static_cast<graph::NodeId>(std::min(n, (b + 1) * kBlock)),
+              oracle->ThreadWorkspace(), mg1);
         },
         options.pool);
   } else {
-    for (size_t v = 0; v < n; ++v) {
-      mg1[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v), &ws);
-    }
+    oracle->SingletonGains(0, static_cast<graph::NodeId>(n), &ws, mg1);
   }
   result.num_evaluations += n;
 
@@ -66,29 +67,13 @@ Result<SeedSelectionResult> SelectSeedsCelfPp(
     }
   }
   INFLEX_CHECK_NE(best0, kInvalidNode);
-  {
-    // Every pair below conditions on best0, the node with the largest reach:
-    // mark that reach once instead of re-walking it in each of the n pairs
-    // (freed before the lazy loop).
-    const std::vector<uint8_t> best0_reach = oracle->MarkReach(best0, &ws);
-    auto fill_mg2 = [&](size_t v) {
-      if (v == best0) {
-        mg2[v] = mg1[v];
-        prev_best[v] = kInvalidNode;
-        return;
-      }
-      double a = 0.0, b = 0.0;
-      oracle->MarginalGainPair(static_cast<graph::NodeId>(v), best0_reach,
-                               oracle->ThreadWorkspace(), &a, &b);
-      mg1[v] = a;  // identical to the first pass (deterministic oracle)
-      mg2[v] = b;
-      prev_best[v] = best0;
-    };
-    if (options.parallel_first_iteration && n >= 256) {
-      ParallelFor(0, n, fill_mg2, options.pool);
-    } else {
-      for (size_t v = 0; v < n; ++v) fill_mg2(v);
-    }
+  // Each node's first-round mg2 conditions on best0, which the lazy loop
+  // selects first, and is read only while best0 is the sole seed. There it
+  // equals MarginalGain(v): best0's reach is closed under successors, so the
+  // part of v's reach outside it is exactly what a BFS avoiding it counts.
+  // So it is computed at that read instead of for all n nodes up front.
+  for (size_t v = 0; v < n; ++v) {
+    if (v != best0) prev_best[v] = best0;
   }
 
   std::priority_queue<HeapEntry> heap;
@@ -124,8 +109,9 @@ Result<SeedSelectionResult> SelectSeedsCelfPp(
     if (prev_best[u] == last_seed && flag[u] + 1 == cur_size &&
         last_seed != kInvalidNode) {
       // The node that became a seed is exactly the one mg2 conditioned on:
-      // reuse it, saving an oracle evaluation.
-      mg1[u] = mg2[u];
+      // reuse it, saving an oracle evaluation. The first round's mg2 is
+      // evaluated only now (cur_size == 1), as the comment above explains.
+      mg1[u] = cur_size == 1 ? oracle->MarginalGain(u, &ws) : mg2[u];
       // mg2 is now stale; conditioning on the (unknown) next best is covered
       // by the recompute branch on a later surfacing.
       prev_best[u] = kInvalidNode;

@@ -33,7 +33,8 @@ class SnapshotSpreadOracle {
 
   /// Samples the W snapshots of the IC instance: in snapshot order, each arc
   /// with p > 0 takes one draw and is kept when it lands below p; arcs with
-  /// p <= 0 or NaN take none. Fails on a probability vector of the wrong
+  /// p <= 0 or NaN take none. Every sampler variant (im/snapshot_sampler.h)
+  /// yields the same snapshots. Fails on a probability vector of the wrong
   /// size, zero snapshots, or W · max(m, 1) > UINT32_MAX (snapshot offsets
   /// are 32-bit), before allocating.
   static Result<SnapshotSpreadOracle> Create(
@@ -72,24 +73,19 @@ class SnapshotSpreadOracle {
   /// currently committed seeds. Thread-safe w.r.t. other MarginalGain calls.
   double MarginalGain(graph::NodeId v, Workspace* ws) const;
 
+  /// MarginalGain of every node v in [begin, end), written to gains[v]
+  /// (gains spans all nodes; no other slot is touched): the same doubles,
+  /// computed snapshot-major so one snapshot's adjacency stays hot across
+  /// the block.
+  void SingletonGains(graph::NodeId begin, graph::NodeId end, Workspace* ws,
+                      std::span<double> gains) const;
+
   /// Marginal gains of `v` with respect to (a) the committed seeds — mg1 —
   /// and (b) the committed seeds plus `other` — mg2 — in one evaluation.
   /// This is the pair CELF++ maintains (gain w.r.t. S and w.r.t.
   /// S ∪ {prev_best}).
   void MarginalGainPair(graph::NodeId v, graph::NodeId other, Workspace* ws,
                         double* mg1, double* mg2) const;
-
-  /// `other`'s incremental reach given the committed seeds, in every
-  /// snapshot: reach[s * n + u] != 0 iff `other` newly reaches u in snapshot
-  /// s. Valid until the next CommitSeed or ResetSeeds.
-  std::vector<uint8_t> MarkReach(graph::NodeId other, Workspace* ws) const;
-
-  /// MarginalGainPair with `other`'s reach read from MarkReach(other) instead
-  /// of re-walked per call; the gains are identical. CELF++'s first round
-  /// pairs all n nodes with the same best singleton, whose reach is the
-  /// largest in the graph, so it marks that reach once.
-  void MarginalGainPair(graph::NodeId v, std::span<const uint8_t> other_reach,
-                        Workspace* ws, double* mg1, double* mg2) const;
 
   /// Commits `v` as a seed: its incremental reach becomes covered in every
   /// snapshot. Returns the realized marginal gain. Not thread-safe.
@@ -111,18 +107,9 @@ class SnapshotSpreadOracle {
  private:
   SnapshotSpreadOracle() = default;
 
-  // BFS from `other` over snapshot s's uncovered nodes, setting mark[t] =
-  // value on every node it reaches (mark[] != value means unvisited).
-  template <typename Mark>
-  void MarkSnapshotReach(graph::NodeId other, size_t s, Mark* mark,
-                         Mark value, Workspace* ws) const;
-
-  // Pass 2 of a pair evaluation in snapshot s: BFS from v over uncovered
-  // nodes, counting every newly reached node into gain1 and those outside
-  // `other`'s reach (in_other(t) false) into gain2.
-  template <typename InOther>
-  void CountPair(graph::NodeId v, size_t s, const InOther& in_other,
-                 Workspace* ws, uint64_t* gain1, uint64_t* gain2) const;
+  // How many nodes v newly reaches in snapshot s, v included, by BFS over
+  // the uncovered nodes (v must be uncovered). Leaves them in ws->frontier_.
+  uint64_t CountReach(graph::NodeId v, size_t s, Workspace* ws) const;
 
   // Snapshot adjacency, concatenated: snapshot g's arcs of node u live in
   // targets_[offsets_[g * (n+1) + u] .. offsets_[g * (n+1) + u + 1]).

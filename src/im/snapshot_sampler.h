@@ -1,0 +1,74 @@
+#ifndef INFLEX_IM_SNAPSHOT_SAMPLER_H_
+#define INFLEX_IM_SNAPSHOT_SAMPLER_H_
+
+// Internal to SnapshotSpreadOracle::Create: the live-edge samplers that fill
+// its snapshot adjacency, exposed so tests can pin each variant.
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "graph/topic_graph.h"
+
+namespace inflex {
+namespace im {
+namespace internal {
+
+/// What a sampler draws against: the graph and one integer keep threshold
+/// per arc. Rng::Bernoulli(p) is Uniform() < p with Uniform() = (Next() >>
+/// 11) · 2⁻⁵³; scaling by 2⁵³ is exact, so for u = Next() >> 11 the test is
+/// u < ceil(p · 2⁵³). p >= 1 (+inf included) keeps at threshold 2⁵³; p <= 0
+/// and NaN take no draw, marked by threshold 0.
+struct SnapshotDraws {
+  const graph::TopicGraph* graph = nullptr;
+  std::vector<uint64_t> threshold;
+  /// Arcs that take a draw (threshold > 0): snapshot s starts at draw
+  /// s · num_drawn of the stream.
+  size_t num_drawn = 0;
+  /// Expected kept arcs in one snapshot.
+  double expected_kept = 0.0;
+  /// The most arcs one node can append to a snapshot.
+  size_t max_out_degree = 0;
+};
+
+SnapshotDraws PrepareDraws(const graph::TopicGraph& g,
+                           const graph::ArcProbabilities& arc_probs);
+
+/// W snapshots, concatenated: snapshot s's kept arcs of node u are
+/// targets[offsets[s * (n+1) + u] .. offsets[s * (n+1) + u + 1]).
+struct SnapshotArrays {
+  std::vector<uint32_t> offsets;
+  std::vector<graph::NodeId> targets;
+};
+
+/// Every sampler returns the same arrays: those of one Rng(seed) stream
+/// consumed in snapshot, node and arc order.
+using SnapshotSampler = SnapshotArrays (*)(const SnapshotDraws& draws,
+                                           size_t num_snapshots,
+                                           uint64_t seed);
+
+/// The reference loop: one stream, one draw at a time.
+SnapshotArrays SampleSnapshotsScalar(const SnapshotDraws& draws,
+                                     size_t num_snapshots, uint64_t seed);
+
+/// The four-lane AVX2 sampler with each lane's target region holding
+/// `region` entries; a lane that would overrun it falls back to the scalar
+/// loop. Exposed so tests can force that fallback. Requires an AVX2 CPU on
+/// x86 builds; elsewhere it is the scalar loop.
+SnapshotArrays SampleSnapshotsLanes(const SnapshotDraws& draws,
+                                    size_t num_snapshots, uint64_t seed,
+                                    size_t region);
+
+/// The four-lane sampler when the executing CPU has AVX2 and `force_scalar`
+/// is unset, else the scalar loop. Pure function of (cpuid, force_scalar).
+SnapshotSampler ResolveSnapshotSampler(bool force_scalar);
+
+/// The process-wide sampler, resolved once from cpuid and
+/// INFLEX_FORCE_SCALAR.
+SnapshotSampler ActiveSnapshotSampler();
+
+}  // namespace internal
+}  // namespace im
+}  // namespace inflex
+
+#endif  // INFLEX_IM_SNAPSHOT_SAMPLER_H_

@@ -1,6 +1,7 @@
 #ifndef INFLEX_UTIL_RANDOM_H_
 #define INFLEX_UTIL_RANDOM_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -55,6 +56,16 @@ class Rng {
     s_[3] = Rotl(s_[3], 45);
     return result;
   }
+
+  /// Advances the stream by `k` steps, exactly as `k` calls of Next() would,
+  /// in O(log k): x^k mod P(x) over GF(2) (P the characteristic polynomial
+  /// of the state transition) applied like the reference xoshiro256 jump().
+  /// The cached Normal() deviate is kept.
+  void Advance(uint64_t k);
+
+  /// The raw xoshiro256 state words, for kernels that step several streams
+  /// in lockstep.
+  std::array<uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
 
   /// Uniform double in [0, 1).
   double Uniform() { return (Next() >> 11) * 0x1.0p-53; }
@@ -148,6 +159,13 @@ class Rng {
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+/// x^(2^e) mod P(x) over GF(2), where P is the degree-256 characteristic
+/// polynomial of the xoshiro256 state transition: bit i of word i / 64 is the
+/// coefficient of x^i. As a jump polynomial it advances a generator by 2^e
+/// steps; e = 128 and e = 192 give xoshiro256's published jump() and
+/// long_jump() constants.
+std::array<uint64_t, 4> XoshiroPow2JumpPoly(unsigned e);
 
 }  // namespace inflex
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "graph/topic_graph.h"
 #include "im/cascade.h"
@@ -12,7 +13,9 @@
 #include "im/greedy.h"
 #include "im/heuristics.h"
 #include "im/snapshot_oracle.h"
+#include "im/snapshot_sampler.h"
 #include "im/spread_estimator.h"
+#include "util/cpu_features.h"
 #include "util/random.h"
 
 namespace inflex {
@@ -212,7 +215,9 @@ TEST(SnapshotOracleTest, EdgeProbabilitiesMatchBernoulliReference) {
   const TopicGraph g = b.Build().ValueOrDie();
   for (uint64_t seed = 0; seed < 200; ++seed) {
     SnapshotSpreadOracle::Options opts;
-    opts.num_snapshots = 1 + seed % 7;
+    // W < 8 for half the seeds; 8..101 (whole four-lane blocks plus
+    // leftovers) for the rest.
+    opts.num_snapshots = seed < 100 ? 1 + seed % 7 : 8 + (seed * 37) % 94;
     opts.seed = seed;
     auto oracle = SnapshotSpreadOracle::Create(g, probs, opts);
     ASSERT_TRUE(oracle.ok());
@@ -248,6 +253,66 @@ TEST(SnapshotOracleTest, RejectsSnapshotCountBeyondOffsetRange) {
     auto r = SnapshotSpreadOracle::Create(g, SingleTopicProbs(g), opts);
     ASSERT_FALSE(r.ok()) << w;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << w;
+  }
+}
+
+// Random probabilities mixing every sampler case: p <= 0 and NaN (no
+// draw, so m_d < m), p >= 1 (always kept) and ordinary p.
+ArcProbabilities MixedProbs(const TopicGraph& g, uint64_t seed) {
+  Rng rng(seed);
+  ArcProbabilities p(g.num_arcs());
+  for (double& x : p) {
+    switch (rng.UniformInt(6)) {
+      case 0: x = 0.0; break;
+      case 1: x = -0.5; break;
+      case 2: x = std::numeric_limits<double>::quiet_NaN(); break;
+      case 3: x = 1.0; break;
+      default: x = rng.Uniform(); break;
+    }
+  }
+  return p;
+}
+
+void ExpectSameSnapshots(const internal::SnapshotArrays& got,
+                         const internal::SnapshotArrays& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.offsets, want.offsets) << what;
+  EXPECT_EQ(got.targets, want.targets) << what;
+}
+
+// The active sampler (four AVX2 lanes on AVX2 CPUs) reproduces the scalar
+// reference array for array: no lanes (W < 4), whole blocks (W % 4 == 0)
+// and leftover snapshots, and a graph whose arcs all skip the draw.
+TEST(SnapshotSamplerTest, LanesMatchScalar) {
+  const internal::SnapshotSampler scalar =
+      internal::ResolveSnapshotSampler(true);
+  const internal::SnapshotSampler active =
+      internal::ResolveSnapshotSampler(false);
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const TopicGraph g = MakeRandomGraph(150, 900, 0.1, 0.5, 300 + seed);
+    ArcProbabilities probs = MixedProbs(g, seed);
+    if (seed == 4) std::fill(probs.begin(), probs.end(), 0.0);
+    const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);
+    for (const size_t w : {1, 3, 4, 5, 7, 8, 100, 101, 150}) {
+      ExpectSameSnapshots(active(draws, w, seed), scalar(draws, w, seed),
+                          "seed " + std::to_string(seed) + " W " +
+                              std::to_string(w));
+    }
+  }
+}
+
+// A lane that would overrun its region falls back to the scalar loop: at
+// once (region below the out-degree bound) and part way through.
+TEST(SnapshotSamplerTest, LaneRegionOverflowFallsBackToScalar) {
+  if (!util::DetectCpuSimd().avx2) GTEST_SKIP() << "no AVX2";
+  const TopicGraph g = MakeRandomGraph(150, 900, 0.1, 0.5, 310);
+  const internal::SnapshotDraws draws =
+      internal::PrepareDraws(g, MixedProbs(g, 11));
+  const auto want = internal::SampleSnapshotsScalar(draws, 101, 5);
+  for (const size_t region : {size_t{1}, size_t{64}, size_t{2000}}) {
+    ExpectSameSnapshots(
+        internal::SampleSnapshotsLanes(draws, 101, 5, region), want,
+        "region " + std::to_string(region));
   }
 }
 
@@ -301,9 +366,10 @@ TEST(SnapshotOracleTest, MarginalGainPairConsistent) {
     EXPECT_LE(mg2, mg1 + 1e-9);
   }
 
-  // Reading `other`'s reach from MarkReach gives the per-call pair exactly,
-  // for every v, on random graphs with seeds already committed (including an
-  // `other` that the committed seeds cover).
+  // CELF++ reads a first-round mg2 only once `other` is committed, so it
+  // evaluates it then as MarginalGain: the pair's mg2 must equal that
+  // exactly, for every v, on random graphs with seeds already committed
+  // (including an `other` that the committed seeds cover).
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     const TopicGraph rg = MakeRandomGraph(90, 450, 0.05, 0.5, 100 + seed);
     opts.seed = seed;
@@ -316,14 +382,46 @@ TEST(SnapshotOracleTest, MarginalGainPairConsistent) {
     }
     for (const NodeId other : {static_cast<NodeId>(rng.UniformInt(90)),
                                static_cast<NodeId>(rng.UniformInt(90))}) {
-      const std::vector<uint8_t> reach = ro.MarkReach(other, &rws);
+      SnapshotSpreadOracle with_other = ro;
+      with_other.CommitSeed(other, &rws);
       for (NodeId v = 0; v < 90; ++v) {
-        double want1 = 0, want2 = 0, got1 = 0, got2 = 0;
-        ro.MarginalGainPair(v, other, &rws, &want1, &want2);
-        ro.MarginalGainPair(v, reach, &rws, &got1, &got2);
-        EXPECT_EQ(got1, want1) << "seed " << seed << " v " << v;
-        EXPECT_EQ(got2, want2) << "seed " << seed << " v " << v;
+        double mg1 = 0, mg2 = 0;
+        ro.MarginalGainPair(v, other, &rws, &mg1, &mg2);
+        EXPECT_EQ(mg2, with_other.MarginalGain(v, &rws))
+            << "seed " << seed << " v " << v;
       }
+    }
+  }
+}
+
+// The snapshot-major sweep returns MarginalGain's doubles for every node,
+// whole-range and in blocks, before and after commits. A third of the arcs
+// have p = 0, so many nodes have no kept out-arc in a snapshot.
+TEST(SnapshotOracleTest, SingletonGainsMatchMarginalGain) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const TopicGraph g = MakeRandomGraph(120, 500, 0.05, 0.6, 200 + seed);
+    ArcProbabilities probs = SingleTopicProbs(g);
+    for (size_t a = 0; a < probs.size(); a += 3) probs[a] = 0.0;
+    SnapshotSpreadOracle::Options opts;
+    opts.num_snapshots = 30;
+    opts.seed = seed;
+    auto r = SnapshotSpreadOracle::Create(g, probs, opts);
+    ASSERT_TRUE(r.ok());
+    auto& o = r.ValueOrDie();
+    auto ws = o.MakeWorkspace();
+    Rng rng(seed);
+    for (int commits = 0; commits < 4; ++commits) {
+      std::vector<double> whole(120, -1.0), blocks(120, -1.0);
+      o.SingletonGains(0, 120, &ws, whole);
+      for (NodeId begin = 0; begin < 120; begin += 50) {
+        o.SingletonGains(begin, std::min<NodeId>(120, begin + 50), &ws, blocks);
+      }
+      for (NodeId v = 0; v < 120; ++v) {
+        const double want = o.MarginalGain(v, &ws);
+        EXPECT_EQ(whole[v], want) << "seed " << seed << " v " << v;
+        EXPECT_EQ(blocks[v], want) << "seed " << seed << " v " << v;
+      }
+      o.CommitSeed(static_cast<NodeId>(rng.UniformInt(120)), &ws);
     }
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <numeric>
@@ -117,6 +118,37 @@ TEST(RngTest, DifferentSeedsDiffer) {
     if (a.Next() != b.Next()) ++differing;
   }
   EXPECT_GT(differing, 90);
+}
+
+// Advance(k) lands on the state k Next() calls reach: around the 256-step
+// jump window, at one snapshot of 30317 drawn arcs and a 25-snapshot lane
+// block of them, and at random k.
+TEST(RngTest, AdvanceEqualsRepeatedNext) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    std::vector<uint64_t> ks = {0, 1, 255, 256, 30317, 25 * 30317};
+    Rng pick(seed + 100);
+    for (int i = 0; i < 20; ++i) ks.push_back(pick.UniformInt(1u << 20));
+    for (const uint64_t k : ks) {
+      Rng stepped(seed), jumped(seed);
+      for (uint64_t i = 0; i < k; ++i) stepped.Next();
+      jumped.Advance(k);
+      EXPECT_EQ(jumped.state(), stepped.state()) << "seed " << seed << " k " << k;
+      EXPECT_EQ(jumped.Next(), stepped.Next()) << "seed " << seed << " k " << k;
+    }
+  }
+}
+
+// The derived characteristic polynomial reproduces the published xoshiro256
+// jump (2^128 steps) and long_jump (2^192 steps) constants.
+TEST(RngTest, JumpPolynomialsMatchReferenceConstants) {
+  const std::array<uint64_t, 4> jump = {
+      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
+      0x39abdc4529b1661cULL};
+  const std::array<uint64_t, 4> long_jump = {
+      0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
+      0x39109bb02acbe635ULL};
+  EXPECT_EQ(XoshiroPow2JumpPoly(128), jump);
+  EXPECT_EQ(XoshiroPow2JumpPoly(192), long_jump);
 }
 
 TEST(RngTest, UniformInUnitInterval) {
