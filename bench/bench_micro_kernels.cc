@@ -2,8 +2,8 @@
 // reference scalar path vs the factorized vectorized kernel layer), ILR,
 // Eq. 1 instance materialization, cascade simulation, snapshot-oracle
 // marginal gains, the offline phase's layers (snapshot sampling, one index
-// point's CELF++ precompute, index-point selection), bb-tree searches,
-// Kendall-τ, and the aggregation kernels.
+// point's CELF++ precompute, index-point selection and its k-means),
+// bb-tree searches, Kendall-τ, and the aggregation kernels.
 // After the google-benchmark suite, main() runs a self-timed reference-vs-
 // kernel comparison across topic counts and leaf-scan batch sizes and writes
 // it to BENCH_kernels.json (see RunKernelComparison below).
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bbtree/bbtree.h"
+#include "cluster/kmeans.h"
 #include "common/testbed.h"
 #include "data/synthetic.h"
 #include "im/cascade.h"
@@ -31,6 +32,7 @@
 #include "simplex/kl_kernel.h"
 #include "simplex/kl_kernel_simd.h"
 #include "simplex/sampling.h"
+#include "stats/dirichlet.h"
 #include "util/aligned.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -245,6 +247,35 @@ void BM_SelectIndexPoints(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelectIndexPoints)->Unit(benchmark::kMillisecond);
+
+// The k-means layer of BM_SelectIndexPoints alone: the same 30k samples of
+// the catalog's fitted Dirichlet, clustered into h = 256 index points. The
+// `reference_share` counter is the share of KL evaluations the screen
+// confirmed with the reference KlDivergence.
+void BM_KMeansIndexPoints(benchmark::State& state) {
+  const auto& ds = TestbedDataset();
+  std::vector<simplex::TopicVector> raw;
+  for (const auto& item : ds.catalog) raw.push_back(item.probs());
+  auto fitted = stats::FitDirichletMle(raw);
+  INFLEX_CHECK(fitted.ok());
+  Rng rng(5);
+  const auto samples = fitted.ValueOrDie().SampleMany(30000, &rng);
+  cluster::KMeansOptions opts;
+  opts.num_clusters = 256;
+  opts.max_iterations = core::IndexPointOptions{}.kmeans_max_iterations;
+  opts.seed = rng.Next();
+  double share = 0.0;
+  for (auto _ : state) {
+    auto r = cluster::KMeansPlusPlus(samples, opts);
+    INFLEX_CHECK(r.ok());
+    const cluster::KMeansResult& result = r.ValueOrDie();
+    share = static_cast<double>(result.kl_reference_evaluations) /
+            (static_cast<double>(samples.size() * opts.num_clusters) *
+             (1.0 + result.iterations));
+  }
+  state.counters["reference_share"] = share;
+}
+BENCHMARK(BM_KMeansIndexPoints)->Unit(benchmark::kMillisecond);
 
 std::vector<simplex::TopicVector> BenchPoints(size_t n, size_t dim) {
   Rng rng(6);

@@ -47,14 +47,20 @@ struct KMeansResult {
   /// Final Σ_i d(x_i, μ_{a(i)}).
   double objective = 0.0;
   int iterations = 0;
+  /// KL only: how many divergences the screen confirmed with the reference
+  /// KlDivergence, out of n·k for seeding plus n·k per iteration.
+  uint64_t kl_reference_evaluations = 0;
 };
 
 /// Runs K-means++ seeding (Arthur & Vassilvitskii 2007, with the divergence
 /// replacing squared distance — "Bregman K-means++" as used by the paper for
 /// index-point selection and bb-tree construction) followed by Lloyd
-/// iterations. Fails when `points` is empty, dimensions disagree, or
-/// num_clusters is 0. When num_clusters >= points.size(), every point
-/// becomes its own centroid.
+/// iterations. Fails when `points` is empty, dimensions disagree, a
+/// coordinate is NaN or ±Inf (or negative, for KL), or num_clusters is 0.
+/// When num_clusters >= points.size(), every point becomes its own centroid.
+/// KL divergences are screened with the factorized kernel and confirmed with
+/// the reference, so the result equals a reference-only run bit for bit
+/// (DESIGN.md §10).
 Result<KMeansResult> KMeansPlusPlus(
     const std::vector<simplex::TopicVector>& points,
     const KMeansOptions& options);

@@ -27,7 +27,8 @@ namespace simplex {
 /// over contiguous memory. Equivalence with the reference: terms with
 /// p_z = 0 vanish in the dot product exactly as the reference skips them,
 /// and both sides clamp the result at the mathematical lower bound 0; only
-/// floating-point association differs (≤ 1e-12 observed, see DESIGN.md §10).
+/// floating-point association differs. KlErrorBound below bounds the
+/// difference (DESIGN.md §10).
 
 /// Σ_{z : p_z > 0} p_z·log p_z — the negative Shannon entropy −H(p).
 double NegativeEntropy(const double* p, size_t n);
@@ -68,6 +69,38 @@ void KlBatch(const double* rows, const double* neg_entropies, size_t m,
 void KlBatchTargets(const double* q, double q_neg_entropy,
                     const double* log_targets, size_t m, size_t n,
                     size_t row_stride, double* out);
+
+/// \brief Forward-error bound of the factorized kernel against the reference
+/// (DESIGN.md §10, "The screen bound"). For finite, non-negative p and q and
+/// log_q = ClampedLog(q, eps) with the reference's eps,
+///
+///   |KlFactorized(NegativeEntropy(p), p, log_q) − KlDivergence(p, q, eps)|
+///       ≤ KlErrorBound(p, n).Against(q, log_q, n).
+///
+/// The bound is 4(n+4)·u·(Σ p_z|log p_z| + (max_z |log q̂_z| + 1)·Σ p_z) +
+/// 4n·DBL_MIN, with u the unit roundoff; it does not assume Σp = 1. It is
+/// +inf where the written argument does not cover the pair: p above
+/// kKlBoundMaxCoordinate, a non-finite center, or a center above 1 against a
+/// p_z small enough for p_z / q̂_z to underflow. The point's side is built
+/// once per point. Against() reads the center's largest coordinate and
+/// largest |log q̂_z|, so a vector holding the extremes of a set of centers
+/// (with its own clamped logs, of any length) bounds every center in the set.
+class KlErrorBound {
+ public:
+  KlErrorBound(const double* p, size_t n);
+
+  double Against(const double* q, const double* log_q, size_t n) const;
+
+ private:
+  double entropy_term_;  // 4(n+4)u·Σ p|log p|, +inf past the coordinate cap
+  double mass_term_;     // 4(n+4)u·Σ p
+  double slack_;         // 4n·DBL_MIN: subnormal products and ratios
+  double min_positive_;  // smallest p_z > 0, +inf if none
+};
+
+/// Coordinates above this take KlErrorBound to +inf: below it no
+/// intermediate of either kernel can overflow.
+inline constexpr double kKlBoundMaxCoordinate = 0x1p500;
 
 /// \brief Per-query evaluation context: owns a copy of the query, its
 /// clamped log transform, and its negative entropy. Reset() once per query,

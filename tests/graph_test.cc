@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "graph/graph_io.h"
 #include "graph/topic_graph.h"
 #include "simplex/topic_distribution.h"
+#include "util/random.h"
 
 namespace inflex {
 namespace graph {
@@ -114,6 +117,41 @@ TEST(TopicGraphTest, ItemArcProbabilitiesIntoReusesBuffer) {
   const double first = buf[0];
   g.ItemArcProbabilitiesInto(simplex::TopicDistribution::Delta(2, 1), &buf);
   EXPECT_NE(buf[0], first);
+}
+
+// The four-arcs-at-a-time sums must give every arc the bits of a one-arc
+// loop in topic order: below four arcs, at four, one past, and past 4096.
+TEST(TopicGraphTest, ItemArcProbabilitiesMatchPerArcLoopBitForBit) {
+  constexpr size_t kTopics = 7;
+  constexpr NodeId kNodes = 70;  // 70·69 ordered pairs cover 4097 arcs
+  Rng rng(19);
+  for (size_t m : {1u, 3u, 4u, 5u, 4097u}) {
+    TopicGraphBuilder b(kNodes, kTopics);
+    for (size_t a = 0; a < m; ++a) {
+      const NodeId u = static_cast<NodeId>(a / (kNodes - 1));
+      const NodeId offset = static_cast<NodeId>(a % (kNodes - 1)) + 1;
+      std::vector<double> probs(kTopics);
+      for (double& p : probs) p = rng.Uniform();
+      ASSERT_TRUE(b.AddArc(u, (u + offset) % kNodes, probs).ok());
+    }
+    const TopicGraph g = b.Build().ValueOrDie();
+    std::vector<double> mix(kTopics);
+    for (double& w : mix) w = rng.Uniform(0.01, 1.0);
+    const auto item =
+        simplex::TopicDistribution::FromUnnormalized(mix).ValueOrDie();
+    ArcProbabilities got;
+    g.ItemArcProbabilitiesInto(item, &got);
+    ASSERT_EQ(got.size(), m);
+    for (size_t a = 0; a < m; ++a) {
+      double expected = 0.0;
+      for (size_t z = 0; z < kTopics; ++z) {
+        expected += item[z] * g.ArcTopicProb(static_cast<ArcId>(a), z);
+      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[a]),
+                std::bit_cast<uint64_t>(expected))
+          << "m=" << m << " arc " << a;
+    }
+  }
 }
 
 TEST(TopicGraphTest, SetArcTopicProbabilitiesValidates) {

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "bbtree/bbtree.h"
@@ -162,6 +163,87 @@ TEST(KlKernelTest, KlBatchMatchesScalarKernelExactly) {
     // Bit-exact: the batch form must run the identical per-row kernel.
     EXPECT_DOUBLE_EQ(out[i], ctx.Kl(rows.data() + i * dim, negent[i])) << i;
   }
+}
+
+// ------------------------------------------------------- the screen bound --
+
+// Screened k-means relies on |KlFactorized − KlDivergence| ≤ δ(p, q) for
+// every finite, non-negative pair it sees. These are the inputs that push
+// on each term of the bound: one-hot p (Σ p|log p| = 0), q at or below the
+// smoothing eps (|log q̂| = log 1/eps), subnormal p_z (the slack), p that
+// does not sum to 1 (the Σp factor), and long rows (the (n+4) factor).
+TEST(KlErrorBoundTest, CoversFactorizedVsReferenceOnAdversarialInputs) {
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  Rng rng(23);
+  double worst_ratio = 0.0;
+  for (size_t dim : {2u, 8u, 50u, 200u}) {
+    for (int trial = 0; trial < 600; ++trial) {
+      TopicVector p = SampleUniformSimplex(dim, &rng);
+      TopicVector q = SampleUniformSimplex(dim, &rng);
+      const size_t z = rng.UniformInt(dim);
+      switch (trial % 6) {
+        case 0:  // one-hot p
+          std::fill(p.begin(), p.end(), 0.0);
+          p[z] = 1.0;
+          break;
+        case 1:  // q at, below and far below eps
+          q[z] = kKlSmoothingEps;
+          q[(z + 1) % dim] = 0.5 * kKlSmoothingEps;
+          if (dim > 2) q[(z + 2) % dim] = 0.0;
+          break;
+        case 2:  // subnormal p_z, against a q that clamps too
+          p[z] = kDenormMin;
+          p[(z + 1) % dim] = 1e-310;
+          q[z] = 0.0;
+          break;
+        case 3:  // unnormalized p, large and small
+          for (double& v : p) v *= trial % 12 == 3 ? 37.0 : 1e-6;
+          break;
+        case 4:  // p ≈ q: the clamp at 0 and the cancellation
+          q = p;
+          q[z] *= 1.0 + 1e-9;
+          break;
+        case 5:  // sparse p: peaked Dirichlet draws underflow to 0
+          p = stats::Dirichlet(std::vector<double>(dim, 0.02)).Sample(&rng);
+          break;
+      }
+      std::vector<double> log_q(dim);
+      ClampedLog(q.data(), dim, kKlSmoothingEps, log_q.data());
+      const double factorized =
+          KlFactorized(NegativeEntropy(p.data(), dim), p.data(),
+                       log_q.data(), dim);
+      const double reference = KlDivergence(p, q);
+      const double delta =
+          KlErrorBound(p.data(), dim).Against(q.data(), log_q.data(), dim);
+      ASSERT_TRUE(std::isfinite(delta)) << "dim=" << dim << " trial " << trial;
+      const double error = std::fabs(factorized - reference);
+      EXPECT_LE(error, delta) << "dim=" << dim << " trial " << trial;
+      worst_ratio = std::max(worst_ratio, error / delta);
+    }
+  }
+  // Not vacuous: the bound is within a few hundred times the errors it has
+  // to cover, not orders of magnitude above them.
+  EXPECT_GT(worst_ratio, 1e-3);
+}
+
+TEST(KlErrorBoundTest, IsInfiniteWhereTheArgumentStops) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto bound = [](const TopicVector& p, const TopicVector& q) {
+    std::vector<double> log_q(q.size());
+    ClampedLog(q.data(), q.size(), kKlSmoothingEps, log_q.data());
+    return KlErrorBound(p.data(), p.size())
+        .Against(q.data(), log_q.data(), q.size());
+  };
+  const TopicVector subnormal = {4.9406564584124654e-324, 0.5, 0.5};
+  const TopicVector normal = {0.2, 0.3, 0.5};
+  // A center above 1 against a subnormal p_z: p_z / q̂_z can underflow to 0.
+  const TopicVector big = {3.0, 0.5, 0.5};
+  EXPECT_EQ(bound(subnormal, big), kInf);
+  // The same center is fine against a p whose ratios stay normal.
+  EXPECT_TRUE(std::isfinite(bound(normal, big)));
+  // A non-finite center, and a p past the coordinate cap.
+  EXPECT_EQ(bound(normal, {kInf, 0.5, 0.5}), kInf);
+  EXPECT_EQ(bound({0.5, 2.0 * kKlBoundMaxCoordinate, 0.5}, normal), kInf);
 }
 
 // --------------------------------------------- SIMD dispatch & bit-identity --
