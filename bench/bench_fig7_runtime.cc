@@ -1,5 +1,6 @@
 // Figure 7: per-query run-time comparison of the online strategies, with
-// the offline from-scratch CELF++ time for contrast. The paper's headline:
+// the offline from-scratch CELF time for contrast (CELF returns the
+// paper's CELF++ seeds, DESIGN.md "Offline phase"). The paper's headline:
 // INFLEX answers in < 30 ms what offline computation takes hours-days for.
 #include <cstdio>
 
@@ -55,9 +56,10 @@ int main() {
   for (const auto& gt : tb.ground_truth) {
     offline_s.push_back(gt.offline_seconds);
   }
-  std::printf("\noffline TIC (from-scratch CELF++, the computation INFLEX "
-              "replaces): avg %.2f s per query — %.0fx slower than INFLEX "
-              "on this scaled-down test-bed; the gap grows with graph size "
+  std::printf("\noffline TIC (from-scratch CELF on snapshots, the "
+              "computation INFLEX replaces): avg %.2f s per query — %.0fx "
+              "slower than INFLEX on this scaled-down test-bed; the gap "
+              "grows with graph size "
               "(paper: days vs milliseconds).\n",
               stats::Mean(offline_s), stats::Mean(offline_s) * 1e3);
   std::printf("\nPaper shape to match: every index strategy answers in "

@@ -1,9 +1,9 @@
 // Google-benchmark microbenchmarks of the hot kernels: KL divergence (the
 // reference scalar path vs the factorized vectorized kernel layer), ILR,
 // Eq. 1 instance materialization, cascade simulation, snapshot-oracle
-// marginal gains, the offline phase's layers (snapshot sampling, one index
-// point's CELF++ precompute, index-point selection and its k-means),
-// bb-tree searches, Kendall-τ, and the aggregation kernels.
+// marginal gains, the offline phase's layers (the dataset, snapshot
+// sampling, one index point's seed-list precompute, index-point selection
+// and its k-means), bb-tree searches, Kendall-τ, and the aggregation kernels.
 // After the google-benchmark suite, main() runs a self-timed reference-vs-
 // kernel comparison across topic counts and leaf-scan batch sizes and writes
 // it to BENCH_kernels.json (see RunKernelComparison below).
@@ -186,21 +186,38 @@ BENCHMARK(BM_SnapshotMarginalGain)->Arg(50)->Arg(100);
 // The offline phase layer by layer, on the test-bed world: the dataset of
 // benchsupport::TestbedConfig (INFLEX_BENCH_SCALE, default small) without
 // its index or ground truth, so no test-bed cache is built or read.
+data::SyntheticDatasetOptions TestbedDatasetOptions() {
+  const auto config = benchsupport::TestbedConfig::FromEnv();
+  data::SyntheticDatasetOptions opts;
+  opts.num_users = config.num_users;
+  opts.num_topics = config.num_topics;
+  opts.num_items = config.num_items;
+  opts.avg_degree = config.avg_degree;
+  opts.seed = config.seed;
+  return opts;
+}
+
 const data::SyntheticDataset& TestbedDataset() {
   static const data::SyntheticDataset* ds = [] {
-    const auto config = benchsupport::TestbedConfig::FromEnv();
-    data::SyntheticDatasetOptions opts;
-    opts.num_users = config.num_users;
-    opts.num_topics = config.num_topics;
-    opts.num_items = config.num_items;
-    opts.avg_degree = config.avg_degree;
-    opts.seed = config.seed;
-    auto r = data::GenerateSyntheticDataset(opts);
+    auto r = data::GenerateSyntheticDataset(TestbedDatasetOptions());
     INFLEX_CHECK(r.ok());
     return new data::SyntheticDataset(std::move(r).ValueOrDie());
   }();
   return *ds;
 }
+
+// The dataset layer: graph, catalog and the propagation log's TIC cascades
+// (the small scale is inflexbench's world: 2,500 users, Z = 8, 3,000 items,
+// degree 12).
+void BM_SyntheticDataset(benchmark::State& state) {
+  const data::SyntheticDatasetOptions opts = TestbedDatasetOptions();
+  for (auto _ : state) {
+    auto r = data::GenerateSyntheticDataset(opts);
+    INFLEX_CHECK(r.ok());
+    benchmark::DoNotOptimize(r.ValueOrDie().log.size());
+  }
+}
+BENCHMARK(BM_SyntheticDataset)->Unit(benchmark::kMillisecond);
 
 // Sampling the W = 100 live-edge snapshots of one item's IC instance, as
 // SnapshotSpreadOracle::Create does: Arg(0) pins the scalar reference
@@ -221,7 +238,7 @@ void BM_SnapshotCreate(benchmark::State& state) {
 BENCHMARK(BM_SnapshotCreate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One index point's precompute as InflexIndex::Build runs it: snapshots,
-// then a serial CELF++ run for an ℓ = 50 seed list.
+// then a serial CELF run for an ℓ = 50 seed list.
 void BM_OfflineTicSeeds(benchmark::State& state) {
   const auto& ds = TestbedDataset();
   oracle::OfflineImOptions opts;

@@ -52,7 +52,7 @@ Result<StrategyMetrics> EvaluateStrategy(const Testbed& tb,
 /// (the "offline TIC" row of Table 2).
 Result<StrategyMetrics> EvaluateOfflineTic(const Testbed& tb, size_t k);
 
-/// Topic-blind baseline: one CELF++ run with the uniform topic mixture,
+/// Topic-blind baseline: one CELF run with the uniform topic mixture,
 /// whose seeds answer every query (the "offline IC" row).
 Result<StrategyMetrics> EvaluateOfflineIc(const Testbed& tb, size_t k);
 

@@ -137,7 +137,7 @@ Result<std::shared_ptr<Testbed>> BuildTestbed(const TestbedConfig& config,
   Progress("building INFLEX index: h=" +
            std::to_string(config.num_index_points) +
            ", l=" + std::to_string(config.seed_list_length) +
-           " (one CELF++ run per index point)");
+           " (one CELF run per index point)");
   Timer build_timer;
   core::InflexBuildOptions bopts;
   bopts.index_points.num_index_points = config.num_index_points;
@@ -165,7 +165,7 @@ Result<std::shared_ptr<Testbed>> BuildTestbed(const TestbedConfig& config,
                           data::GenerateQueryWorkload(tb->dataset->catalog,
                                                       wopts));
 
-  Progress("computing offline TIC ground truth per query (CELF++ from "
+  Progress("computing offline TIC ground truth per query (CELF from "
            "scratch — the computation INFLEX replaces)");
   oracle::OfflineImOptions oopts;
   oopts.num_snapshots = config.oracle_snapshots;

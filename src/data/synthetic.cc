@@ -7,7 +7,6 @@
 
 #include "im/cascade.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace inflex {
 namespace data {
@@ -17,6 +16,11 @@ namespace {
 Status ValidateOptions(const SyntheticDatasetOptions& o) {
   if (o.num_users < 10) return Status::InvalidArgument("need >= 10 users");
   if (o.num_topics < 2) return Status::InvalidArgument("need >= 2 topics");
+  if (o.num_topics > o.num_users) {
+    // Users are dealt to communities round-robin; an empty community could
+    // neither source arcs nor seed its items' cascades.
+    return Status::InvalidArgument("need at least one user per topic");
+  }
   if (o.num_items < 1) return Status::InvalidArgument("need >= 1 item");
   if (!(o.avg_degree > 0.0)) {
     return Status::InvalidArgument("avg_degree must be positive");
@@ -177,47 +181,63 @@ Result<SyntheticDataset> GenerateSyntheticDataset(
   }
 
   // --- Propagation log -------------------------------------------------------
-  // Run real TIC cascades of every catalog item; the activation order is the
-  // timestamp (the learner only needs the temporal order of adoptions).
-  // Item arc probabilities take no random draws and are most of the cost, so
-  // they are computed across the pool a batch of items ahead of the serial,
-  // RNG-ordered cascade loop.
-  ds.log = tic::PropagationLog(n, options.num_items);
-  im::CascadeWorkspace ws(n);
-  std::vector<graph::ArcProbabilities> batch_probs(
-      std::min(2 * ThreadPool::Global().num_threads(), options.num_items),
-      graph::ArcProbabilities(ds.graph.num_arcs()));
-  std::vector<graph::NodeId> activated;
-  std::vector<graph::NodeId> seeds(options.seeds_per_cascade);
-  for (uint32_t i = 0; i < options.num_items; ++i) {
-    const size_t slot = i % batch_probs.size();
-    if (slot == 0) {
-      const size_t count =
-          std::min(batch_probs.size(), options.num_items - i);
-      ParallelFor(0, count, [&](size_t j) {
-        ds.graph.ItemArcProbabilitiesInto(ds.catalog[i + j], &batch_probs[j]);
-      });
+  INFLEX_ASSIGN_OR_RETURN(
+      ds.log, SimulatePropagationLog(ds.graph, ds.catalog, ds.user_community,
+                                     options.cascades_per_item,
+                                     options.seeds_per_cascade, &rng));
+  return ds;
+}
+
+Result<tic::PropagationLog> SimulatePropagationLog(
+    const graph::TopicGraph& g,
+    const std::vector<simplex::TopicDistribution>& catalog,
+    const std::vector<uint32_t>& user_community, size_t cascades_per_item,
+    size_t seeds_per_cascade, Rng* rng) {
+  const size_t n = g.num_nodes();
+  if (user_community.size() != n) {
+    return Status::InvalidArgument("one community per user expected");
+  }
+  std::vector<std::vector<graph::NodeId>> community_members(g.num_topics());
+  for (size_t u = 0; u < n; ++u) {
+    if (user_community[u] >= g.num_topics()) {
+      return Status::OutOfRange("user community outside the topic range");
     }
-    const graph::ArcProbabilities& item_probs = batch_probs[slot];
+    community_members[user_community[u]].push_back(
+        static_cast<graph::NodeId>(u));
+  }
+  // The activation order is the timestamp (the learner only needs the
+  // temporal order of adoptions). A cascade tests only the out-arcs of the
+  // nodes it activates, so each arc's item probability is computed when it
+  // is tested, not for all arcs.
+  tic::PropagationLog log(n, catalog.size());
+  im::CascadeWorkspace ws(n);
+  std::vector<graph::NodeId> activated;
+  std::vector<graph::NodeId> seeds(seeds_per_cascade);
+  for (uint32_t i = 0; i < catalog.size(); ++i) {
+    if (catalog[i].num_topics() != g.num_topics()) {
+      return Status::InvalidArgument("item dimension does not match the graph");
+    }
     // Seed cascades from the item's dominant community so the log actually
     // exercises the topic-specific influence structure.
-    const auto& gamma = ds.catalog[i].probs();
+    const auto& gamma = catalog[i].probs();
     const size_t primary = static_cast<size_t>(
         std::max_element(gamma.begin(), gamma.end()) - gamma.begin());
     const auto& members = community_members[primary];
-    for (size_t c = 0; c < options.cascades_per_item; ++c) {
-      for (auto& s : seeds) s = members[rng.UniformInt(members.size())];
-      SimulateCascadeNodes(ds.graph, item_probs, seeds, &rng, &ws, &activated);
+    if (members.empty() && cascades_per_item > 0) {
+      return Status::InvalidArgument("an item's primary community is empty");
+    }
+    for (size_t c = 0; c < cascades_per_item; ++c) {
+      for (auto& s : seeds) s = members[rng->UniformInt(members.size())];
+      im::SimulateItemCascadeNodes(g, catalog[i], seeds, rng, &ws, &activated);
       double t = 0.0;
       for (graph::NodeId u : activated) {
-        INFLEX_RETURN_NOT_OK(
-            ds.log.Add(u, i, static_cast<double>(c) * 1e6 + t));
+        INFLEX_RETURN_NOT_OK(log.Add(u, i, static_cast<double>(c) * 1e6 + t));
         t += 1.0;
       }
     }
   }
-  INFLEX_RETURN_NOT_OK(ds.log.Finalize());
-  return ds;
+  INFLEX_RETURN_NOT_OK(log.Finalize());
+  return log;
 }
 
 }  // namespace data

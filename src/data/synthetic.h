@@ -7,6 +7,7 @@
 #include "graph/topic_graph.h"
 #include "simplex/topic_distribution.h"
 #include "tic/propagation_log.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace inflex {
@@ -87,6 +88,21 @@ struct SyntheticDataset {
 /// (zero users/topics/items, probability ranges outside (0,1), …).
 Result<SyntheticDataset> GenerateSyntheticDataset(
     const SyntheticDatasetOptions& options);
+
+/// The log stage of GenerateSyntheticDataset, which calls it with its own
+/// generator: for every catalog item in order, `cascades_per_item` TIC
+/// cascades on the item's Eq. 1 instance, each from `seeds_per_cascade`
+/// seeds drawn uniformly (with repeats) from the community of the item's
+/// largest topic. Cascade c's activations get timestamps c·10⁶, c·10⁶ + 1, …
+/// in activation order. The log is finalized. Fails when `user_community`
+/// does not give every node a community below num_topics(), when an item's
+/// dimension differs from the graph's, or when an item's primary community
+/// is empty.
+Result<tic::PropagationLog> SimulatePropagationLog(
+    const graph::TopicGraph& g,
+    const std::vector<simplex::TopicDistribution>& catalog,
+    const std::vector<uint32_t>& user_community, size_t cascades_per_item,
+    size_t seeds_per_cascade, Rng* rng);
 
 }  // namespace data
 }  // namespace inflex

@@ -24,7 +24,7 @@ void TopicGraph::ItemArcProbabilitiesInto(
   const size_t z_count = num_topics_;
   double* dst = out->data();
   // Four arcs' sums in flight hide the add latency; each sum still runs in
-  // topic order, so every arc gets the one-arc loop's bits.
+  // topic order, so every arc gets ItemArcProbability's bits.
   size_t a = 0;
   for (; a + 4 <= m; a += 4) {
     const double* r0 = probs + a * z_count;
@@ -44,12 +44,7 @@ void TopicGraph::ItemArcProbabilitiesInto(
     dst[a + 2] = p2;
     dst[a + 3] = p3;
   }
-  for (; a < m; ++a) {
-    double p = 0.0;
-    const double* row = probs + a * z_count;
-    for (size_t z = 0; z < z_count; ++z) p += gamma[z] * row[z];
-    dst[a] = p;
-  }
+  for (; a < m; ++a) dst[a] = ItemArcProbability(static_cast<ArcId>(a), item);
 }
 
 Status TopicGraph::SetArcTopicProbabilities(std::vector<double> probs) {

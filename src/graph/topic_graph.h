@@ -81,6 +81,20 @@ class TopicGraph {
             num_topics_};
   }
 
+  /// Eq. 1 for the single arc `a`: Σ_z γ_z · p^z_a, summed in topic order.
+  /// These are the bits ItemArcProbabilitiesInto writes for `a`; callers
+  /// that test only some arcs (cascade simulation) compute just those.
+  /// `item` must have num_topics() entries.
+  double ItemArcProbability(ArcId a,
+                            const simplex::TopicDistribution& item) const {
+    const double* row =
+        arc_topic_probs_.data() + static_cast<size_t>(a) * num_topics_;
+    const double* gamma = item.probs().data();
+    double p = 0.0;
+    for (size_t z = 0; z < num_topics_; ++z) p += gamma[z] * row[z];
+    return p;
+  }
+
   /// Materializes the item-specific IC instance of Eq. 1:
   /// p_{u,v} = Σ_z γ_z · p^z_{u,v} for every arc.
   ArcProbabilities ItemArcProbabilities(

@@ -5,9 +5,10 @@ namespace im {
 
 namespace {
 
-template <typename OnActivate>
-size_t RunCascade(const graph::TopicGraph& g,
-                  const graph::ArcProbabilities& arc_probs,
+// The one cascade loop. `arc_prob(a)` gives arc a's success probability; it
+// is called only for an arc the cascade tests, right before its draw.
+template <typename ArcProb, typename OnActivate>
+size_t RunCascade(const graph::TopicGraph& g, ArcProb&& arc_prob,
                   std::span<const graph::NodeId> seeds, Rng* rng,
                   CascadeWorkspace* ws, OnActivate&& on_activate) {
   ws->NextEpoch();
@@ -29,7 +30,7 @@ size_t RunCascade(const graph::TopicGraph& g,
     const graph::NodeId u = frontier[head];
     graph::ArcId a = g.OutArcBegin(u);
     for (graph::NodeId v : g.OutNeighbors(u)) {
-      if (!ws->Visited(v) && rng->Bernoulli(arc_probs[a])) {
+      if (!ws->Visited(v) && rng->Bernoulli(arc_prob(a))) {
         ws->MarkVisited(v);
         frontier.push_back(v);
         ++activated;
@@ -47,7 +48,9 @@ size_t SimulateCascadeCount(const graph::TopicGraph& g,
                             const graph::ArcProbabilities& arc_probs,
                             std::span<const graph::NodeId> seeds, Rng* rng,
                             CascadeWorkspace* ws) {
-  return RunCascade(g, arc_probs, seeds, rng, ws, [](graph::NodeId) {});
+  return RunCascade(
+      g, [&arc_probs](graph::ArcId a) { return arc_probs[a]; }, seeds, rng, ws,
+      [](graph::NodeId) {});
 }
 
 size_t SimulateCascadeNodes(const graph::TopicGraph& g,
@@ -56,8 +59,21 @@ size_t SimulateCascadeNodes(const graph::TopicGraph& g,
                             CascadeWorkspace* ws,
                             std::vector<graph::NodeId>* out) {
   out->clear();
-  return RunCascade(g, arc_probs, seeds, rng, ws,
-                    [out](graph::NodeId v) { out->push_back(v); });
+  return RunCascade(
+      g, [&arc_probs](graph::ArcId a) { return arc_probs[a]; }, seeds, rng, ws,
+      [out](graph::NodeId v) { out->push_back(v); });
+}
+
+size_t SimulateItemCascadeNodes(const graph::TopicGraph& g,
+                                const simplex::TopicDistribution& item,
+                                std::span<const graph::NodeId> seeds, Rng* rng,
+                                CascadeWorkspace* ws,
+                                std::vector<graph::NodeId>* out) {
+  INFLEX_CHECK_EQ(item.num_topics(), g.num_topics());
+  out->clear();
+  return RunCascade(
+      g, [&g, &item](graph::ArcId a) { return g.ItemArcProbability(a, item); },
+      seeds, rng, ws, [out](graph::NodeId v) { out->push_back(v); });
 }
 
 }  // namespace im

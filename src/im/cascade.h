@@ -49,12 +49,22 @@ size_t SimulateCascadeCount(const graph::TopicGraph& g,
                             CascadeWorkspace* ws);
 
 /// As SimulateCascadeCount but also appends every activated node to `out`
-/// (cleared first). Used by the propagation-log synthesizer.
+/// (cleared first), in activation order.
 size_t SimulateCascadeNodes(const graph::TopicGraph& g,
                             const graph::ArcProbabilities& arc_probs,
                             std::span<const graph::NodeId> seeds, Rng* rng,
                             CascadeWorkspace* ws,
                             std::vector<graph::NodeId>* out);
+
+/// As SimulateCascadeNodes on g.ItemArcProbabilities(item), with the same
+/// draws and the same nodes, but each arc's Eq. 1 probability is computed
+/// only when the cascade tests that arc. Used by the propagation-log
+/// synthesizer, whose cascades test a small share of the arcs.
+size_t SimulateItemCascadeNodes(const graph::TopicGraph& g,
+                                const simplex::TopicDistribution& item,
+                                std::span<const graph::NodeId> seeds, Rng* rng,
+                                CascadeWorkspace* ws,
+                                std::vector<graph::NodeId>* out);
 
 }  // namespace im
 }  // namespace inflex

@@ -32,20 +32,22 @@ Result<SeedSelectionResult> SelectSeedsCelf(
   SeedSelectionResult result;
   auto ws = oracle->MakeWorkspace();
 
-  // Initial pass: gain of every singleton (parallelizable).
+  // First round: every singleton gain, in node blocks that each sweep the
+  // snapshots once and write only their own slots.
   std::vector<double> init_gains(n);
-  if (options.parallel_first_iteration && n >= 256) {
+  constexpr size_t kBlock = 256;
+  if (options.parallel_first_iteration && n >= kBlock) {
     ParallelFor(
-        0, n,
-        [&](size_t v) {
-          init_gains[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v),
-                                               oracle->ThreadWorkspace());
+        0, (n + kBlock - 1) / kBlock,
+        [&](size_t b) {
+          oracle->SingletonGains(
+              static_cast<graph::NodeId>(b * kBlock),
+              static_cast<graph::NodeId>(std::min(n, (b + 1) * kBlock)),
+              oracle->ThreadWorkspace(), init_gains);
         },
         options.pool);
   } else {
-    for (size_t v = 0; v < n; ++v) {
-      init_gains[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v), &ws);
-    }
+    oracle->SingletonGains(0, static_cast<graph::NodeId>(n), &ws, init_gains);
   }
   result.num_evaluations += n;
 

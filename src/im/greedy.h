@@ -32,8 +32,8 @@ inline bool IsCandidate(const SeedSelectionOptions& options, size_t v) {
 
 /// Plain greedy (Kempe et al. 2003): k iterations, each recomputing the
 /// marginal gain of every node. O(n·k) oracle evaluations — the reference
-/// implementation used to validate CELF/CELF++ (all three must return the
-/// same seed sequence on the same oracle, up to gain ties).
+/// implementation used to validate CELF (both return the same seeds and
+/// gains on the same oracle: the largest gain, ties to the lowest node id).
 ///
 /// The oracle's committed seed set is reset first and holds the selected
 /// seeds afterwards. Fails when k is 0 or exceeds the node count.

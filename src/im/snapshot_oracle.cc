@@ -106,49 +106,6 @@ void SnapshotSpreadOracle::SingletonGains(graph::NodeId begin,
   }
 }
 
-void SnapshotSpreadOracle::MarginalGainPair(graph::NodeId v,
-                                            graph::NodeId other, Workspace* ws,
-                                            double* mg1, double* mg2) const {
-  INFLEX_CHECK_LT(v, num_nodes_);
-  INFLEX_CHECK_LT(other, num_nodes_);
-  const size_t n = num_nodes_;
-  uint64_t gain1 = 0, gain2 = 0;
-  auto& frontier = ws->frontier_;
-  for (size_t s = 0; s < num_snapshots_; ++s) {
-    const uint8_t* cov = covered_.data() + s * n;
-    const uint32_t* off = offsets_.data() + s * (n + 1);
-    // Pass 1: stamp `other`'s incremental reach in this snapshot.
-    if (++ws->extra_epoch_ == 0) {
-      std::fill(ws->extra_stamps_.begin(), ws->extra_stamps_.end(), 0u);
-      ws->extra_epoch_ = 1;
-    }
-    const uint32_t xepoch = ws->extra_epoch_;
-    uint32_t* xstamps = ws->extra_stamps_.data();
-    if (!cov[other]) {
-      frontier.clear();
-      frontier.push_back(other);
-      xstamps[other] = xepoch;
-      for (size_t head = 0; head < frontier.size(); ++head) {
-        const graph::NodeId u = frontier[head];
-        for (uint32_t e = off[u]; e < off[u + 1]; ++e) {
-          const graph::NodeId t = targets_[e];
-          if (xstamps[t] != xepoch && !cov[t]) {
-            xstamps[t] = xepoch;
-            frontier.push_back(t);
-          }
-        }
-      }
-    }
-    // Pass 2: BFS from v over uncovered nodes, counting every newly reached
-    // node into gain1 and those outside `other`'s reach into gain2.
-    if (cov[v]) continue;
-    gain1 += CountReach(v, s, ws);
-    for (const graph::NodeId t : frontier) gain2 += xstamps[t] != xepoch;
-  }
-  *mg1 = static_cast<double>(gain1) / static_cast<double>(num_snapshots_);
-  *mg2 = static_cast<double>(gain2) / static_cast<double>(num_snapshots_);
-}
-
 double SnapshotSpreadOracle::CommitSeed(graph::NodeId v, Workspace* ws) {
   INFLEX_CHECK_LT(v, num_nodes_);
   const size_t n = num_nodes_;

@@ -17,7 +17,7 @@ namespace im {
 /// pre-samples W deterministic subgraphs by keeping each arc with its
 /// influence probability; then σ(S) ≈ (1/W) Σ_g |reachable_g(S)|.
 ///
-/// Supports the incremental protocol greedy/CELF/CELF++ need:
+/// Supports the incremental protocol greedy and CELF need:
 ///  - MarginalGain(v): expected newly reached nodes if v joined the current
 ///    seed set, computed by BFS per snapshot skipping already-covered nodes;
 ///  - CommitSeed(v): permanently covers v's incremental reach;
@@ -48,18 +48,15 @@ class SnapshotSpreadOracle {
   /// evaluating marginal gains concurrently.
   class Workspace {
    public:
-    explicit Workspace(size_t num_nodes)
-        : stamps_(num_nodes, 0), extra_stamps_(num_nodes, 0) {
+    explicit Workspace(size_t num_nodes) : stamps_(num_nodes, 0) {
       frontier_.reserve(64);
     }
 
    private:
     friend class SnapshotSpreadOracle;
     std::vector<uint32_t> stamps_;
-    std::vector<uint32_t> extra_stamps_;  // marks an auxiliary covered set
     std::vector<graph::NodeId> frontier_;
     uint32_t epoch_ = 0;
-    uint32_t extra_epoch_ = 0;
   };
 
   Workspace MakeWorkspace() const { return Workspace(num_nodes_); }
@@ -79,13 +76,6 @@ class SnapshotSpreadOracle {
   /// the block.
   void SingletonGains(graph::NodeId begin, graph::NodeId end, Workspace* ws,
                       std::span<double> gains) const;
-
-  /// Marginal gains of `v` with respect to (a) the committed seeds — mg1 —
-  /// and (b) the committed seeds plus `other` — mg2 — in one evaluation.
-  /// This is the pair CELF++ maintains (gain w.r.t. S and w.r.t.
-  /// S ∪ {prev_best}).
-  void MarginalGainPair(graph::NodeId v, graph::NodeId other, Workspace* ws,
-                        double* mg1, double* mg2) const;
 
   /// Commits `v` as a seed: its incremental reach becomes covered in every
   /// snapshot. Returns the realized marginal gain. Not thread-safe.

@@ -50,7 +50,7 @@ struct SeedSelectionResult {
   /// Estimated spread of the full seed set under the selection oracle.
   double expected_spread = 0.0;
   /// Number of marginal-gain oracle evaluations performed (the classic
-  /// efficiency metric for greedy vs CELF vs CELF++).
+  /// efficiency metric for greedy vs CELF).
   size_t num_evaluations = 0;
 };
 

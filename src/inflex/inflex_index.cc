@@ -60,7 +60,7 @@ Result<InflexIndex> InflexIndex::Build(
                    << "precomputing seed lists (l=" << options.seed_list_length
                    << ", " << options.oracle_snapshots << " snapshots each)";
 
-  // Phase 2: one CELF++ run per index point — the heavy offline stage, so
+  // Phase 2: one CELF run per index point — the heavy offline stage, so
   // it is parallelized across points (each task owns its oracle).
   std::vector<rank::RankedList> seed_lists(h);
   std::vector<Status> statuses(h);

@@ -94,7 +94,7 @@ struct InflexBuildOptions {
   IndexPointOptions index_points;
   /// ℓ — length of each pre-computed seed list (paper: 50).
   size_t seed_list_length = 50;
-  /// Live-edge snapshots behind each CELF++ precomputation.
+  /// Live-edge snapshots behind each seed-list precomputation.
   size_t oracle_snapshots = 150;
   bbtree::BbTreeOptions tree;
   uint64_t seed = 17;
@@ -110,7 +110,8 @@ struct InflexBuildOptions {
 class InflexIndex {
  public:
   /// Builds the full index from a graph and an item catalog: index-point
-  /// selection (§3.1), per-point CELF++ seed precompute, bb-tree (§3.2).
+  /// selection (§3.1), per-point seed precompute (oracle::OfflineTicSeeds),
+  /// bb-tree (§3.2).
   /// This is the paper's heavy offline phase.
   static Result<InflexIndex> Build(const graph::TopicGraph& graph,
                                    const std::vector<simplex::TopicDistribution>& catalog,

@@ -1,6 +1,6 @@
 #include "oracle/celfpp_oracle.h"
 
-#include "im/celfpp.h"
+#include "im/celf.h"
 #include "im/snapshot_oracle.h"
 
 namespace inflex {
@@ -18,7 +18,7 @@ Result<im::SeedSelectionResult> OfflineTicSeeds(
   oopts.seed = options.seed;
   INFLEX_ASSIGN_OR_RETURN(im::SnapshotSpreadOracle snapshots,
                           im::SnapshotSpreadOracle::Create(g, probs, oopts));
-  return im::SelectSeedsCelfPp(&snapshots, k, options.selection);
+  return im::SelectSeedsCelf(&snapshots, k, options.selection);
 }
 
 Result<im::SeedSelectionResult> OfflineIcSeeds(

@@ -15,10 +15,11 @@ namespace oracle {
 
 /// \brief The pluggable seed-precompute backends (DESIGN.md §14).
 enum class OracleBackend {
-  /// CELF++ over a live-edge snapshot oracle — the original (and still
-  /// golden-reference) precompute path of InflexIndex::Build and the
-  /// maintenance plane. Highest cost: the first greedy iteration evaluates
-  /// every node against every snapshot.
+  /// Exact lazy greedy over a live-edge snapshot oracle — the original (and
+  /// still golden-reference) precompute path of InflexIndex::Build and the
+  /// maintenance plane. Named for the paper's CELF++, whose seeds it
+  /// returns; it runs CELF (oracle::OfflineTicSeeds). Highest cost: the
+  /// first greedy iteration evaluates every node against every snapshot.
   kCelfPp,
   /// Reverse Influence Sampling / TIM-style seed selection (Tang et al.):
   /// sample RR sets once, then greedy maximum coverage. Orders of magnitude
@@ -40,7 +41,7 @@ Result<OracleBackend> ParseOracleBackend(const std::string& name);
 struct SpreadOracleOptions {
   OracleBackend backend = OracleBackend::kCelfPp;
   uint64_t seed = 0;
-  /// CELF++: live-edge snapshots behind the SnapshotSpreadOracle.
+  /// kCelfPp: live-edge snapshots behind the SnapshotSpreadOracle.
   size_t num_snapshots = 0;
   /// RIS: reverse-reachable sets to sample (0 = 64 · num_nodes).
   size_t num_rr_sets = 0;

@@ -7,7 +7,9 @@
 #include "data/dataset_io.h"
 #include "data/synthetic.h"
 #include "data/workload.h"
+#include "im/cascade.h"
 #include "simplex/divergence.h"
+#include "util/random.h"
 
 namespace inflex {
 namespace data {
@@ -36,6 +38,117 @@ TEST(SyntheticDatasetTest, ValidatesOptions) {
   o = SmallOptions(1);
   o.seeds_per_cascade = 0;
   EXPECT_FALSE(GenerateSyntheticDataset(o).ok());
+  // More topics than users would leave a community empty: rejected with a
+  // Status, not an abort when an item's cascades draw their seeds.
+  o = SmallOptions(1);
+  o.num_users = 10;
+  o.num_topics = 12;
+  o.seeds_per_cascade = 1;
+  const auto r = GenerateSyntheticDataset(o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  o.num_topics = 10;
+  EXPECT_TRUE(GenerateSyntheticDataset(o).ok());
+}
+
+// The log built the way the generator once built it: every arc's item
+// probability materialized up front, then SimulateCascadeNodes on the
+// full vector.
+tic::PropagationLog ReferenceLog(const SyntheticDataset& ds,
+                                 size_t cascades_per_item,
+                                 size_t seeds_per_cascade, Rng* rng) {
+  const size_t n = ds.graph.num_nodes();
+  std::vector<std::vector<graph::NodeId>> members(ds.graph.num_topics());
+  for (size_t u = 0; u < n; ++u) {
+    members[ds.user_community[u]].push_back(static_cast<graph::NodeId>(u));
+  }
+  tic::PropagationLog log(n, ds.catalog.size());
+  im::CascadeWorkspace ws(n);
+  std::vector<graph::NodeId> activated;
+  std::vector<graph::NodeId> seeds(seeds_per_cascade);
+  for (uint32_t i = 0; i < ds.catalog.size(); ++i) {
+    const graph::ArcProbabilities probs =
+        ds.graph.ItemArcProbabilities(ds.catalog[i]);
+    const auto& gamma = ds.catalog[i].probs();
+    const auto& pool = members[static_cast<size_t>(
+        std::max_element(gamma.begin(), gamma.end()) - gamma.begin())];
+    for (size_t c = 0; c < cascades_per_item; ++c) {
+      for (auto& s : seeds) s = pool[rng->UniformInt(pool.size())];
+      im::SimulateCascadeNodes(ds.graph, probs, seeds, rng, &ws, &activated);
+      double t = 0.0;
+      for (graph::NodeId u : activated) {
+        EXPECT_TRUE(log.Add(u, i, static_cast<double>(c) * 1e6 + t).ok());
+        t += 1.0;
+      }
+    }
+  }
+  EXPECT_TRUE(log.Finalize().ok());
+  return log;
+}
+
+// Probabilities computed only for the arcs a cascade tests give the same
+// draws, the same activations and so the same log, record for record.
+TEST(SyntheticDatasetTest, LogMatchesFullProbabilityReference) {
+  for (const size_t cascades : {0u, 1u, 4u}) {
+    for (const size_t seeds : {1u, 4u}) {
+      SyntheticDatasetOptions o = SmallOptions(31 + cascades + seeds);
+      o.cascades_per_item = cascades;
+      o.seeds_per_cascade = seeds;
+      auto r = GenerateSyntheticDataset(o);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const SyntheticDataset& ds = r.ValueOrDie();
+      if (cascades == 0) {
+        EXPECT_EQ(ds.log.size(), 0u);
+      }
+
+      Rng rng(97), ref_rng(97);
+      auto log = SimulatePropagationLog(ds.graph, ds.catalog,
+                                        ds.user_community, cascades, seeds,
+                                        &rng);
+      ASSERT_TRUE(log.ok()) << log.status().ToString();
+      const tic::PropagationLog ref =
+          ReferenceLog(ds, cascades, seeds, &ref_rng);
+      const tic::PropagationLog& got = log.ValueOrDie();
+      ASSERT_EQ(got.size(), ref.size())
+          << "cascades " << cascades << " seeds " << seeds;
+      for (tic::ItemId i = 0; i < ref.num_items(); ++i) {
+        const auto want = ref.ItemActivations(i);
+        const auto have = got.ItemActivations(i);
+        ASSERT_EQ(have.size(), want.size()) << "item " << i;
+        for (size_t j = 0; j < want.size(); ++j) {
+          EXPECT_EQ(have[j].user, want[j].user);
+          EXPECT_EQ(std::bit_cast<uint64_t>(have[j].timestamp),
+                    std::bit_cast<uint64_t>(want[j].timestamp));
+        }
+      }
+      // Both consumed the same draws.
+      EXPECT_EQ(rng.Next(), ref_rng.Next());
+    }
+  }
+}
+
+TEST(SyntheticDatasetTest, SimulatePropagationLogValidates) {
+  auto r = GenerateSyntheticDataset(SmallOptions(5));
+  ASSERT_TRUE(r.ok());
+  const SyntheticDataset& ds = r.ValueOrDie();
+  Rng rng(1);
+  std::vector<uint32_t> short_communities(ds.user_community.begin(),
+                                          ds.user_community.end() - 1);
+  EXPECT_FALSE(SimulatePropagationLog(ds.graph, ds.catalog, short_communities,
+                                      1, 1, &rng)
+                   .ok());
+  std::vector<uint32_t> bad_community = ds.user_community;
+  bad_community[3] = 4;  // Z = 4
+  EXPECT_FALSE(
+      SimulatePropagationLog(ds.graph, ds.catalog, bad_community, 1, 1, &rng)
+          .ok());
+  // Nobody in community 0: items whose largest topic is 0 have no seeds.
+  std::vector<uint32_t> no_zero = ds.user_community;
+  for (uint32_t& c : no_zero) c = c == 0 ? 1 : c;
+  EXPECT_FALSE(
+      SimulatePropagationLog(ds.graph, ds.catalog, no_zero, 1, 1, &rng).ok());
+  EXPECT_TRUE(
+      SimulatePropagationLog(ds.graph, ds.catalog, no_zero, 0, 1, &rng).ok());
 }
 
 TEST(SyntheticDatasetTest, StructuralInvariants) {
@@ -99,10 +212,9 @@ TEST(SyntheticDatasetTest, DeterministicForFixedSeed) {
 }
 
 // The whole generated dataset pinned bit-for-bit: arcs with their per-topic
-// probabilities, the catalog, and every log record. The item count spans
-// many batches of the parallel arc-probability stage on any pool size up to
-// 64 threads. The constant was recorded on the serial generator in the
-// default (non-INFLEX_NATIVE) build.
+// probabilities, the catalog, and every log record, whose cascades compute
+// each tested arc's item probability on demand. The constant was recorded
+// on the serial generator in the default (non-INFLEX_NATIVE) build.
 TEST(SyntheticDatasetTest, MatchesPinnedDigest) {
 #ifdef __FMA__
   GTEST_SKIP() << "digests are pinned for builds without FMA contraction";

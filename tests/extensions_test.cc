@@ -10,7 +10,6 @@
 
 #include "data/synthetic.h"
 #include "im/celf.h"
-#include "im/celfpp.h"
 #include "im/heuristics.h"
 #include "im/lt_model.h"
 #include "im/ris.h"
@@ -143,29 +142,25 @@ TEST_F(CandidateMaskTest, AllSelectorsRespectTheMask) {
 
   auto greedy = im::SelectSeedsGreedy(oracle_.get(), 6, opts);
   auto celf = im::SelectSeedsCelf(oracle_.get(), 6, opts);
-  auto celfpp = im::SelectSeedsCelfPp(oracle_.get(), 6, opts);
   ASSERT_TRUE(greedy.ok());
   ASSERT_TRUE(celf.ok());
-  ASSERT_TRUE(celfpp.ok());
-  for (const auto* r : {&greedy.ValueOrDie(), &celf.ValueOrDie(),
-                        &celfpp.ValueOrDie()}) {
+  for (const auto* r : {&greedy.ValueOrDie(), &celf.ValueOrDie()}) {
     for (graph::NodeId v : r->seeds) EXPECT_EQ(v % 2, 0u);
   }
-  // The three algorithms still agree under the restriction.
+  // The algorithms still agree under the restriction.
   EXPECT_EQ(celf.ValueOrDie().seeds, greedy.ValueOrDie().seeds);
-  EXPECT_EQ(celfpp.ValueOrDie().seeds, greedy.ValueOrDie().seeds);
 }
 
 TEST_F(CandidateMaskTest, RestrictionNeverImprovesSpread) {
   im::SeedSelectionOptions unrestricted;
   unrestricted.parallel_first_iteration = false;
-  auto full = im::SelectSeedsCelfPp(oracle_.get(), 5, unrestricted);
+  auto full = im::SelectSeedsCelf(oracle_.get(), 5, unrestricted);
   ASSERT_TRUE(full.ok());
 
   im::SeedSelectionOptions restricted = unrestricted;
   restricted.candidate_mask.assign(200, 0);
   for (size_t v = 0; v < 100; ++v) restricted.candidate_mask[v] = 1;
-  auto half = im::SelectSeedsCelfPp(oracle_.get(), 5, restricted);
+  auto half = im::SelectSeedsCelf(oracle_.get(), 5, restricted);
   ASSERT_TRUE(half.ok());
   EXPECT_LE(half.ValueOrDie().expected_spread,
             full.ValueOrDie().expected_spread + 1e-9);
@@ -174,12 +169,12 @@ TEST_F(CandidateMaskTest, RestrictionNeverImprovesSpread) {
 TEST_F(CandidateMaskTest, ValidatesMask) {
   im::SeedSelectionOptions wrong_size;
   wrong_size.candidate_mask.assign(10, 1);
-  EXPECT_FALSE(im::SelectSeedsCelfPp(oracle_.get(), 3, wrong_size).ok());
+  EXPECT_FALSE(im::SelectSeedsCelf(oracle_.get(), 3, wrong_size).ok());
 
   im::SeedSelectionOptions too_few;
   too_few.candidate_mask.assign(200, 0);
   too_few.candidate_mask[0] = 1;
-  EXPECT_FALSE(im::SelectSeedsCelfPp(oracle_.get(), 3, too_few).ok());
+  EXPECT_FALSE(im::SelectSeedsCelf(oracle_.get(), 3, too_few).ok());
 }
 
 // ------------------------------------------------------- segment TIM query ---
@@ -295,8 +290,8 @@ TEST(RisTest, MatchesCelfPpSpreadOnSameInstance) {
   ASSERT_TRUE(oracle.ok());
   im::SeedSelectionOptions sopts;
   sopts.parallel_first_iteration = false;
-  auto celfpp = im::SelectSeedsCelfPp(&oracle.ValueOrDie(), 10, sopts);
-  ASSERT_TRUE(celfpp.ok());
+  auto celf = im::SelectSeedsCelf(&oracle.ValueOrDie(), 10, sopts);
+  ASSERT_TRUE(celf.ok());
 
   // Evaluate both seed sets with the same MC estimator: they must be within
   // a few percent of each other (both are (1−1/e)-approximations).
@@ -307,7 +302,7 @@ TEST(RisTest, MatchesCelfPpSpreadOnSameInstance) {
           .ValueOrDie()
           .mean;
   const double celf_spread =
-      im::EstimateSpread(g, probs, celfpp.ValueOrDie().seeds, mc)
+      im::EstimateSpread(g, probs, celf.ValueOrDie().seeds, mc)
           .ValueOrDie()
           .mean;
   EXPECT_GT(ris_spread, 0.9 * celf_spread);

@@ -120,36 +120,43 @@ TEST(TopicGraphTest, ItemArcProbabilitiesIntoReusesBuffer) {
 }
 
 // The four-arcs-at-a-time sums must give every arc the bits of a one-arc
-// loop in topic order: below four arcs, at four, one past, and past 4096.
+// loop in topic order, and so must the single-arc ItemArcProbability the
+// log's cascades call: every m mod 4 (below four arcs, at four, past 4096)
+// and Z from 1 to 10.
 TEST(TopicGraphTest, ItemArcProbabilitiesMatchPerArcLoopBitForBit) {
-  constexpr size_t kTopics = 7;
   constexpr NodeId kNodes = 70;  // 70·69 ordered pairs cover 4097 arcs
   Rng rng(19);
-  for (size_t m : {1u, 3u, 4u, 5u, 4097u}) {
-    TopicGraphBuilder b(kNodes, kTopics);
-    for (size_t a = 0; a < m; ++a) {
-      const NodeId u = static_cast<NodeId>(a / (kNodes - 1));
-      const NodeId offset = static_cast<NodeId>(a % (kNodes - 1)) + 1;
-      std::vector<double> probs(kTopics);
-      for (double& p : probs) p = rng.Uniform();
-      ASSERT_TRUE(b.AddArc(u, (u + offset) % kNodes, probs).ok());
-    }
-    const TopicGraph g = b.Build().ValueOrDie();
-    std::vector<double> mix(kTopics);
-    for (double& w : mix) w = rng.Uniform(0.01, 1.0);
-    const auto item =
-        simplex::TopicDistribution::FromUnnormalized(mix).ValueOrDie();
-    ArcProbabilities got;
-    g.ItemArcProbabilitiesInto(item, &got);
-    ASSERT_EQ(got.size(), m);
-    for (size_t a = 0; a < m; ++a) {
-      double expected = 0.0;
-      for (size_t z = 0; z < kTopics; ++z) {
-        expected += item[z] * g.ArcTopicProb(static_cast<ArcId>(a), z);
+  for (size_t z_count : {1u, 2u, 7u, 8u, 10u}) {
+    for (size_t m : {1u, 3u, 4u, 5u, 6u, 7u, 4097u}) {
+      TopicGraphBuilder b(kNodes, z_count);
+      for (size_t a = 0; a < m; ++a) {
+        const NodeId u = static_cast<NodeId>(a / (kNodes - 1));
+        const NodeId offset = static_cast<NodeId>(a % (kNodes - 1)) + 1;
+        std::vector<double> probs(z_count);
+        for (double& p : probs) p = rng.Uniform();
+        ASSERT_TRUE(b.AddArc(u, (u + offset) % kNodes, probs).ok());
       }
-      EXPECT_EQ(std::bit_cast<uint64_t>(got[a]),
-                std::bit_cast<uint64_t>(expected))
-          << "m=" << m << " arc " << a;
+      const TopicGraph g = b.Build().ValueOrDie();
+      std::vector<double> mix(z_count);
+      for (double& w : mix) w = rng.Uniform(0.01, 1.0);
+      const auto item =
+          simplex::TopicDistribution::FromUnnormalized(mix).ValueOrDie();
+      ArcProbabilities got;
+      g.ItemArcProbabilitiesInto(item, &got);
+      ASSERT_EQ(got.size(), m);
+      for (size_t a = 0; a < m; ++a) {
+        const ArcId arc = static_cast<ArcId>(a);
+        double expected = 0.0;
+        for (size_t z = 0; z < z_count; ++z) {
+          expected += item[z] * g.ArcTopicProb(arc, z);
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[a]),
+                  std::bit_cast<uint64_t>(expected))
+            << "Z=" << z_count << " m=" << m << " arc " << a;
+        EXPECT_EQ(std::bit_cast<uint64_t>(g.ItemArcProbability(arc, item)),
+                  std::bit_cast<uint64_t>(got[a]))
+            << "Z=" << z_count << " m=" << m << " arc " << a;
+      }
     }
   }
 }
