@@ -19,7 +19,6 @@
 #include "common/testbed.h"
 #include "data/synthetic.h"
 #include "im/cascade.h"
-#include "im/lt_model.h"
 #include "im/ris.h"
 #include "im/snapshot_oracle.h"
 #include "im/snapshot_sampler.h"
@@ -364,22 +363,6 @@ BENCHMARK(BM_RisSeedSelection)
     ->Arg(10000)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_LtCascadeSimulation(benchmark::State& state) {
-  const auto& ds = SharedDataset();
-  const auto weights =
-      im::NormalizeToLtWeights(ds.graph,
-                               ds.graph.ItemArcProbabilities(ds.catalog[0]))
-          .ValueOrDie();
-  im::LtWorkspace ws(ds.graph.num_nodes());
-  Rng rng(12);
-  const std::vector<graph::NodeId> seeds = {1, 50, 200};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        im::SimulateLtCascadeCount(ds.graph, weights, seeds, &rng, &ws));
-  }
-}
-BENCHMARK(BM_LtCascadeSimulation);
 
 void BM_Aggregation(benchmark::State& state) {
   Rng rng(11);

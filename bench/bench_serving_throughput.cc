@@ -341,8 +341,7 @@ OracleSummary RunOracleScenario(const Testbed& tb, bool quick) {
   mc.parallel = false;
 
   const oracle::OracleBackend backends[] = {oracle::OracleBackend::kCelfPp,
-                                            oracle::OracleBackend::kRis,
-                                            oracle::OracleBackend::kSketch};
+                                            oracle::OracleBackend::kRis};
   std::printf("  %-8s %12s %12s %12s %10s %8s\n", "backend", "admit->pub",
               "max ms", "precomp ms", "spread", "quality");
   for (const oracle::OracleBackend backend : backends) {
@@ -367,10 +366,6 @@ OracleSummary RunOracleScenario(const Testbed& tb, bool quick) {
         break;
       case oracle::OracleBackend::kRis:
         mopts.oracle.num_rr_sets = quick ? 8000 : 30000;
-        break;
-      case oracle::OracleBackend::kSketch:
-        mopts.oracle.sketch_instances = quick ? 16 : 40;
-        mopts.oracle.sketch_k = 16;
         break;
     }
     core::IndexMaintainer maintainer(initial, &tb.graph(), &engine, mopts);
@@ -458,7 +453,6 @@ ChurnSummary RunChurnScenario(const Testbed& tb,
   // scenario measures publication, not seed selection.
   mopts.oracle.backend = churn_backend;
   mopts.oracle.num_rr_sets = quick ? 4000 : 12000;
-  mopts.oracle.sketch_instances = quick ? 8 : 16;
   mopts.max_batch = 32;
   // A wide window: the batch cap and the in-flight gate close it, so the
   // burst drains in ceil(100/32) = 4 generations; the timeout is only a
@@ -753,7 +747,7 @@ int main(int argc, char** argv) {
       }
       churn_backend = parsed.ValueOrDie();
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--oracle=celfpp|ris|sketch]\n",
+      std::fprintf(stderr, "usage: %s [--quick] [--oracle=celfpp|ris]\n",
                    argv[0]);
       return 2;
     }

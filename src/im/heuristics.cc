@@ -1,7 +1,7 @@
 #include "im/heuristics.h"
 
-#include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace inflex {
 namespace im {
@@ -21,100 +21,6 @@ Result<std::vector<graph::NodeId>> SelectSeedsRandom(size_t num_nodes,
   }
   ids.resize(k);
   return ids;
-}
-
-namespace {
-
-Result<std::vector<graph::NodeId>> TopKByScore(const std::vector<double>& score,
-                                               size_t k) {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (k > score.size()) {
-    return Status::InvalidArgument("k exceeds the number of nodes");
-  }
-  std::vector<graph::NodeId> ids(score.size());
-  std::iota(ids.begin(), ids.end(), 0u);
-  std::partial_sort(ids.begin(), ids.begin() + k, ids.end(),
-                    [&score](graph::NodeId a, graph::NodeId b) {
-                      if (score[a] != score[b]) return score[a] > score[b];
-                      return a < b;
-                    });
-  ids.resize(k);
-  return ids;
-}
-
-}  // namespace
-
-Result<std::vector<graph::NodeId>> SelectSeedsByDegree(
-    const graph::TopicGraph& g, size_t k) {
-  std::vector<double> score(g.num_nodes());
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    score[u] = static_cast<double>(g.OutDegree(u));
-  }
-  return TopKByScore(score, k);
-}
-
-Result<std::vector<graph::NodeId>> SelectSeedsByWeightedDegree(
-    const graph::TopicGraph& g, const graph::ArcProbabilities& arc_probs,
-    size_t k) {
-  if (arc_probs.size() != g.num_arcs()) {
-    return Status::InvalidArgument("arc probability vector size mismatch");
-  }
-  std::vector<double> score(g.num_nodes(), 0.0);
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    graph::ArcId a = g.OutArcBegin(u);
-    for (size_t i = 0; i < g.OutDegree(u); ++i, ++a) {
-      score[u] += arc_probs[a];
-    }
-  }
-  return TopKByScore(score, k);
-}
-
-Result<std::vector<graph::NodeId>> SelectSeedsDegreeDiscount(
-    const graph::TopicGraph& g, const graph::ArcProbabilities& arc_probs,
-    size_t k) {
-  if (arc_probs.size() != g.num_arcs()) {
-    return Status::InvalidArgument("arc probability vector size mismatch");
-  }
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (k > g.num_nodes()) {
-    return Status::InvalidArgument("k exceeds the number of nodes");
-  }
-  const size_t n = g.num_nodes();
-  // Base out-weight of each node.
-  std::vector<double> weight(n, 0.0);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    graph::ArcId a = g.OutArcBegin(u);
-    for (size_t i = 0; i < g.OutDegree(u); ++i, ++a) weight[u] += arc_probs[a];
-  }
-  // discount[v] = Σ p(s→v) over already-selected in-neighbors s: the
-  // probability mass with which v is expected to be activated anyway.
-  std::vector<double> discount(n, 0.0);
-  std::vector<uint8_t> selected(n, 0);
-  std::vector<graph::NodeId> seeds;
-  seeds.reserve(k);
-  for (size_t step = 0; step < k; ++step) {
-    double best_score = -1.0;
-    graph::NodeId best = 0;
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (selected[v]) continue;
-      // A node likely activated by existing seeds contributes little as a
-      // seed itself: scale its out-weight by (1 − discount), clamped.
-      const double score =
-          weight[v] * std::max(0.0, 1.0 - std::min(discount[v], 1.0));
-      if (score > best_score || (score == best_score && v < best)) {
-        best_score = score;
-        best = v;
-      }
-    }
-    selected[best] = 1;
-    seeds.push_back(best);
-    graph::ArcId a = g.OutArcBegin(best);
-    for (graph::NodeId v : g.OutNeighbors(best)) {
-      discount[v] += arc_probs[a];
-      ++a;
-    }
-  }
-  return seeds;
 }
 
 }  // namespace im

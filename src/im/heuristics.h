@@ -15,25 +15,6 @@ namespace im {
 Result<std::vector<graph::NodeId>> SelectSeedsRandom(size_t num_nodes,
                                                      size_t k, Rng* rng);
 
-/// Top-k nodes by out-degree (classic structural heuristic).
-Result<std::vector<graph::NodeId>> SelectSeedsByDegree(
-    const graph::TopicGraph& g, size_t k);
-
-/// Top-k nodes by total outgoing influence probability Σ_a p_a under an
-/// item-specific IC instance.
-Result<std::vector<graph::NodeId>> SelectSeedsByWeightedDegree(
-    const graph::TopicGraph& g, const graph::ArcProbabilities& arc_probs,
-    size_t k);
-
-/// DegreeDiscount heuristic (Chen, Wang & Yang, KDD 2009), generalized to
-/// per-arc probabilities: iteratively picks the node with the highest
-/// discounted out-weight, where a node's weight is reduced by the influence
-/// already expected to arrive from previously selected in-neighbors.
-/// Much better than raw degree at a similar cost.
-Result<std::vector<graph::NodeId>> SelectSeedsDegreeDiscount(
-    const graph::TopicGraph& g, const graph::ArcProbabilities& arc_probs,
-    size_t k);
-
 }  // namespace im
 }  // namespace inflex
 

@@ -65,10 +65,6 @@ IndexMaintainer::IndexMaintainer(std::shared_ptr<const InflexIndex> initial,
   auto oracle_result = oracle::MakeSpreadOracle(graph_, options_.oracle);
   INFLEX_CHECK(oracle_result.ok());  // misconfiguration is a programming error
   oracle_ = std::move(oracle_result).ValueOrDie();
-  // Warm the backend's shared state (the sketch universe) at setup time so
-  // the one-time build never lands inside the first delta's admit→publish
-  // window. A no-op for the CELF++ and RIS backends.
-  INFLEX_CHECK(oracle_->Prepare().ok());
   options_.min_index_points = std::max<size_t>(options_.min_index_points, 1);
   if (options_.pool == nullptr) {
     owned_pool_ = std::make_unique<ThreadPool>(1);
@@ -165,8 +161,7 @@ void IndexMaintainer::PrecomputeAdmitted(CatalogDelta delta, uint64_t ticket,
   }
 
   // The ticket is the oracle's salt: deterministic given the admission
-  // order, decorrelated across deltas (the sketch backend ignores it by
-  // design — shared randomness is what makes its universe amortizable).
+  // order, decorrelated across deltas.
   Timer precompute_timer;
   auto seeds = oracle_->SelectSeeds(delta.item, ell, ticket);
   if (engine_ != nullptr) {

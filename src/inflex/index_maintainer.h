@@ -113,8 +113,7 @@ struct IndexMaintainerOptions {
   /// quality gate, DESIGN.md §15, scores every backend against exact-CELF++
   /// goldens on every change; RIS cleared it before becoming the default).
   /// Set `oracle.backend` to kCelfPp to reproduce the historical hard-coded
-  /// snapshot-CELF++ path bit-for-bit, or kSketch for the shared-universe
-  /// estimator (DESIGN.md §14).
+  /// snapshot-CELF++ path bit-for-bit (DESIGN.md §14).
   oracle::SpreadOracleOptions oracle{.backend = oracle::OracleBackend::kRis};
   /// Publish-time tree-quality gate: when the batch's inserts/removals push
   /// the clone's tree degradation() to this, the new generation is produced
@@ -188,8 +187,8 @@ struct IndexMaintainerOptions {
 ///  2. **Seed precompute** (background, the expensive part): the configured
 ///     SpreadOracle on the item-specific IC instance (Eq. 1), run on the
 ///     dedicated maintenance pool. The default CELF++ backend is exactly
-///     the per-point offline computation of InflexIndex::Build; the RIS and
-///     sketch backends trade that golden path for orders-of-magnitude lower
+///     the per-point offline computation of InflexIndex::Build; the RIS
+///     backend trades that golden path for orders-of-magnitude lower
 ///     admit→publish latency (DESIGN.md §14). Finished precomputes are
 ///     handed to the publisher as *ready deltas*.
 ///  3. **Coalesced publication** (dedicated publisher thread): ready deltas
@@ -300,10 +299,7 @@ class IndexMaintainer {
   QueryEngine* engine_;  // may be null
   IndexMaintainerOptions options_;
   /// The stage-2 seed-precompute backend. Thread-safe: pool workers call
-  /// SelectSeeds concurrently; the sketch backend's shared universe is
-  /// built lazily on the first precompute (on the maintenance pool, inside
-  /// the pending-tracked stage, so Drain() covers it) and published
-  /// RCU-style.
+  /// SelectSeeds concurrently.
   std::unique_ptr<oracle::SpreadOracle> oracle_;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;  // options_.pool or owned_pool_.get()

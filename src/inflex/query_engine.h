@@ -185,7 +185,7 @@ class QueryEngine {
 
   /// Folds one seed-precompute duration into the per-backend attribution
   /// rows of cumulative_stats() (called by IndexMaintainer's precompute
-  /// stage; `backend` is the oracle's name, e.g. "celfpp"/"ris"/"sketch").
+  /// stage; `backend` is the oracle's name, "celfpp" or "ris").
   /// Thread-safe.
   void RecordPrecompute(const std::string& backend, double ns);
 

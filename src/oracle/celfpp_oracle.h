@@ -40,8 +40,8 @@ Result<im::SeedSelectionResult> OfflineIcSeeds(
 
 /// \brief The golden-reference backend: OfflineTicSeeds per request, seeded
 /// `seed + salt`. It stays the referee for the cheaper backends: snapshot
-/// averaging is an unbiased σ estimator with no sketch/sampling shortcuts,
-/// so RIS and sketch quality are always measured against it
+/// averaging is an unbiased σ estimator with no sampling shortcuts,
+/// so RIS quality is always measured against it
 /// (check_bench_json.py enforces the ratio). Every call samples fresh
 /// snapshots; nothing is shared or cached. It keeps the `celfpp` name
 /// (OracleBackend::kCelfPp, `--oracle celfpp`, QUALITY_report.json) for the

@@ -4,7 +4,6 @@
 
 #include "oracle/celfpp_oracle.h"
 #include "oracle/ris_oracle.h"
-#include "oracle/sketch_oracle.h"
 
 namespace inflex {
 namespace oracle {
@@ -15,8 +14,6 @@ const char* OracleBackendName(OracleBackend backend) {
       return "celfpp";
     case OracleBackend::kRis:
       return "ris";
-    case OracleBackend::kSketch:
-      return "sketch";
   }
   return "unknown";
 }
@@ -24,9 +21,8 @@ const char* OracleBackendName(OracleBackend backend) {
 Result<OracleBackend> ParseOracleBackend(const std::string& name) {
   if (name == "celfpp") return OracleBackend::kCelfPp;
   if (name == "ris") return OracleBackend::kRis;
-  if (name == "sketch") return OracleBackend::kSketch;
   return Status::InvalidArgument("unknown oracle backend '" + name +
-                                 "' (expected celfpp|ris|sketch)");
+                                 "' (expected celfpp|ris)");
 }
 
 Status SpreadOracle::ValidateRequest(const simplex::TopicDistribution& weights,
@@ -75,16 +71,6 @@ Result<std::unique_ptr<SpreadOracle>> MakeSpreadOracle(
           new CelfPpOracle(graph, options));
     case OracleBackend::kRis:
       return std::unique_ptr<SpreadOracle>(new RisOracle(graph, options));
-    case OracleBackend::kSketch:
-      if (options.sketch_instances == 0) {
-        return Status::InvalidArgument("sketch_instances must be positive");
-      }
-      if (options.sketch_k < 2) {
-        return Status::InvalidArgument(
-            "sketch_k must be at least 2 (the bottom-k estimator divides by "
-            "the k-th rank)");
-      }
-      return std::unique_ptr<SpreadOracle>(new SketchOracle(graph, options));
   }
   return Status::InvalidArgument("unknown oracle backend");
 }

@@ -25,11 +25,6 @@ enum class OracleBackend {
   /// sample RR sets once, then greedy maximum coverage. Orders of magnitude
   /// cheaper than CELF++ at matching (1 − 1/e − ε) quality.
   kRis,
-  /// SKIM-style combined bottom-k reachability sketches (Cohen et al.):
-  /// shared per-graph randomness ("the universe") is built once and reused
-  /// read-only by every precompute; per-item selection is sketch-estimated
-  /// greedy with exact residual-coverage commits.
-  kSketch,
 };
 
 const char* OracleBackendName(OracleBackend backend);
@@ -45,12 +40,6 @@ struct SpreadOracleOptions {
   size_t num_snapshots = 0;
   /// RIS: reverse-reachable sets to sample (0 = 64 · num_nodes).
   size_t num_rr_sets = 0;
-  /// Sketch: live-edge instances behind the shared sketch universe.
-  size_t sketch_instances = 64;
-  /// Sketch: bottom-k sketch size per node. Relative estimation error is
-  /// ~1/sqrt(k); 32 keeps near-tie mistakes within what submodularity
-  /// forgives.
-  size_t sketch_k = 32;
   /// Monte-Carlo simulations behind the default EstimateSpread.
   size_t eval_simulations = 400;
 };
@@ -61,9 +50,7 @@ struct SpreadOracleOptions {
 /// p_{u,v} = Σ_z γ_z · p^z_{u,v} materialized from the topic weights).
 ///
 /// Implementations must be safe for concurrent SelectSeeds/EstimateSpread
-/// calls from multiple maintenance-pool workers; shared state (the sketch
-/// universe) is published RCU-style behind an atomic shared_ptr so a
-/// rebuild never blocks readers.
+/// calls from multiple maintenance-pool workers.
 class SpreadOracle {
  public:
   virtual ~SpreadOracle() = default;
@@ -75,8 +62,6 @@ class SpreadOracle {
   /// decorrelates the backend's sampling across calls while staying
   /// deterministic — the maintainer passes the admission ticket, so a replay
   /// of the same admission sequence reproduces every seed list bit-for-bit.
-  /// (The sketch backend deliberately ignores the salt: shared randomness
-  /// across items is what makes its universe amortizable.)
   virtual Result<im::SeedSelectionResult> SelectSeeds(
       const simplex::TopicDistribution& weights, size_t k,
       uint64_t salt = 0) = 0;
@@ -87,13 +72,6 @@ class SpreadOracle {
   virtual Result<double> EstimateSpread(
       const simplex::TopicDistribution& weights,
       std::span<const graph::NodeId> seeds) const;
-
-  /// (Re)builds any expensive shared state eagerly. Backends without shared
-  /// state no-op; the sketch backend builds its universe and publishes it
-  /// RCU-style (concurrent SelectSeeds keep the universe they pinned).
-  /// Called from the maintainer pool, never from the serving path; also the
-  /// hook for a future graph-generation change.
-  virtual Status Prepare() { return Status::OK(); }
 
  protected:
   SpreadOracle(const graph::TopicGraph* graph,

@@ -148,8 +148,6 @@ Result<CorpusScenarioConfig> ScenarioFromJson(const JsonValue* s) {
   CORPUS_GET_SIZE(s, "maintainer_snapshots", c.maintainer_snapshots);
   CORPUS_GET_U64(s, "maintainer_seed", c.maintainer_seed);
   CORPUS_GET_SIZE(s, "ris_rr_sets", c.ris_rr_sets);
-  CORPUS_GET_SIZE(s, "sketch_instances", c.sketch_instances);
-  CORPUS_GET_SIZE(s, "sketch_k", c.sketch_k);
   INFLEX_ASSIGN_OR_RETURN(c.eviction_score_threshold,
                           s->GetNumber("eviction_score_threshold"));
   CORPUS_GET_SIZE(s, "min_point_age_generations", c.min_point_age_generations);
@@ -174,9 +172,6 @@ JsonValue ScenarioToJson(const CorpusScenarioConfig& c) {
         JsonValue::MakeNumber(static_cast<double>(c.maintainer_seed)));
   s.Set("ris_rr_sets",
         JsonValue::MakeNumber(static_cast<double>(c.ris_rr_sets)));
-  s.Set("sketch_instances",
-        JsonValue::MakeNumber(static_cast<double>(c.sketch_instances)));
-  s.Set("sketch_k", JsonValue::MakeNumber(static_cast<double>(c.sketch_k)));
   s.Set("eviction_score_threshold",
         JsonValue::MakeNumber(c.eviction_score_threshold));
   s.Set("min_point_age_generations",

@@ -64,8 +64,6 @@ struct CorpusScenarioConfig {
   size_t maintainer_snapshots = 40;
   uint64_t maintainer_seed = 101;
   size_t ris_rr_sets = 20000;
-  size_t sketch_instances = 32;
-  size_t sketch_k = 16;
   double eviction_score_threshold = 0.5;
   size_t min_point_age_generations = 2;
   size_t min_index_points = 16;

@@ -134,8 +134,6 @@ Result<BackendReport> ScoreBackend(
   mopts.seed = sc.maintainer_seed;
   mopts.oracle.backend = backend;
   mopts.oracle.num_rr_sets = sc.ris_rr_sets;
-  mopts.oracle.sketch_instances = sc.sketch_instances;
-  mopts.oracle.sketch_k = sc.sketch_k;
   mopts.max_batch_delay_ms = 0.0;  // no coalescing: one publish per delta
   mopts.eviction_score_threshold = sc.eviction_score_threshold;
   mopts.min_point_age_generations = sc.min_point_age_generations;

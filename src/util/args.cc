@@ -1,5 +1,6 @@
 #include "util/args.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -42,17 +43,24 @@ std::string ArgParser::GetString(const std::string& name,
   return it == options_.end() ? def : it->second;
 }
 
-Result<int64_t> ArgParser::GetInt(const std::string& name, int64_t def) {
+Result<int64_t> ArgParser::GetInt(const std::string& name, int64_t def,
+                                  int64_t lo, int64_t hi) {
   requested_[name] = true;
   auto it = options_.find(name);
   if (it == options_.end()) return def;
   char* end = nullptr;
-  const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
+  errno = 0;
+  const long long v = std::strtoll(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0') {
     return Status::InvalidArgument("--" + name + " expects an integer, got '" +
                                    it->second + "'");
   }
-  return v;
+  if (errno == ERANGE || v < lo || v > hi) {
+    return Status::InvalidArgument(
+        "--" + name + " must be in [" + std::to_string(lo) + ", " +
+        std::to_string(hi) + "], got '" + it->second + "'");
+  }
+  return static_cast<int64_t>(v);
 }
 
 Result<double> ArgParser::GetDouble(const std::string& name, double def) {

@@ -2,6 +2,7 @@
 #define INFLEX_UTIL_ARGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,8 +31,12 @@ class ArgParser {
   /// String option with a default.
   std::string GetString(const std::string& name, const std::string& def);
 
-  /// Integer option with a default; fails on non-numeric input.
-  Result<int64_t> GetInt(const std::string& name, int64_t def);
+  /// Integer option with a default; fails on non-numeric input and on a
+  /// value outside the inclusive range [lo, hi] (including one that
+  /// overflows int64). The default is returned unchecked.
+  Result<int64_t> GetInt(const std::string& name, int64_t def,
+                         int64_t lo = std::numeric_limits<int64_t>::min(),
+                         int64_t hi = std::numeric_limits<int64_t>::max());
 
   /// Floating-point option with a default; fails on non-numeric input.
   Result<double> GetDouble(const std::string& name, double def);

@@ -80,5 +80,35 @@ TEST(ArgParserTest, NegativeNumberAsValue) {
   EXPECT_EQ(p.GetInt("offset", 0).ValueOrDie(), -5);
 }
 
+TEST(ArgParserTest, IntRangeIsInclusive) {
+  ArgParser p = Make({"--port=65535", "--threads=0"});
+  EXPECT_EQ(p.GetInt("port", -1, -1, 65535).ValueOrDie(), 65535);
+  EXPECT_EQ(p.GetInt("threads", 1, 0).ValueOrDie(), 0);
+  // The default is the caller's and is returned unchecked.
+  EXPECT_EQ(p.GetInt("absent", -1, 0, 10).ValueOrDie(), -1);
+}
+
+TEST(ArgParserTest, IntBelowRangeRejected) {
+  ArgParser p = Make({"--threads", "-1"});
+  auto r = p.GetInt("threads", 0, 0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("--threads"), std::string::npos);
+}
+
+TEST(ArgParserTest, IntAboveRangeRejected) {
+  ArgParser p = Make({"--listen=70000"});
+  auto r = p.GetInt("listen", -1, -1, 65535);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("65535"), std::string::npos);
+}
+
+TEST(ArgParserTest, IntOverflowRejected) {
+  ArgParser p = Make({"--users=99999999999999999999",
+                      "--offset=-99999999999999999999"});
+  EXPECT_FALSE(p.GetInt("users", 0).ok());
+  EXPECT_FALSE(p.GetInt("offset", 0).ok());
+}
+
 }  // namespace
 }  // namespace inflex

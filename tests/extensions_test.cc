@@ -1,7 +1,7 @@
 // Tests for the extension features beyond the paper's core: MC4 rank
 // aggregation, segment-targeted TIM queries, seed-candidate restriction in
-// the IM algorithms, RIS influence maximization, DegreeDiscount, and the
-// automatic index-size suggestion.
+// the IM algorithms, RIS influence maximization, and the automatic
+// index-size suggestion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +10,6 @@
 
 #include "data/synthetic.h"
 #include "im/celf.h"
-#include "im/heuristics.h"
-#include "im/lt_model.h"
 #include "im/ris.h"
 #include "im/spread_estimator.h"
 #include "inflex/index_points.h"
@@ -354,161 +352,6 @@ TEST(RisTest, RejectsBadInput) {
   EXPECT_FALSE(im::SelectSeedsRis(g, probs, 51).ok());
   graph::ArcProbabilities wrong(3, 0.1);
   EXPECT_FALSE(im::SelectSeedsRis(g, wrong, 5).ok());
-}
-
-// -------------------------------------------------- linear threshold model ---
-
-TEST(LtModelTest, ValidatesWeights) {
-  graph::TopicGraphBuilder b(3, 1);
-  ASSERT_TRUE(b.AddArc(0, 2, {0.7}).ok());
-  ASSERT_TRUE(b.AddArc(1, 2, {0.6}).ok());  // node 2's in-weights sum to 1.3
-  const auto g = b.Build().ValueOrDie();
-  graph::ArcProbabilities w = {0.7, 0.6};
-  EXPECT_FALSE(im::ValidateLtWeights(g, w).ok());
-  auto normalized = im::NormalizeToLtWeights(g, w);
-  ASSERT_TRUE(normalized.ok());
-  EXPECT_TRUE(im::ValidateLtWeights(g, normalized.ValueOrDie()).ok());
-  EXPECT_NEAR(normalized.ValueOrDie()[0] + normalized.ValueOrDie()[1], 1.0,
-              1e-12);
-  // Already-admissible nodes keep their exact weights.
-  graph::ArcProbabilities ok_w = {0.3, 0.4};
-  EXPECT_EQ(im::NormalizeToLtWeights(g, ok_w).ValueOrDie(), ok_w);
-}
-
-TEST(LtModelTest, SingleInArcMatchesIcClosedForm) {
-  // With one in-arc of weight w, LT activation probability is exactly w —
-  // the same as IC: σ({0}) on a path 0→1→2 is 1 + w1 + w1·w2.
-  graph::TopicGraphBuilder b(3, 1);
-  ASSERT_TRUE(b.AddArc(0, 1, {0.6}).ok());
-  ASSERT_TRUE(b.AddArc(1, 2, {0.5}).ok());
-  const auto g = b.Build().ValueOrDie();
-  const graph::ArcProbabilities w = {0.6, 0.5};
-  im::MonteCarloOptions mc;
-  mc.num_simulations = 100000;
-  const std::vector<graph::NodeId> seeds = {0};
-  auto est = im::EstimateLtSpread(g, w, seeds, mc);
-  ASSERT_TRUE(est.ok());
-  EXPECT_NEAR(est.ValueOrDie().mean, 1.0 + 0.6 + 0.3, 0.02);
-}
-
-TEST(LtModelTest, DeterministicWeightOneChainFullyActivates) {
-  graph::TopicGraphBuilder b(4, 1);
-  ASSERT_TRUE(b.AddArc(0, 1, {1.0}).ok());
-  ASSERT_TRUE(b.AddArc(1, 2, {1.0}).ok());
-  ASSERT_TRUE(b.AddArc(2, 3, {1.0}).ok());
-  const auto g = b.Build().ValueOrDie();
-  const graph::ArcProbabilities w = {1.0, 1.0, 1.0};
-  Rng rng(3);
-  im::LtWorkspace ws(4);
-  const std::vector<graph::NodeId> seeds = {0};
-  for (int t = 0; t < 10; ++t) {
-    // θ ~ U[0,1) < 1 always, so weight-1 influence always activates.
-    EXPECT_EQ(im::SimulateLtCascadeCount(g, w, seeds, &rng, &ws), 4u);
-  }
-}
-
-TEST(LtModelTest, JointInfluenceExceedsSingleSource) {
-  // Node 2 hears from both 0 and 1 at weight 0.4 each: activation
-  // probability 0.8 when both seeded vs 0.4 from one seed.
-  graph::TopicGraphBuilder b(3, 1);
-  ASSERT_TRUE(b.AddArc(0, 2, {0.4}).ok());
-  ASSERT_TRUE(b.AddArc(1, 2, {0.4}).ok());
-  const auto g = b.Build().ValueOrDie();
-  const graph::ArcProbabilities w = {0.4, 0.4};
-  im::MonteCarloOptions mc;
-  mc.num_simulations = 60000;
-  const std::vector<graph::NodeId> one = {0};
-  const std::vector<graph::NodeId> both = {0, 1};
-  const double single =
-      im::EstimateLtSpread(g, w, one, mc).ValueOrDie().mean - 1.0;
-  const double joint =
-      im::EstimateLtSpread(g, w, both, mc).ValueOrDie().mean - 2.0;
-  EXPECT_NEAR(single, 0.4, 0.01);
-  EXPECT_NEAR(joint, 0.8, 0.01);
-}
-
-TEST(LtModelTest, TopicAwareLtViaEq1Pipeline) {
-  // The full topic-aware path: Eq. 1 mixing + LT normalization + spread.
-  data::SyntheticDatasetOptions dopts;
-  dopts.num_users = 200;
-  dopts.num_topics = 4;
-  dopts.num_items = 30;
-  dopts.seed = 55;
-  auto ds = data::GenerateSyntheticDataset(dopts);
-  ASSERT_TRUE(ds.ok());
-  const auto& g = ds.ValueOrDie().graph;
-  const auto item =
-      simplex::TopicDistribution::Delta(4, 2).SmoothedTowardUniform(0.1);
-  auto weights = im::NormalizeToLtWeights(g, g.ItemArcProbabilities(item));
-  ASSERT_TRUE(weights.ok());
-  im::MonteCarloOptions mc;
-  mc.num_simulations = 2000;
-  const std::vector<graph::NodeId> seeds = {0, 50, 100};
-  auto est = im::EstimateLtSpread(g, weights.ValueOrDie(), seeds, mc);
-  ASSERT_TRUE(est.ok());
-  EXPECT_GE(est.ValueOrDie().mean, 3.0);  // at least the seeds
-  EXPECT_LE(est.ValueOrDie().mean, 200.0);
-}
-
-TEST(LtModelTest, EmptySeedsAndBadInput) {
-  graph::TopicGraphBuilder b(2, 1);
-  ASSERT_TRUE(b.AddArc(0, 1, {0.5}).ok());
-  const auto g = b.Build().ValueOrDie();
-  const graph::ArcProbabilities w = {0.5};
-  EXPECT_EQ(im::EstimateLtSpread(g, w, {}).ValueOrDie().mean, 0.0);
-  const std::vector<graph::NodeId> bad = {9};
-  EXPECT_FALSE(im::EstimateLtSpread(g, w, bad).ok());
-  graph::ArcProbabilities wrong(3, 0.1);
-  const std::vector<graph::NodeId> seeds = {0};
-  EXPECT_FALSE(im::EstimateLtSpread(g, wrong, seeds).ok());
-}
-
-// -------------------------------------------------------- degree discount ---
-
-TEST(DegreeDiscountTest, BeatsPlainDegreeOnSpread) {
-  data::SyntheticDatasetOptions dopts;
-  dopts.num_users = 400;
-  dopts.num_topics = 4;
-  dopts.num_items = 50;
-  dopts.seed = 111;
-  auto ds = data::GenerateSyntheticDataset(dopts);
-  ASSERT_TRUE(ds.ok());
-  const auto& g = ds.ValueOrDie().graph;
-  const auto item =
-      simplex::TopicDistribution::Delta(4, 0).SmoothedTowardUniform(0.1);
-  const auto probs = g.ItemArcProbabilities(item);
-
-  auto degree = im::SelectSeedsByDegree(g, 15);
-  auto discount = im::SelectSeedsDegreeDiscount(g, probs, 15);
-  ASSERT_TRUE(degree.ok());
-  ASSERT_TRUE(discount.ok());
-  im::MonteCarloOptions mc;
-  mc.num_simulations = 6000;
-  const double degree_spread =
-      im::EstimateSpread(g, probs, degree.ValueOrDie(), mc).ValueOrDie().mean;
-  const double discount_spread =
-      im::EstimateSpread(g, probs, discount.ValueOrDie(), mc)
-          .ValueOrDie()
-          .mean;
-  EXPECT_GT(discount_spread, 0.95 * degree_spread);
-  std::set<graph::NodeId> unique(discount.ValueOrDie().begin(),
-                                 discount.ValueOrDie().end());
-  EXPECT_EQ(unique.size(), 15u);
-}
-
-TEST(DegreeDiscountTest, RejectsBadInput) {
-  data::SyntheticDatasetOptions dopts;
-  dopts.num_users = 50;
-  dopts.num_topics = 2;
-  dopts.num_items = 10;
-  dopts.seed = 112;
-  auto ds = data::GenerateSyntheticDataset(dopts);
-  ASSERT_TRUE(ds.ok());
-  const auto& g = ds.ValueOrDie().graph;
-  const auto probs =
-      g.ItemArcProbabilities(simplex::TopicDistribution::Uniform(2));
-  EXPECT_FALSE(im::SelectSeedsDegreeDiscount(g, probs, 0).ok());
-  EXPECT_FALSE(im::SelectSeedsDegreeDiscount(g, probs, 51).ok());
 }
 
 // ------------------------------------------------- online index updates ---

@@ -690,33 +690,6 @@ TEST(HeuristicsTest, RandomSeedsDistinctAndInRange) {
   EXPECT_FALSE(SelectSeedsRandom(5, 0, &rng).ok());
 }
 
-TEST(HeuristicsTest, DegreeSeedsAreTopDegree) {
-  TopicGraphBuilder b(5, 1);
-  // Node 2 has out-degree 3; node 0 has 2; others less.
-  ASSERT_TRUE(b.AddArc(2, 0, {0.5}).ok());
-  ASSERT_TRUE(b.AddArc(2, 1, {0.5}).ok());
-  ASSERT_TRUE(b.AddArc(2, 3, {0.5}).ok());
-  ASSERT_TRUE(b.AddArc(0, 1, {0.5}).ok());
-  ASSERT_TRUE(b.AddArc(0, 3, {0.5}).ok());
-  ASSERT_TRUE(b.AddArc(4, 3, {0.5}).ok());
-  const TopicGraph g = b.Build().ValueOrDie();
-  auto r = SelectSeedsByDegree(g, 2);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie()[0], 2u);
-  EXPECT_EQ(r.ValueOrDie()[1], 0u);
-}
-
-TEST(HeuristicsTest, WeightedDegreeUsesProbabilities) {
-  TopicGraphBuilder b(4, 1);
-  ASSERT_TRUE(b.AddArc(0, 1, {0.9}).ok());   // node 0: weight 0.9
-  ASSERT_TRUE(b.AddArc(1, 2, {0.1}).ok());   // node 1: weight 0.3 total
-  ASSERT_TRUE(b.AddArc(1, 3, {0.2}).ok());
-  const TopicGraph g = b.Build().ValueOrDie();
-  auto r = SelectSeedsByWeightedDegree(g, SingleTopicProbs(g), 1);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie()[0], 0u);
-}
-
 }  // namespace
 }  // namespace im
 }  // namespace inflex

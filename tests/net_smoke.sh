@@ -3,8 +3,10 @@
 # dataset + index with inflex_cli, boots the inflex_serve daemon on an
 # ephemeral port, and drives it with the inflex_serve client mode — ping,
 # single query, a pipelined query run, and a catalog delta — then sends
-# SIGTERM and asserts the graceful-shutdown markers. Registered as a CTest
-# test; $1 is the path to inflex_cli and $2 the path to inflex_serve.
+# SIGTERM and asserts the graceful-shutdown markers. Before that it checks
+# that bad daemon options fail fast: non-zero exit, an `error:` line, and
+# no bound port. Registered as a CTest test; $1 is the path to inflex_cli
+# and $2 the path to inflex_serve.
 set -eu
 
 CLI="$1"
@@ -23,6 +25,25 @@ echo "== generate + build-index"
   > /dev/null
 "$CLI" build-index --data data --out index.bin --h 16 --ell 10 \
   --snapshots 30 > /dev/null
+
+echo "== bad daemon options fail fast"
+# `timeout` bounds a regression that would start serving instead of failing.
+expect_startup_error() {
+  if timeout 30 "$SERVE" --data data --index index.bin "$@" \
+      > bad.log 2>&1; then
+    echo "inflex_serve $* exited 0; log:" >&2
+    cat bad.log >&2
+    exit 1
+  fi
+  if ! grep -q "^error:" bad.log || grep -q "listening on" bad.log; then
+    echo "inflex_serve $* did not fail fast; log:" >&2
+    cat bad.log >&2
+    exit 1
+  fi
+}
+expect_startup_error --listen 70000
+expect_startup_error --listen 0 --threads -1
+expect_startup_error --listen 0 --oracle sketch
 
 echo "== start daemon (ephemeral port)"
 "$SERVE" --data data --index index.bin --listen 0 --workers 2 \

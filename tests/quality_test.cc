@@ -92,8 +92,7 @@ TEST(QualityScorerTest, GoldenReplayMatchesCommittedBaseline) {
   ASSERT_TRUE(world.ok()) << world.status().message();
 
   const std::vector<oracle::OracleBackend> backends = {
-      oracle::OracleBackend::kCelfPp, oracle::OracleBackend::kRis,
-      oracle::OracleBackend::kSketch};
+      oracle::OracleBackend::kCelfPp, oracle::OracleBackend::kRis};
   auto report = quality::ScoreCorpus(world.ValueOrDie(), corpus, backends);
   ASSERT_TRUE(report.ok()) << report.status().message();
 

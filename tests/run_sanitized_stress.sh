@@ -54,14 +54,12 @@ TSAN_OPTIONS="halt_on_error=1 suppressions=$SRC/tests/tsan.supp ${TSAN_OPTIONS:-
   "$BUILD/tests/maintenance_test"
 
 echo "== run per-backend oracle admission storms under TSan"
-# For each spread-oracle backend (CELF++, RIS, sketch) a serving storm runs
-# against concurrent multi-worker precompute; the sketch backend's RCU
-# universe (atomic shared_ptr publish, lock-free readers) is exactly the
-# kind of sharing TSan exists to vet. Published lists must additionally be
-# bit-identical to a serial replay.
+# For each spread-oracle backend (CELF++, RIS) a serving storm runs
+# against concurrent multi-worker precompute. Published lists must
+# additionally be bit-identical to a serial replay.
 TSAN_OPTIONS="halt_on_error=1 suppressions=$SRC/tests/tsan.supp ${TSAN_OPTIONS:-}" \
   "$BUILD/tests/oracle_test" \
-  --gtest_filter='OracleTest.ConcurrentStormMatchesSerialReplayPerBackend:OracleTest.Sketch*'
+  --gtest_filter='OracleTest.ConcurrentStormMatchesSerialReplayPerBackend'
 
 echo "== run relevance scorer golden replay under TSan"
 # The scorer drives the full serving + maintenance pipeline (admission,

@@ -34,6 +34,8 @@ def require_keys(obj, keys, where):
 
 
 SIMD_NAMES = ("scalar", "avx2", "avx512")
+# Spread-oracle backends, the CELF++ reference first.
+ORACLE_BACKENDS = ("celfpp", "ris")
 
 
 def check_simd_record(host, where):
@@ -239,7 +241,7 @@ def check_serving(path):
                   f"{path.name}: sweeps must shrink the index below its burst peak")
 
     # The oracle A/B section is the contract of the spread-oracle subsystem:
-    # the pluggable RIS/sketch backends must match the CELF++ golden
+    # the pluggable RIS backend must match the CELF++ golden
     # reference's seed quality (>= 0.95x by a common Monte-Carlo referee)
     # while publishing admitted deltas >= 10x faster (full runs; --quick
     # runs are shape-only smoke, so they only gate a loose quality floor and
@@ -273,7 +275,7 @@ def check_serving(path):
                 check(is_num(row["mean_spread"]) and row["mean_spread"] > 0,
                       f"{where}: bad mean_spread")
                 by_backend[row.get("backend")] = row
-        for backend in ("celfpp", "ris", "sketch"):
+        for backend in ORACLE_BACKENDS:
             check(backend in by_backend,
                   f"{path.name}: oracle section missing the '{backend}' row")
         golden = by_backend.get("celfpp")
@@ -281,7 +283,7 @@ def check_serving(path):
             check(golden.get("quality_vs_celfpp") == 1.0,
                   f"{path.name}: celfpp is its own quality reference")
             quality_floor = 0.8 if quick else 0.95
-            for backend in ("ris", "sketch"):
+            for backend in ORACLE_BACKENDS[1:]:
                 row = by_backend.get(backend)
                 if not row:
                     continue
@@ -432,7 +434,6 @@ def check_serving(path):
               f"{path.name}: overload shed_rate out of (0,1)")
 
 
-QUALITY_BACKENDS = ("celfpp", "ris", "sketch")
 QUALITY_CATEGORIES = ("near-index-point", "far-from-index",
                       "segment-restricted", "post-eviction",
                       "post-delta-churn")
@@ -505,7 +506,7 @@ def check_quality(path):
             check(is_num(q["spread_ratio"]) and q["spread_ratio"] > 0,
                   f"{qwhere}: bad spread_ratio")
         check(b.get("passed") is True, f"{where}: backend gate failed")
-    for backend in QUALITY_BACKENDS:
+    for backend in ORACLE_BACKENDS:
         check(backend in by_backend,
               f"{path.name}: missing the '{backend}' backend run")
     check(d.get("passed") is True, f"{path.name}: quality gate failed")
@@ -606,10 +607,6 @@ def _good_serving():
                  "admit_to_publish_max_ms": 8.0, "precompute_mean_ms": 4.0,
                  "mean_spread": 49.0, "quality_vs_celfpp": 0.97,
                  "speedup_vs_celfpp": 20.0},
-                {"backend": "sketch", "admit_to_publish_mean_ms": 8.0,
-                 "admit_to_publish_max_ms": 12.0, "precompute_mean_ms": 6.0,
-                 "mean_spread": 48.5, "quality_vs_celfpp": 0.96,
-                 "speedup_vs_celfpp": 12.5},
             ],
         },
         "tenants": {
@@ -668,7 +665,7 @@ def _good_quality():
     return {"schema": "inflex-quality-v1",
             "corpus": {"name": "golden_v1", "version": 1},
             "passed": True,
-            "backends": [backend(b) for b in QUALITY_BACKENDS]}
+            "backends": [backend(b) for b in ORACLE_BACKENDS]}
 
 
 def selftest():
@@ -734,7 +731,7 @@ def selftest():
     cases.append(("quality-missing-category", check_quality, bad,
                   "categories"))
     bad = _good_quality()
-    bad["backends"][2]["scenario"]["ok"] = False
+    bad["backends"][1]["scenario"]["ok"] = False
     cases.append(("quality-scenario-drift", check_quality, bad, "scenario"))
     bad = _good_quality()
     bad["passed"] = False

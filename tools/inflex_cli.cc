@@ -10,6 +10,7 @@
 //   inflex_cli evaluate    --data data/ --index index.bin --queries 20
 //   inflex_cli info        --data data/ [--index index.bin]
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "data/dataset_io.h"
@@ -65,9 +66,9 @@ int Fail(const Status& status) {
 int CmdGenerate(ArgParser& args) {
   const std::string out = args.GetString("out", "");
   data::SyntheticDatasetOptions opts;
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t users, args.GetInt("users", 2000));
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t topics, args.GetInt("topics", 8));
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t items, args.GetInt("items", 2000));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t users, args.GetInt("users", 2000, 1));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t topics, args.GetInt("topics", 8, 1));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t items, args.GetInt("items", 2000, 1));
   INFLEX_ASSIGN_OR_RETURN_CLI(double degree, args.GetDouble("degree", 10.0));
   INFLEX_ASSIGN_OR_RETURN_CLI(int64_t seed, args.GetInt("seed", 1));
   if (auto st = args.Validate(); !st.ok()) return Fail(st);
@@ -97,8 +98,10 @@ int CmdGenerate(ArgParser& args) {
 int CmdLearn(ArgParser& args) {
   const std::string data_dir = args.GetString("data", "");
   const std::string out = args.GetString("out", "");
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t topics, args.GetInt("topics", 0));
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t iters, args.GetInt("iters", 25));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t topics, args.GetInt("topics", 0, 0));
+  INFLEX_ASSIGN_OR_RETURN_CLI(
+      int64_t iters,
+      args.GetInt("iters", 25, 1, std::numeric_limits<int>::max()));
   if (auto st = args.Validate(); !st.ok()) return Fail(st);
   if (data_dir.empty() || out.empty()) {
     return Fail(Status::InvalidArgument("--data and --out are required"));
@@ -161,10 +164,10 @@ int CmdSuggestH(ArgParser& args) {
 int CmdBuildIndex(ArgParser& args) {
   const std::string data_dir = args.GetString("data", "");
   const std::string out = args.GetString("out", "");
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t h, args.GetInt("h", 128));
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t ell, args.GetInt("ell", 50));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t h, args.GetInt("h", 128, 1));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t ell, args.GetInt("ell", 50, 1));
   INFLEX_ASSIGN_OR_RETURN_CLI(int64_t snapshots,
-                              args.GetInt("snapshots", 100));
+                              args.GetInt("snapshots", 100, 1));
   const bool auto_size = args.HasFlag("auto-size");
   if (auto st = args.Validate(); !st.ok()) return Fail(st);
   if (data_dir.empty() || out.empty()) {
@@ -211,7 +214,7 @@ int CmdQuery(ArgParser& args) {
   const std::string data_dir = args.GetString("data", "");
   const std::string index_path = args.GetString("index", "");
   auto mix = args.GetDoubleList("mix");
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t k, args.GetInt("k", 10));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t k, args.GetInt("k", 10, 1));
   const std::string strategy_name = args.GetString("strategy", "inflex");
   if (auto st = args.Validate(); !st.ok()) return Fail(st);
   if (data_dir.empty() || index_path.empty()) {
@@ -260,7 +263,7 @@ int CmdAddItem(ArgParser& args) {
   const std::string data_dir = args.GetString("data", "");
   const std::string index_path = args.GetString("index", "");
   auto mix = args.GetDoubleList("mix");
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t ell, args.GetInt("ell", 0));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t ell, args.GetInt("ell", 0, 0));
   if (auto st = args.Validate(); !st.ok()) return Fail(st);
   if (data_dir.empty() || index_path.empty()) {
     return Fail(Status::InvalidArgument("--data and --index are required"));
@@ -303,8 +306,9 @@ int CmdAddItem(ArgParser& args) {
 int CmdEvaluate(ArgParser& args) {
   const std::string data_dir = args.GetString("data", "");
   const std::string index_path = args.GetString("index", "");
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t queries, args.GetInt("queries", 20));
-  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t k, args.GetInt("k", 20));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t queries,
+                              args.GetInt("queries", 20, 1));
+  INFLEX_ASSIGN_OR_RETURN_CLI(int64_t k, args.GetInt("k", 20, 1));
   if (auto st = args.Validate(); !st.ok()) return Fail(st);
   if (data_dir.empty() || index_path.empty()) {
     return Fail(Status::InvalidArgument("--data and --index are required"));

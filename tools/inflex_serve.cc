@@ -37,7 +37,7 @@
 //                [--cache-capacity C] [--shards S] [--quantization Q]
 //                [--no-cache] [--seed S]
 //                [--deltas D] [--admission-threshold T] [--delta-snapshots S]
-//                [--oracle celfpp|ris|sketch]
+//                [--oracle celfpp|ris]
 //   inflex_serve --data data/ --index index.bin --listen PORT
 //                [--io-threads N] [--workers W] [--worker-batch B]
 //                [--queue-high H]
@@ -51,9 +51,11 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -85,6 +87,11 @@ int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
 }
+
+// Upper bounds of the integer options that narrow into fixed-width fields:
+// wire millisecond fields are uint32, ports uint16.
+constexpr int64_t kMaxMillis = std::numeric_limits<uint32_t>::max();
+constexpr int64_t kMaxPort = std::numeric_limits<uint16_t>::max();
 
 /// Extreme near-corner topic mixtures: maximally far (in KL) from the
 /// data-driven index points, so a delta stream built from them reliably
@@ -211,9 +218,9 @@ Result<std::vector<TenantSpec>> ParseTenantsConfig(const std::string& path) {
 
 int RunClient(ArgParser& args, uint16_t port) {
   const std::string host = args.GetString("host", "127.0.0.1");
-  auto count = args.GetInt("count", 1);
-  auto k = args.GetInt("k", 10);
-  auto deadline = args.GetInt("deadline-ms", 0);
+  auto count = args.GetInt("count", 1, 0);
+  auto k = args.GetInt("k", 10, 1);
+  auto deadline = args.GetInt("deadline-ms", 0, 0, kMaxMillis);
   auto timeout = args.GetDouble("timeout-ms", 10000.0);
   auto gamma = args.GetDoubleList("gamma");
   const std::string strategy_name = args.GetString("strategy", "inflex");
@@ -264,7 +271,7 @@ int RunClient(ArgParser& args, uint16_t port) {
   if (!item.ok()) return Fail(item.status());
   core::QueryRequest request;
   request.item = std::move(item).ValueOrDie();
-  request.k = static_cast<size_t>(std::max<int64_t>(k.ValueOrDie(), 1));
+  request.k = static_cast<size_t>(k.ValueOrDie());
   request.options.strategy = strategy.ValueOrDie();
 
   size_t ok = 0, overloaded = 0, expired = 0, failed = 0;
@@ -315,14 +322,14 @@ Result<std::unique_ptr<ServingStack>> BuildStack(
     ArgParser& args, const std::string& data_dir,
     const std::string& index_path, bool with_maintainer,
     bool with_engine = true) {
-  auto threads = args.GetInt("threads", 0);  // 0 = hardware concurrency
-  auto capacity = args.GetInt("cache-capacity", 4096);
-  auto shards = args.GetInt("shards", 16);
+  auto threads = args.GetInt("threads", 0, 0);  // 0 = hardware concurrency
+  auto capacity = args.GetInt("cache-capacity", 4096, 1);
+  auto shards = args.GetInt("shards", 16, 0);
   auto quantization = args.GetDouble("quantization", 0.01);
   auto seed = args.GetInt("seed", 7);
   auto admission = args.GetDouble("admission-threshold", 0.05);
-  auto delta_snapshots = args.GetInt("delta-snapshots", 30);
-  auto pending_high = args.GetInt("pending-high", 0);
+  auto delta_snapshots = args.GetInt("delta-snapshots", 30, 1);
+  auto pending_high = args.GetInt("pending-high", 0, 0);
   // --oracle picks the stage-2 seed-precompute backend; ris (the default,
   // quality-gate-verified against exact-CELF++ goldens — DESIGN.md §15)
   // gives the cheap admission-time precompute, --oracle celfpp reproduces
@@ -339,9 +346,6 @@ Result<std::unique_ptr<ServingStack>> BuildStack(
   }
   INFLEX_RETURN_NOT_OK(quantization.status());
   INFLEX_RETURN_NOT_OK(admission.status());
-  if (delta_snapshots.ValueOrDie() < 1) {
-    return Status::InvalidArgument("--delta-snapshots must be at least 1");
-  }
 
   auto stack = std::make_unique<ServingStack>();
   auto ds = data::LoadDataset(data_dir);
@@ -455,13 +459,13 @@ Status BuildTenants(ServingStack* stack, std::vector<TenantSpec> specs) {
 
 int RunDaemon(ArgParser& args, uint16_t port, const std::string& data_dir,
               const std::string& index_path) {
-  auto io_threads = args.GetInt("io-threads", 1);
-  auto workers = args.GetInt("workers", 4);
-  auto worker_batch = args.GetInt("worker-batch", 8);
-  auto queue_high = args.GetInt("queue-high", 1024);
-  auto queue_low = args.GetInt("queue-low", 0);
-  auto retry_after = args.GetInt("retry-after-ms", 50);
-  auto deadline = args.GetInt("deadline-ms", 0);
+  auto io_threads = args.GetInt("io-threads", 1, 0);
+  auto workers = args.GetInt("workers", 4, 0);
+  auto worker_batch = args.GetInt("worker-batch", 8, 0);
+  auto queue_high = args.GetInt("queue-high", 1024, 0);
+  auto queue_low = args.GetInt("queue-low", 0, 0);
+  auto retry_after = args.GetInt("retry-after-ms", 50, 0, kMaxMillis);
+  auto deadline = args.GetInt("deadline-ms", 0, 0, kMaxMillis);
   const std::string tenants_config = args.GetString("tenants-config", "");
   for (const auto* r : {&io_threads, &workers, &worker_batch, &queue_high,
                         &queue_low, &retry_after, &deadline}) {
@@ -546,12 +550,12 @@ int RunDaemon(ArgParser& args, uint16_t port, const std::string& data_dir,
 
 int RunReplay(ArgParser& args, const std::string& data_dir,
               const std::string& index_path) {
-  auto queries = args.GetInt("queries", 4096);
-  auto unique = args.GetInt("unique", 128);
-  auto batch = args.GetInt("batch", 512);
-  auto k = args.GetInt("k", 10);
+  auto queries = args.GetInt("queries", 4096, 0);
+  auto unique = args.GetInt("unique", 128, 1);
+  auto batch = args.GetInt("batch", 512, 1);
+  auto k = args.GetInt("k", 10, 1);
   auto seed = args.GetInt("seed", 7);
-  auto deltas = args.GetInt("deltas", 0);
+  auto deltas = args.GetInt("deltas", 0, 0);
   const std::string strategy_name = args.GetString("strategy", "inflex");
   for (const auto* r : {&queries, &unique, &batch, &k, &seed, &deltas}) {
     if (!r->ok()) return Fail(r->status());
@@ -655,8 +659,9 @@ int RunReplay(ArgParser& args, const std::string& data_dir,
 }
 
 int Run(ArgParser& args) {
-  auto connect = args.GetInt("connect", -1);
-  auto listen = args.GetInt("listen", -1);
+  // -1 (the default) leaves the mode off; otherwise a TCP port.
+  auto connect = args.GetInt("connect", -1, -1, kMaxPort);
+  auto listen = args.GetInt("listen", -1, -1, kMaxPort);
   for (const auto* r : {&connect, &listen}) {
     if (!r->ok()) return Fail(r->status());
   }

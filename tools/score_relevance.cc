@@ -1,7 +1,7 @@
 // score_relevance — the CI quality gate's runner (DESIGN.md §15).
 //
 //   score_relevance --corpus tests/corpus/golden_v1.json
-//                   [--backends celfpp,ris,sketch] [--report out.json]
+//                   [--backends celfpp,ris] [--report out.json]
 //       Rebuilds the corpus world, replays the maintenance scenario per
 //       backend, scores every corpus query against its golden, writes the
 //       deterministic JSON report, and exits non-zero when any backend
@@ -62,7 +62,7 @@ int Run(int argc, char** argv) {
       args.GetString("corpus", "tests/corpus/golden_v1.json");
   const std::string report_path = args.GetString("report", "");
   const std::string backend_spec =
-      args.GetString("backends", "celfpp,ris,sketch");
+      args.GetString("backends", "celfpp,ris");
   const bool init = args.HasFlag("init");
   const bool regen = args.HasFlag("regen");
   if (Status v = args.Validate(); !v.ok()) return Fail(v);
