@@ -2,8 +2,9 @@
 // reference scalar path vs the factorized vectorized kernel layer), ILR,
 // Eq. 1 instance materialization, cascade simulation, snapshot-oracle
 // marginal gains, the offline phase's layers (the dataset, snapshot
-// sampling, one index point's seed-list precompute, index-point selection
-// and its k-means), bb-tree searches, Kendall-τ, and the aggregation kernels.
+// sampling, one index point's seed-list precompute and its CELF half,
+// index-point selection and its k-means), bb-tree searches, Kendall-τ, and
+// the aggregation kernels.
 // After the google-benchmark suite, main() runs a self-timed reference-vs-
 // kernel comparison across topic counts and leaf-scan batch sizes and writes
 // it to BENCH_kernels.json (see RunKernelComparison below).
@@ -19,6 +20,7 @@
 #include "common/testbed.h"
 #include "data/synthetic.h"
 #include "im/cascade.h"
+#include "im/celf.h"
 #include "im/ris.h"
 #include "im/snapshot_oracle.h"
 #include "im/snapshot_sampler.h"
@@ -249,6 +251,41 @@ void BM_OfflineTicSeeds(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OfflineTicSeeds)->Unit(benchmark::kMillisecond);
+
+// The CELF half of BM_OfflineTicSeeds (the other is BM_SnapshotCreate): the
+// same ℓ = 50 serial selection on a prebuilt oracle of the test-bed's first
+// item. CELF evaluates on the calling thread's workspace, so its BFS counter
+// splits the reach BFS runs into the first round's (one per active (node,
+// snapshot) pair, counted from a standalone first round) and the lazy
+// loop's re-evaluations.
+void BM_CelfSeeds(benchmark::State& state) {
+  const auto& ds = TestbedDataset();
+  im::SnapshotSpreadOracle::Options oopts;
+  oopts.num_snapshots = 100;
+  oopts.seed = oracle::OfflineImOptions{}.seed;
+  auto created = im::SnapshotSpreadOracle::Create(
+      ds.graph, ds.graph.ItemArcProbabilities(ds.catalog[0]), oopts);
+  INFLEX_CHECK(created.ok());
+  im::SnapshotSpreadOracle& snapshots = created.ValueOrDie();
+  im::SnapshotSpreadOracle::Workspace* ws = snapshots.ThreadWorkspace();
+  std::vector<double> gains(snapshots.num_nodes());
+  uint64_t before = ws->bfs_runs();
+  snapshots.SingletonGains(
+      0, static_cast<graph::NodeId>(snapshots.num_nodes()), ws, gains);
+  const uint64_t first_round = ws->bfs_runs() - before;
+  im::SeedSelectionOptions sopts;
+  sopts.parallel_first_iteration = false;
+  uint64_t per_run = 0;
+  for (auto _ : state) {
+    before = ws->bfs_runs();
+    auto seeds = im::SelectSeedsCelf(&snapshots, 50, sopts);
+    per_run = ws->bfs_runs() - before;
+    benchmark::DoNotOptimize(seeds.ok());
+  }
+  state.counters["first_round_bfs"] = static_cast<double>(first_round);
+  state.counters["lazy_loop_bfs"] = static_cast<double>(per_run - first_round);
+}
+BENCHMARK(BM_CelfSeeds)->Unit(benchmark::kMillisecond);
 
 // §3.1 index-point selection: Dirichlet fit, 30k samples, h = 256 Bregman
 // K-means++ centroids (seeding and Lloyd's assignment across the pool).

@@ -30,10 +30,12 @@ Result<SeedSelectionResult> SelectSeedsCelf(
 
   oracle->ResetSeeds();
   SeedSelectionResult result;
-  auto ws = oracle->MakeWorkspace();
+  // The thread's own workspace: one index point after another on a pool
+  // thread reuses it instead of allocating one per run.
+  SnapshotSpreadOracle::Workspace* ws = oracle->ThreadWorkspace();
 
-  // First round: every singleton gain, in node blocks that each sweep the
-  // snapshots once and write only their own slots.
+  // First round: every singleton gain, in node blocks that write only their
+  // own slots.
   std::vector<double> init_gains(n);
   constexpr size_t kBlock = 256;
   if (options.parallel_first_iteration && n >= kBlock) {
@@ -47,15 +49,20 @@ Result<SeedSelectionResult> SelectSeedsCelf(
         },
         options.pool);
   } else {
-    oracle->SingletonGains(0, static_cast<graph::NodeId>(n), &ws, init_gains);
+    oracle->SingletonGains(0, static_cast<graph::NodeId>(n), ws, init_gains);
   }
   result.num_evaluations += n;
 
-  std::priority_queue<HeapEntry> heap;
+  // Entries are totally ordered (distinct nodes), so heapifying them at
+  // once pops them in the same order as pushing them one by one.
+  std::vector<HeapEntry> entries;
+  entries.reserve(n);
   for (size_t v = 0; v < n; ++v) {
     if (!IsCandidate(options, v)) continue;
-    heap.push({init_gains[v], static_cast<graph::NodeId>(v), 0});
+    entries.push_back({init_gains[v], static_cast<graph::NodeId>(v), 0});
   }
+  std::priority_queue<HeapEntry> heap(std::less<HeapEntry>(),
+                                      std::move(entries));
 
   while (result.seeds.size() < k) {
     HeapEntry top = heap.top();
@@ -63,11 +70,11 @@ Result<SeedSelectionResult> SelectSeedsCelf(
     const uint32_t cur_size = static_cast<uint32_t>(result.seeds.size());
     if (top.flag == cur_size) {
       // Fresh w.r.t. the current seed set: greedy-optimal by submodularity.
-      oracle->CommitSeed(top.node, &ws);
+      oracle->CommitSeed(top.node, ws);
       result.seeds.push_back(top.node);
       result.marginal_gains.push_back(top.gain);
     } else {
-      top.gain = oracle->MarginalGain(top.node, &ws);
+      top.gain = oracle->MarginalGain(top.node, ws);
       top.flag = cur_size;
       ++result.num_evaluations;
       heap.push(top);

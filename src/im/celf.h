@@ -21,9 +21,10 @@ namespace im {
 /// variant on this oracle (CELF++ included) returns the same seeds and the
 /// same gain doubles; they differ only in num_evaluations.
 ///
-/// The first round computes all n singleton gains snapshot-major
+/// The first round computes all n singleton gains
 /// (SnapshotSpreadOracle::SingletonGains), in blocks of 256 nodes across
-/// the pool when `parallel_first_iteration` is set and n >= 256.
+/// the pool when `parallel_first_iteration` is set and n >= 256. Selection
+/// runs on the calling thread's oracle workspace (ThreadWorkspace).
 Result<SeedSelectionResult> SelectSeedsCelf(
     SnapshotSpreadOracle* oracle, size_t k,
     const SeedSelectionOptions& options = {});

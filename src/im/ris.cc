@@ -20,6 +20,10 @@ Result<SeedSelectionResult> SelectSeedsRis(
   }
   const size_t num_sets =
       options.num_rr_sets > 0 ? options.num_rr_sets : 64 * n;
+  // RR-set ids are 32-bit; checked before anything is sampled or allocated.
+  if (num_sets > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("num_rr_sets exceeds the 32-bit RR-set ids");
+  }
 
   // --- Phase 1: sample RR sets. ------------------------------------------
   // A node u belongs to the RR set of root v iff u reaches v in the live-

@@ -11,6 +11,7 @@ namespace im {
 struct RisOptions {
   /// Number of reverse-reachable (RR) sets to sample. More sets tighten the
   /// (1 − 1/e − ε) guarantee; 64·n is a pragmatic default at library scale.
+  /// At most UINT32_MAX (RR-set ids are 32-bit), 64 · n included.
   size_t num_rr_sets = 0;  // 0: use 64 · num_nodes
   uint64_t seed = 97;
 };

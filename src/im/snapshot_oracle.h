@@ -36,10 +36,12 @@ class SnapshotSpreadOracle {
   /// p <= 0 or NaN take none. Every sampler variant (im/snapshot_sampler.h)
   /// yields the same snapshots. Fails on a probability vector of the wrong
   /// size, zero snapshots, or W · max(m, 1) > UINT32_MAX (snapshot offsets
-  /// are 32-bit), before allocating.
-  static Result<SnapshotSpreadOracle> Create(
-      const graph::TopicGraph& g, const graph::ArcProbabilities& arc_probs,
-      const Options& options);
+  /// are 32-bit), before allocating. The probabilities are released once
+  /// the draws are laid out, so a caller that moves them in does not hold
+  /// them through sampling.
+  static Result<SnapshotSpreadOracle> Create(const graph::TopicGraph& g,
+                                             graph::ArcProbabilities arc_probs,
+                                             const Options& options);
 
   size_t num_nodes() const { return num_nodes_; }
   size_t num_snapshots() const { return num_snapshots_; }
@@ -48,15 +50,19 @@ class SnapshotSpreadOracle {
   /// evaluating marginal gains concurrently.
   class Workspace {
    public:
-    explicit Workspace(size_t num_nodes) : stamps_(num_nodes, 0) {
-      frontier_.reserve(64);
-    }
+    explicit Workspace(size_t num_nodes)
+        : stamps_(num_nodes, 0), frontier_(num_nodes) {}
+
+    /// Reach BFS runs made with this workspace (one per snapshot a gain
+    /// evaluation could not settle without one).
+    uint64_t bfs_runs() const { return bfs_runs_; }
 
    private:
     friend class SnapshotSpreadOracle;
     std::vector<uint32_t> stamps_;
     std::vector<graph::NodeId> frontier_;
     uint32_t epoch_ = 0;
+    uint64_t bfs_runs_ = 0;
   };
 
   Workspace MakeWorkspace() const { return Workspace(num_nodes_); }
@@ -68,14 +74,21 @@ class SnapshotSpreadOracle {
 
   /// Average number of nodes v would newly reach across snapshots, given the
   /// currently committed seeds. Thread-safe w.r.t. other MarginalGain calls.
+  /// Runs a BFS only in the snapshots where v is uncovered and keeps an
+  /// out-arc; in every other snapshot where v is uncovered it reaches just
+  /// itself.
   double MarginalGain(graph::NodeId v, Workspace* ws) const;
 
   /// MarginalGain of every node v in [begin, end), written to gains[v]
-  /// (gains spans all nodes; no other slot is touched): the same doubles,
-  /// computed snapshot-major so one snapshot's adjacency stays hot across
-  /// the block.
+  /// (gains spans all nodes; no other slot is touched).
   void SingletonGains(graph::NodeId begin, graph::NodeId end, Workspace* ws,
                       std::span<double> gains) const;
+
+  /// The snapshots where v keeps at least one out-arc, ascending.
+  std::span<const uint32_t> ActiveSnapshots(graph::NodeId v) const {
+    return {active_snapshots_.data() + active_offsets_[v],
+            active_offsets_[v + 1] - active_offsets_[v]};
+  }
 
   /// Commits `v` as a seed: its incremental reach becomes covered in every
   /// snapshot. Returns the realized marginal gain. Not thread-safe.
@@ -101,15 +114,30 @@ class SnapshotSpreadOracle {
   // the uncovered nodes (v must be uncovered). Leaves them in ws->frontier_.
   uint64_t CountReach(graph::NodeId v, size_t s, Workspace* ws) const;
 
+  // W · MarginalGain(v): W − covered_count_[v] snapshots where v is
+  // uncovered, each reaching v itself, plus what v reaches beyond itself
+  // in those of its active snapshots where it is uncovered.
+  uint64_t ReachSum(graph::NodeId v, Workspace* ws) const;
+
   // Snapshot adjacency, concatenated: snapshot g's arcs of node u live in
   // targets_[offsets_[g * (n+1) + u] .. offsets_[g * (n+1) + u + 1]).
   size_t num_nodes_ = 0;
   size_t num_snapshots_ = 0;
   std::vector<uint32_t> offsets_;
   std::vector<graph::NodeId> targets_;
+  // Node-major: v's active snapshots are active_snapshots_[active_offsets_[v]
+  // .. active_offsets_[v + 1]).
+  std::vector<uint32_t> active_offsets_;
+  std::vector<uint32_t> active_snapshots_;
 
-  // covered_[g * n + v] != 0 iff v is reached by committed seeds in snapshot g.
-  std::vector<uint8_t> covered_;
+  // Bit g · n + v of covered_ is set iff v is reached by committed seeds in
+  // snapshot g; covered_count_[v] counts the snapshots where it is.
+  bool Covered(size_t bit) const {
+    return (covered_[bit >> 6] >> (bit & 63)) & 1;
+  }
+  void Cover(size_t bit) { covered_[bit >> 6] |= uint64_t{1} << (bit & 63); }
+  std::vector<uint64_t> covered_;
+  std::vector<uint32_t> covered_count_;
   uint64_t total_covered_ = 0;
 };
 

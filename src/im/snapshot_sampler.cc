@@ -23,63 +23,114 @@ namespace internal {
 
 namespace {
 
+// The samplers draw in chunks of this many arcs and make room for all of a
+// chunk's arcs to be kept before drawing it.
+constexpr size_t kChunk = 256;
+
 // Buffer room for `expected` kept arcs: 1/32 over the expectation plus 64,
 // so an overshoot that forces a resize is rare.
 size_t Headroom(double expected) {
   return static_cast<size_t>(expected + expected / 32.0) + 64;
 }
 
-// Samples snapshots [s_begin, s_end) from *rng_io, appending kept targets
-// to `kept` at *len_io; both are advanced. Kept targets are appended
-// without a branch: each drawn arc writes its target at `len` and advances
-// `len` only when kept, so the buffer holds room for the node's whole
-// out-list before its arcs are drawn; it grows on the rare overshoot.
+// Samples snapshots [s_begin, s_end) from *rng_io, appending the draw index
+// of each kept arc to `kept` at *len_io (both are advanced) and recording
+// where snapshot s starts in bounds[s]. Indices are appended without a
+// branch: each draw writes its index at `len` and advances `len` only when
+// kept, so the buffer holds room for a whole chunk before it is drawn; it
+// grows on the rare overshoot.
 void SampleRange(const SnapshotDraws& d, size_t s_begin, size_t s_end,
-                 Rng* rng_io, uint32_t* offsets,
+                 Rng* rng_io, uint32_t* bounds,
                  std::vector<graph::NodeId>* kept, uint32_t* len_io) {
-  const graph::TopicGraph& g = *d.graph;
-  const size_t n = g.num_nodes();
+  const size_t m_d = d.num_drawn();
+  const uint64_t* thr = d.threshold.data();
   // Local copies stay in registers; stores into `kept` could alias *len_io.
   Rng rng = *rng_io;
   uint32_t len = *len_io;
   for (size_t s = s_begin; s < s_end; ++s) {
-    uint32_t* off = offsets + s * (n + 1);
-    off[0] = len;
-    for (graph::NodeId u = 0; u < n; ++u) {
-      const std::span<const graph::NodeId> out = g.OutNeighbors(u);
-      if (len + out.size() > kept->size()) {
-        kept->resize(std::max(2 * kept->size(), len + out.size()));
+    bounds[s] = len;
+    for (size_t j0 = 0; j0 < m_d; j0 += kChunk) {
+      if (len + kChunk > kept->size()) {
+        kept->resize(std::max(2 * kept->size(), len + kChunk));
       }
-      const uint64_t* thr = d.threshold.data() + g.OutArcBegin(u);
       graph::NodeId* dst = kept->data();
-      for (size_t j = 0; j < out.size(); ++j) {
-        if (thr[j] == 0) continue;
-        dst[len] = out[j];
+      const size_t j1 = std::min(m_d, j0 + kChunk);
+      for (size_t j = j0; j < j1; ++j) {
+        dst[len] = static_cast<graph::NodeId>(j);
         len += (rng.Next() >> 11) < thr[j];
       }
-      off[u + 1] = len;
     }
   }
   *rng_io = rng;
   *len_io = len;
 }
 
+// Turns the `len` kept draw indices of W snapshots (snapshot s's from
+// kept[bounds[s]] on, ascending) into the snapshot arrays, in place, once
+// every draw is taken: releases the thresholds, counts the kept arcs per
+// (snapshot, source) and the active snapshots per source, takes the prefix
+// sums, then writes each snapshot into its sources' active lists and each
+// index's target over it.
+SnapshotArrays BuildArrays(SnapshotDraws d, std::vector<uint32_t> bounds,
+                           std::vector<graph::NodeId> kept, uint32_t len) {
+  std::vector<uint64_t>().swap(d.threshold);
+  const size_t n = d.num_nodes;
+  const size_t num_snapshots = bounds.size() - 1;
+  bounds[num_snapshots] = len;
+  kept.resize(len);
+  SnapshotArrays out;
+  out.offsets.assign(num_snapshots * (n + 1), 0);
+  out.active_offsets.assign(n + 1, 0);
+  for (size_t s = 0; s < num_snapshots; ++s) {
+    // Source u's count goes one slot past u, so the prefix sum over the
+    // whole array yields every snapshot's offsets, each starting where the
+    // previous snapshot ends.
+    uint32_t* count = out.offsets.data() + s * (n + 1) + 1;
+    for (uint32_t k = bounds[s]; k < bounds[s + 1]; ++k) {
+      const graph::NodeId u = d.source[kept[k]];
+      out.active_offsets[u + 1] += count[u]++ == 0;
+    }
+  }
+  uint32_t sum = 0;
+  for (uint32_t& o : out.offsets) o = sum += o;
+  sum = 0;
+  for (uint32_t& o : out.active_offsets) o = sum += o;
+
+  out.active_snapshots.resize(out.active_offsets[n]);
+  std::vector<uint32_t> cursor(out.active_offsets.begin(),
+                               out.active_offsets.end() - 1);
+  for (size_t s = 0; s < num_snapshots; ++s) {
+    // A snapshot's indices ascend, so each source's kept arcs are adjacent.
+    size_t prev = n;
+    for (uint32_t k = bounds[s]; k < bounds[s + 1]; ++k) {
+      const graph::NodeId u = d.source[kept[k]];
+      if (u != prev) {
+        out.active_snapshots[cursor[u]++] = static_cast<uint32_t>(s);
+        prev = u;
+      }
+      kept[k] = d.target[kept[k]];
+    }
+  }
+  out.targets = std::move(kept);
+  return out;
+}
+
 #ifdef INFLEX_SAMPLER_X86
 
 // Four xoshiro256** streams stepped together, lane l at element l; ×5 and
 // ×9 are shift-adds (exact mod 2⁶⁴), rotl two shifts. Lane l samples
-// snapshots [l·b, (l+1)·b) into buf[l·region ..), with offsets relative to
+// snapshots [l·b, (l+1)·b) into buf[l·region ..), with bounds relative to
 // its region start. Returns false, leaving lens unset, when a lane would
 // overrun its region.
 __attribute__((target("avx2"))) bool SampleLanesAvx2(
     const SnapshotDraws& d, size_t b, const std::array<uint64_t, 4> (&st)[4],
-    size_t region, uint32_t* offsets, graph::NodeId* buf, size_t (&lens)[4]) {
-  const graph::TopicGraph& g = *d.graph;
-  const size_t n = g.num_nodes();
-  // A node writes at most its out-degree past a lane's len, so a lane
-  // within `limit` before each node stays inside its region.
-  if (region < d.max_out_degree) return false;
-  const size_t limit = region - d.max_out_degree;
+    size_t region, uint32_t* bounds, graph::NodeId* buf, size_t (&lens)[4]) {
+  const size_t m_d = d.num_drawn();
+  const uint64_t* thr = d.threshold.data();
+  // A chunk writes at most kChunk entries past a lane's len, so a lane
+  // within `limit` before each chunk stays inside its region.
+  if (region < kChunk) return false;
+  const size_t limit = region - kChunk;
   __m256i lane_word[4];
   for (int w = 0; w < 4; ++w) {
     lane_word[w] = _mm256_set_epi64x(
@@ -94,20 +145,14 @@ __attribute__((target("avx2"))) bool SampleLanesAvx2(
   graph::NodeId* dst3 = buf + 3 * region;
   size_t len0 = 0, len1 = 0, len2 = 0, len3 = 0;
   for (size_t i = 0; i < b; ++i) {
-    uint32_t* off0 = offsets + i * (n + 1);
-    uint32_t* off1 = offsets + (b + i) * (n + 1);
-    uint32_t* off2 = offsets + (2 * b + i) * (n + 1);
-    uint32_t* off3 = offsets + (3 * b + i) * (n + 1);
-    off0[0] = static_cast<uint32_t>(len0);
-    off1[0] = static_cast<uint32_t>(len1);
-    off2[0] = static_cast<uint32_t>(len2);
-    off3[0] = static_cast<uint32_t>(len3);
-    for (graph::NodeId u = 0; u < n; ++u) {
+    bounds[i] = static_cast<uint32_t>(len0);
+    bounds[b + i] = static_cast<uint32_t>(len1);
+    bounds[2 * b + i] = static_cast<uint32_t>(len2);
+    bounds[3 * b + i] = static_cast<uint32_t>(len3);
+    for (size_t j0 = 0; j0 < m_d; j0 += kChunk) {
       if (std::max({len0, len1, len2, len3}) > limit) return false;
-      const std::span<const graph::NodeId> out = g.OutNeighbors(u);
-      const uint64_t* thr = d.threshold.data() + g.OutArcBegin(u);
-      for (size_t j = 0; j < out.size(); ++j) {
-        if (thr[j] == 0) continue;
+      const size_t j1 = std::min(m_d, j0 + kChunk);
+      for (size_t j = j0; j < j1; ++j) {
         const __m256i x5 = _mm256_add_epi64(_mm256_slli_epi64(s1, 2), s1);
         const __m256i rot =
             _mm256_or_si256(_mm256_slli_epi64(x5, 7), _mm256_srli_epi64(x5, 57));
@@ -126,20 +171,18 @@ __attribute__((target("avx2"))) bool SampleLanesAvx2(
                                _mm256_srli_epi64(draw, 11));
         const unsigned mask = static_cast<unsigned>(
             _mm256_movemask_pd(_mm256_castsi256_pd(keep)));
-        const graph::NodeId target = out[j];
-        dst0[len0] = target;
+        // Most draws keep the arc in no lane; skip the appends then.
+        if (mask == 0) continue;
+        const graph::NodeId index = static_cast<graph::NodeId>(j);
+        dst0[len0] = index;
         len0 += mask & 1;
-        dst1[len1] = target;
+        dst1[len1] = index;
         len1 += (mask >> 1) & 1;
-        dst2[len2] = target;
+        dst2[len2] = index;
         len2 += (mask >> 2) & 1;
-        dst3[len3] = target;
+        dst3[len3] = index;
         len3 += mask >> 3;
       }
-      off0[u + 1] = static_cast<uint32_t>(len0);
-      off1[u + 1] = static_cast<uint32_t>(len1);
-      off2[u + 1] = static_cast<uint32_t>(len2);
-      off3[u + 1] = static_cast<uint32_t>(len3);
     }
   }
   lens[0] = len0;
@@ -151,13 +194,12 @@ __attribute__((target("avx2"))) bool SampleLanesAvx2(
 
 #endif  // INFLEX_SAMPLER_X86
 
-SnapshotArrays SampleSnapshotsAvx2(const SnapshotDraws& draws,
-                                   size_t num_snapshots, uint64_t seed) {
-  const size_t b = num_snapshots / 4;
-  return SampleSnapshotsLanes(
-      draws, num_snapshots, seed,
-      Headroom(draws.expected_kept * static_cast<double>(b)) +
-          draws.max_out_degree);
+SnapshotArrays SampleSnapshotsAvx2(SnapshotDraws draws, size_t num_snapshots,
+                                   uint64_t seed) {
+  const size_t region =
+      Headroom(draws.expected_kept * static_cast<double>(num_snapshots / 4)) +
+      kChunk;
+  return SampleSnapshotsLanes(std::move(draws), num_snapshots, seed, region);
 }
 
 }  // namespace
@@ -166,46 +208,52 @@ SnapshotDraws PrepareDraws(const graph::TopicGraph& g,
                            const graph::ArcProbabilities& arc_probs) {
   constexpr uint64_t kAlwaysKeep = uint64_t{1} << 53;
   SnapshotDraws d;
-  d.graph = &g;
+  d.num_nodes = g.num_nodes();
   d.threshold.resize(g.num_arcs());
-  for (size_t a = 0; a < d.threshold.size(); ++a) {
-    const double p = arc_probs[a];
-    if (!(p > 0.0)) {
-      d.threshold[a] = 0;
-      continue;
-    }
-    ++d.num_drawn;
-    if (p >= 1.0) {
-      d.threshold[a] = kAlwaysKeep;
-      d.expected_kept += 1.0;
-    } else {
-      // Any p in (0, 1) has a threshold of at least 1.
-      d.threshold[a] = static_cast<uint64_t>(std::ceil(p * 0x1p53));
-      d.expected_kept += p;
-    }
-  }
+  d.source.resize(g.num_arcs());
+  d.target.resize(g.num_arcs());
+  uint64_t* thr = d.threshold.data();
+  graph::NodeId* source = d.source.data();
+  graph::NodeId* target = d.target.data();
+  size_t i = 0;
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    d.max_out_degree = std::max(d.max_out_degree, g.OutDegree(u));
+    const std::span<const graph::NodeId> out = g.OutNeighbors(u);
+    const double* p = arc_probs.data() + g.OutArcBegin(u);
+    for (size_t j = 0; j < out.size(); ++j) {
+      if (!(p[j] > 0.0)) continue;
+      if (p[j] >= 1.0) {
+        thr[i] = kAlwaysKeep;
+        d.expected_kept += 1.0;
+      } else {
+        // Any p in (0, 1) has a threshold of at least 1.
+        thr[i] = static_cast<uint64_t>(std::ceil(p[j] * 0x1p53));
+        d.expected_kept += p[j];
+      }
+      source[i] = u;
+      target[i] = out[j];
+      ++i;
+    }
   }
+  d.threshold.resize(i);
+  d.source.resize(i);
+  d.target.resize(i);
   return d;
 }
 
-SnapshotArrays SampleSnapshotsScalar(const SnapshotDraws& draws,
+SnapshotArrays SampleSnapshotsScalar(SnapshotDraws draws,
                                      size_t num_snapshots, uint64_t seed) {
-  const size_t n = draws.graph->num_nodes();
-  SnapshotArrays out;
-  out.offsets.assign(num_snapshots * (n + 1), 0);
+  std::vector<uint32_t> bounds(num_snapshots + 1);
   std::vector<graph::NodeId> kept(
-      Headroom(draws.expected_kept * static_cast<double>(num_snapshots)));
+      Headroom(draws.expected_kept * static_cast<double>(num_snapshots)) +
+      kChunk);
   uint32_t len = 0;
   Rng rng(seed);
-  SampleRange(draws, 0, num_snapshots, &rng, out.offsets.data(), &kept, &len);
-  kept.resize(len);
-  out.targets = std::move(kept);
-  return out;
+  SampleRange(draws, 0, num_snapshots, &rng, bounds.data(), &kept, &len);
+  return BuildArrays(std::move(draws), std::move(bounds), std::move(kept),
+                     len);
 }
 
-SnapshotArrays SampleSnapshotsLanes(const SnapshotDraws& draws,
+SnapshotArrays SampleSnapshotsLanes(SnapshotDraws draws,
                                     size_t num_snapshots, uint64_t seed,
                                     size_t region) {
 #ifdef INFLEX_SAMPLER_X86
@@ -213,49 +261,45 @@ SnapshotArrays SampleSnapshotsLanes(const SnapshotDraws& draws,
   // l · b · m_d of the one stream; the W − 4b leftovers continue lane 3's
   // stream in the scalar loop.
   const size_t b = num_snapshots / 4;
-  const size_t m_d = draws.num_drawn;
+  const size_t m_d = draws.num_drawn();
   if (b == 0 || m_d == 0) {
-    return SampleSnapshotsScalar(draws, num_snapshots, seed);
+    return SampleSnapshotsScalar(std::move(draws), num_snapshots, seed);
   }
-  const size_t n = draws.graph->num_nodes();
   std::array<uint64_t, 4> states[4];
   for (size_t l = 0; l < 4; ++l) {
     Rng lane(seed);
     lane.Advance(l * b * m_d);
     states[l] = lane.state();
   }
-  SnapshotArrays out;
-  out.offsets.assign(num_snapshots * (n + 1), 0);
+  std::vector<uint32_t> bounds(num_snapshots + 1);
   // One buffer of four lane regions, compacted in place below: separate
   // lane buffers concatenated afterwards would double the peak footprint.
   std::vector<graph::NodeId> kept(
-      4 * region + Headroom(draws.expected_kept *
-                            static_cast<double>(num_snapshots - 4 * b)));
+      4 * region +
+      Headroom(draws.expected_kept *
+               static_cast<double>(num_snapshots - 4 * b)) +
+      kChunk);
   size_t lens[4];
-  if (!SampleLanesAvx2(draws, b, states, region, out.offsets.data(),
-                       kept.data(), lens)) {
-    out = {};
-    kept = {};
-    return SampleSnapshotsScalar(draws, num_snapshots, seed);
+  if (!SampleLanesAvx2(draws, b, states, region, bounds.data(), kept.data(),
+                       lens)) {
+    std::vector<graph::NodeId>().swap(kept);
+    return SampleSnapshotsScalar(std::move(draws), num_snapshots, seed);
   }
   uint32_t len = 0;
   for (size_t l = 0; l < 4; ++l) {
     std::memmove(kept.data() + len, kept.data() + l * region,
                  lens[l] * sizeof(graph::NodeId));
-    uint32_t* off = out.offsets.data() + l * b * (n + 1);
-    for (size_t i = 0; i < b * (n + 1); ++i) off[i] += len;
+    for (size_t i = l * b; i < (l + 1) * b; ++i) bounds[i] += len;
     len += static_cast<uint32_t>(lens[l]);
   }
   Rng tail(seed);
   tail.Advance(4 * b * m_d);
-  SampleRange(draws, 4 * b, num_snapshots, &tail, out.offsets.data(), &kept,
-              &len);
-  kept.resize(len);
-  out.targets = std::move(kept);
-  return out;
+  SampleRange(draws, 4 * b, num_snapshots, &tail, bounds.data(), &kept, &len);
+  return BuildArrays(std::move(draws), std::move(bounds), std::move(kept),
+                     len);
 #else
   (void)region;
-  return SampleSnapshotsScalar(draws, num_snapshots, seed);
+  return SampleSnapshotsScalar(std::move(draws), num_snapshots, seed);
 #endif
 }
 

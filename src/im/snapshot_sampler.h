@@ -14,48 +14,54 @@ namespace inflex {
 namespace im {
 namespace internal {
 
-/// What a sampler draws against: the graph and one integer keep threshold
-/// per arc. Rng::Bernoulli(p) is Uniform() < p with Uniform() = (Next() >>
-/// 11) · 2⁻⁵³; scaling by 2⁵³ is exact, so for u = Next() >> 11 the test is
-/// u < ceil(p · 2⁵³). p >= 1 (+inf included) keeps at threshold 2⁵³; p <= 0
-/// and NaN take no draw, marked by threshold 0.
+/// What a sampler draws against: the arcs that take a draw, compacted in arc
+/// order (so grouped by ascending source). Rng::Bernoulli(p) is Uniform() <
+/// p with Uniform() = (Next() >> 11) · 2⁻⁵³; scaling by 2⁵³ is exact, so for
+/// u = Next() >> 11 the test is u < ceil(p · 2⁵³). p >= 1 (+inf included)
+/// keeps at threshold 2⁵³; p <= 0 and NaN take no draw and are left out.
+/// Snapshot s starts at draw s · num_drawn() of the stream.
 struct SnapshotDraws {
-  const graph::TopicGraph* graph = nullptr;
+  size_t num_nodes = 0;
   std::vector<uint64_t> threshold;
-  /// Arcs that take a draw (threshold > 0): snapshot s starts at draw
-  /// s · num_drawn of the stream.
-  size_t num_drawn = 0;
+  std::vector<graph::NodeId> source;
+  std::vector<graph::NodeId> target;
   /// Expected kept arcs in one snapshot.
   double expected_kept = 0.0;
-  /// The most arcs one node can append to a snapshot.
-  size_t max_out_degree = 0;
+
+  size_t num_drawn() const { return threshold.size(); }
 };
 
 SnapshotDraws PrepareDraws(const graph::TopicGraph& g,
                            const graph::ArcProbabilities& arc_probs);
 
 /// W snapshots, concatenated: snapshot s's kept arcs of node u are
-/// targets[offsets[s * (n+1) + u] .. offsets[s * (n+1) + u + 1]).
+/// targets[offsets[s * (n+1) + u] .. offsets[s * (n+1) + u + 1]). Node-major
+/// beside them, the snapshots where node u keeps an out-arc, ascending:
+/// active_snapshots[active_offsets[u] .. active_offsets[u + 1]).
 struct SnapshotArrays {
   std::vector<uint32_t> offsets;
   std::vector<graph::NodeId> targets;
+  std::vector<uint32_t> active_offsets;
+  std::vector<uint32_t> active_snapshots;
 };
 
 /// Every sampler returns the same arrays: those of one Rng(seed) stream
-/// consumed in snapshot, node and arc order.
-using SnapshotSampler = SnapshotArrays (*)(const SnapshotDraws& draws,
+/// consumed in snapshot and draw order. A sampler consumes its draws: it
+/// releases the thresholds once every draw is taken, before it allocates
+/// the offsets and the active lists.
+using SnapshotSampler = SnapshotArrays (*)(SnapshotDraws draws,
                                            size_t num_snapshots,
                                            uint64_t seed);
 
 /// The reference loop: one stream, one draw at a time.
-SnapshotArrays SampleSnapshotsScalar(const SnapshotDraws& draws,
+SnapshotArrays SampleSnapshotsScalar(SnapshotDraws draws,
                                      size_t num_snapshots, uint64_t seed);
 
 /// The four-lane AVX2 sampler with each lane's target region holding
 /// `region` entries; a lane that would overrun it falls back to the scalar
 /// loop. Exposed so tests can force that fallback. Requires an AVX2 CPU on
 /// x86 builds; elsewhere it is the scalar loop.
-SnapshotArrays SampleSnapshotsLanes(const SnapshotDraws& draws,
+SnapshotArrays SampleSnapshotsLanes(SnapshotDraws draws,
                                     size_t num_snapshots, uint64_t seed,
                                     size_t region);
 

@@ -12,12 +12,13 @@ Result<im::SeedSelectionResult> OfflineTicSeeds(
   if (item.num_topics() != g.num_topics()) {
     return Status::InvalidArgument("item dimension does not match the graph");
   }
-  const graph::ArcProbabilities probs = g.ItemArcProbabilities(item);
   im::SnapshotSpreadOracle::Options oopts;
   oopts.num_snapshots = options.num_snapshots;
   oopts.seed = options.seed;
-  INFLEX_ASSIGN_OR_RETURN(im::SnapshotSpreadOracle snapshots,
-                          im::SnapshotSpreadOracle::Create(g, probs, oopts));
+  // Moved in, the probabilities are freed before the snapshots are sampled.
+  INFLEX_ASSIGN_OR_RETURN(
+      im::SnapshotSpreadOracle snapshots,
+      im::SnapshotSpreadOracle::Create(g, g.ItemArcProbabilities(item), oopts));
   return im::SelectSeedsCelf(&snapshots, k, options.selection);
 }
 

@@ -354,6 +354,22 @@ TEST(RisTest, RejectsBadInput) {
   EXPECT_FALSE(im::SelectSeedsRis(g, wrong, 5).ok());
 }
 
+// RR-set ids are 32-bit: a count above UINT32_MAX used to loop forever.
+// The request fails before any set is sampled or any array of that size is
+// allocated, so this returns at once.
+TEST(RisTest, RejectsRrSetCountBeyondSetIds) {
+  graph::TopicGraphBuilder b(3, 1);
+  ASSERT_TRUE(b.AddArc(0, 1, {0.5}).ok());
+  ASSERT_TRUE(b.AddArc(1, 2, {0.5}).ok());
+  const graph::TopicGraph g = b.Build().ValueOrDie();
+  const graph::ArcProbabilities probs(g.num_arcs(), 0.5);
+  im::RisOptions ropts;
+  ropts.num_rr_sets = size_t{1} << 32;
+  auto r = im::SelectSeedsRis(g, probs, 1, ropts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ------------------------------------------------- online index updates ---
 
 TEST_F(SegmentQueryTest, AddIndexPointServesNewItemExactly) {

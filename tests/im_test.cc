@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <string>
@@ -277,6 +278,43 @@ void ExpectSameSnapshots(const internal::SnapshotArrays& got,
                          const std::string& what) {
   EXPECT_EQ(got.offsets, want.offsets) << what;
   EXPECT_EQ(got.targets, want.targets) << what;
+  EXPECT_EQ(got.active_offsets, want.active_offsets) << what;
+  EXPECT_EQ(got.active_snapshots, want.active_snapshots) << what;
+}
+
+// The snapshot arrays straight from their definition: one Rng(seed) stream
+// consumed in snapshot, node and arc order, one Bernoulli draw per arc with
+// p > 0 (none for p <= 0 or NaN); v's active snapshots are those where it
+// kept an out-arc.
+internal::SnapshotArrays ReferenceSnapshots(const TopicGraph& g,
+                                            const ArcProbabilities& probs,
+                                            size_t w, uint64_t seed) {
+  const size_t n = g.num_nodes();
+  internal::SnapshotArrays ref;
+  std::vector<std::vector<uint32_t>> active(n);
+  Rng rng(seed);
+  for (size_t s = 0; s < w; ++s) {
+    for (NodeId u = 0; u < n; ++u) {
+      ref.offsets.push_back(static_cast<uint32_t>(ref.targets.size()));
+      const auto out = g.OutNeighbors(u);
+      for (size_t j = 0; j < out.size(); ++j) {
+        const double p = probs[g.OutArcBegin(u) + j];
+        if (p > 0.0 && rng.Bernoulli(p)) ref.targets.push_back(out[j]);
+      }
+      if (ref.targets.size() > ref.offsets.back()) {
+        active[u].push_back(static_cast<uint32_t>(s));
+      }
+    }
+    ref.offsets.push_back(static_cast<uint32_t>(ref.targets.size()));
+  }
+  ref.active_offsets.push_back(0);
+  for (NodeId u = 0; u < n; ++u) {
+    ref.active_snapshots.insert(ref.active_snapshots.end(), active[u].begin(),
+                                active[u].end());
+    ref.active_offsets.push_back(
+        static_cast<uint32_t>(ref.active_snapshots.size()));
+  }
+  return ref;
 }
 
 // The active sampler (four AVX2 lanes on AVX2 CPUs) reproduces the scalar
@@ -312,6 +350,52 @@ TEST(SnapshotSamplerTest, LaneRegionOverflowFallsBackToScalar) {
     ExpectSameSnapshots(
         internal::SampleSnapshotsLanes(draws, 101, 5, region), want,
         "region " + std::to_string(region));
+  }
+}
+
+// The samplers draw over the drawn arcs compacted, in chunks, with no
+// per-node loop. Node 34's out-list has draw-free arcs (p <= 0 and NaN) at
+// its start, middle and end; nodes 0, 33 and 69 have no out-arcs and sit at
+// the first node, at the 256-draw mark (nodes 1..32 draw eight arcs each)
+// and at the last node, where each snapshot and so each lane block begins
+// or ends. Every sampler must still match the scalar stream's definition.
+TEST(SnapshotSamplerTest, DrawFreeArcsAndSinksKeepTheStreamOrder) {
+  constexpr size_t kNodes = 70;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TopicGraphBuilder b(kNodes, 1);
+  ArcProbabilities probs;
+  Rng rng(41);
+  const auto add = [&](NodeId u, NodeId v, double p) {
+    ASSERT_TRUE(b.AddArc(u, v, {0.5}).ok());
+    probs.push_back(p);
+  };
+  for (NodeId u = 0; u < kNodes; ++u) {
+    if (u == 0 || u == 33 || u == kNodes - 1) continue;
+    if (u == 34) {
+      const double edge[] = {0.0, 0.6, nan, -0.5, 1.0, 0.3, -0.0, nan};
+      for (size_t j = 0; j < 8; ++j) {
+        add(u, static_cast<NodeId>(40 + j), edge[j]);
+      }
+      continue;
+    }
+    for (NodeId j = 1; j <= 8; ++j) {
+      add(u, static_cast<NodeId>((u + 7 * j) % kNodes), rng.Uniform(0.05, 0.9));
+    }
+  }
+  const TopicGraph g = b.Build().ValueOrDie();
+  ASSERT_EQ(g.OutArcBegin(33), 256u);
+  const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);
+  ASSERT_EQ(draws.num_drawn(), probs.size() - 5);
+  for (const size_t w : {1, 4, 5, 8, 9, 101}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::string what =
+          "W " + std::to_string(w) + " seed " + std::to_string(seed);
+      const auto want = ReferenceSnapshots(g, probs, w, seed);
+      ExpectSameSnapshots(internal::SampleSnapshotsScalar(draws, w, seed),
+                          want, what);
+      ExpectSameSnapshots(internal::ActiveSnapshotSampler()(draws, w, seed),
+                          want, what);
+    }
   }
 }
 
@@ -423,6 +507,115 @@ TEST(SnapshotOracleTest, ResetSeedsRestoresGains) {
   o.ResetSeeds();
   EXPECT_DOUBLE_EQ(o.MarginalGain(7, &ws), g0);
   EXPECT_DOUBLE_EQ(o.CurrentSpread(), 0.0);
+}
+
+// A digraph with cycles and sinks: every node u with u % 5 != 3 gets
+// `degree` random out-arcs; a third of them certain, the rest p in
+// [p_lo, p_hi].
+TopicGraph MakeGraphWithSinks(size_t n, size_t degree, double p_lo,
+                              double p_hi, uint64_t seed,
+                              ArcProbabilities* probs) {
+  Rng rng(seed);
+  TopicGraphBuilder b(n, 1);
+  probs->clear();
+  for (NodeId u = 0; u < n; ++u) {
+    if (u % 5 == 3) continue;
+    std::set<NodeId> targets;
+    while (targets.size() < degree) {
+      const NodeId v = static_cast<NodeId>(rng.UniformInt(n));
+      if (v != u) targets.insert(v);
+    }
+    for (const NodeId v : targets) {
+      EXPECT_TRUE(b.AddArc(u, v, {0.5}).ok());
+      probs->push_back(rng.UniformInt(3) == 0 ? 1.0 : rng.Uniform(p_lo, p_hi));
+    }
+  }
+  return b.Build().ValueOrDie();
+}
+
+// The active-snapshot gains against the all-snapshot definition: as
+// integers, W · MarginalGain(v) = W · SpreadOf(S ∪ {v}) − W · SpreadOf(S)
+// for every node, and CommitSeed returns the same difference; SingletonGains
+// over blocks off the 256-node grid returns MarginalGain's doubles. Checked
+// from no seeds, after each of several commits and after ResetSeeds, on a
+// sparse and a dense graph (p up to 1) with cycles and sinks. The oracle's
+// active lists equal a recount from the sampler's offsets.
+TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
+  struct Case {
+    size_t n, degree;
+    double p_lo, p_hi;
+    size_t w;
+  };
+  const Case cases[] = {{300, 2, 0.05, 0.3, 37}, {120, 8, 0.3, 1.0, 23}};
+  for (size_t c = 0; c < 2; ++c) {
+    const Case& k = cases[c];
+    ArcProbabilities probs;
+    const TopicGraph g =
+        MakeGraphWithSinks(k.n, k.degree, k.p_lo, k.p_hi, 60 + c, &probs);
+    SnapshotSpreadOracle::Options opts;
+    opts.num_snapshots = k.w;
+    opts.seed = 9 + c;
+    auto created = SnapshotSpreadOracle::Create(g, probs, opts);
+    ASSERT_TRUE(created.ok());
+    SnapshotSpreadOracle& o = created.ValueOrDie();
+    auto ws = o.MakeWorkspace();
+    const double w = static_cast<double>(k.w);
+    const auto scaled = [w](double x) { return std::llround(w * x); };
+
+    const internal::SnapshotArrays arrays = internal::ActiveSnapshotSampler()(
+        internal::PrepareDraws(g, probs), k.w, opts.seed);
+    for (NodeId v = 0; v < k.n; ++v) {
+      std::vector<uint32_t> recount;
+      for (uint32_t s = 0; s < k.w; ++s) {
+        const uint32_t* off = arrays.offsets.data() + s * (k.n + 1);
+        if (off[v + 1] > off[v]) recount.push_back(s);
+      }
+      const auto active = o.ActiveSnapshots(v);
+      EXPECT_EQ(std::vector<uint32_t>(active.begin(), active.end()), recount)
+          << "case " << c << " v " << v;
+    }
+
+    std::vector<NodeId> committed;
+    const auto check_gains = [&](const std::string& what) {
+      const long long base = scaled(o.SpreadOf(committed, &ws));
+      std::vector<double> blocks(k.n, -1.0);
+      const NodeId n = static_cast<NodeId>(k.n);
+      const NodeId cuts[] = {0, 1, 97, 255, n};
+      for (size_t i = 0; i + 1 < 5; ++i) {
+        o.SingletonGains(std::min(cuts[i], n), std::min(cuts[i + 1], n), &ws,
+                         blocks);
+      }
+      for (NodeId v = 0; v < k.n; ++v) {
+        std::vector<NodeId> extended = committed;
+        extended.push_back(v);
+        const double gain = o.MarginalGain(v, &ws);
+        EXPECT_EQ(scaled(gain), scaled(o.SpreadOf(extended, &ws)) - base)
+            << what << " v " << v;
+        EXPECT_EQ(blocks[v], gain) << what << " v " << v;
+      }
+    };
+    Rng rng(70 + c);
+    for (int round = 0; round < 2; ++round) {
+      for (int commits = 0; commits < 5; ++commits) {
+        check_gains("case " + std::to_string(c) + " round " +
+                    std::to_string(round) + " commits " +
+                    std::to_string(commits));
+        const NodeId v = static_cast<NodeId>(rng.UniformInt(k.n));
+        const long long before = scaled(o.SpreadOf(committed, &ws));
+        const double expected = o.MarginalGain(v, &ws);
+        const double realized = o.CommitSeed(v, &ws);
+        committed.push_back(v);
+        EXPECT_EQ(realized, expected);
+        EXPECT_EQ(scaled(realized),
+                  scaled(o.SpreadOf(committed, &ws)) - before);
+        EXPECT_EQ(scaled(o.CurrentSpread()),
+                  scaled(o.SpreadOf(committed, &ws)));
+      }
+      o.ResetSeeds();
+      committed.clear();
+    }
+    check_gains("case " + std::to_string(c) + " after reset");
+  }
 }
 
 // ------------------------------------------------------------ greedy / CELF ---
