@@ -403,10 +403,11 @@ BENCHMARK(BM_RisSeedSelection)
 
 void BM_Aggregation(benchmark::State& state) {
   Rng rng(11);
+  const auto num_lists = static_cast<size_t>(state.range(1));
   std::vector<rank::RankedList> lists;
   std::vector<double> weights;
-  for (int j = 0; j < 10; ++j) {
-    lists.push_back(RandomList(50, 300, &rng));
+  for (size_t j = 0; j < num_lists; ++j) {
+    lists.push_back(RandomList(50, 30 * num_lists, &rng));
     weights.push_back(rng.Uniform(0.2, 1.0));
   }
   rank::AggregationOptions opts;
@@ -415,12 +416,14 @@ void BM_Aggregation(benchmark::State& state) {
     benchmark::DoNotOptimize(
         rank::AggregateRankings(lists, weights, 50, opts).ValueOrDie());
   }
+  state.counters["union"] =
+      static_cast<double>(rank::UnionOfLists(lists).size());
 }
-// Arg: 0 Borda, 1 Copeland, 2 MC4 — each followed by Local Kemenization.
+// Args: method (0 Borda, 1 Copeland, 2 MC4, each followed by Local
+// Kemenization) and L weighted top-50 lists over 30·L items: L = 10 gives a
+// union of ~290, L = 20 one of ~490, the vote kernel's worst case.
 BENCHMARK(BM_Aggregation)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
+    ->ArgsProduct({{0, 1, 2}, {10, 20}})
     ->Unit(benchmark::kMicrosecond);
 
 // One measured configuration of the reference-vs-kernel comparison.

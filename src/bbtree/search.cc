@@ -7,6 +7,7 @@
 #include "bbtree/bbtree.h"
 #include "simplex/kl_kernel.h"
 #include "stats/anderson_darling.h"
+#include "util/bound_capacity.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -39,20 +40,6 @@ SearchContext& Scratch(SearchContext* ctx) {
   return tls;
 }
 
-// Releases a scratch vector whose retained capacity is far beyond what the
-// bound tree can demand. The 4× hysteresis over a small floor means a
-// context reused against one tree never reallocates, while a thread_local
-// context that once served a worst-case tree stops pinning that high-water
-// mark the first time it touches a smaller one.
-template <typename Vec>
-void BoundCapacity(Vec& v, size_t need) {
-  constexpr size_t kFloor = 64;
-  if (v.capacity() > std::max(4 * need, kFloor)) {
-    Vec().swap(v);
-    v.reserve(need);
-  }
-}
-
 uint64_t ElapsedNs(const Timer& t) {
   return static_cast<uint64_t>(t.ElapsedSeconds() * 1e9);
 }
@@ -60,6 +47,7 @@ uint64_t ElapsedNs(const Timer& t) {
 }  // namespace
 
 void SearchContext::BindTo(size_t dim, size_t max_leaf, size_t max_children) {
+  using util::BoundCapacity;
   // Sizes are additionally re-validated at every use site (resize/assign per
   // node or leaf), so binding is purely about bounding retention: correctness
   // against a different tree never depends on this call.

@@ -55,6 +55,9 @@ Result<InflexIndex> InflexIndex::Build(
   // Phase 1 (§3.1): select the h index points.
   INFLEX_ASSIGN_OR_RETURN(IndexPointSelection selection,
                           SelectIndexPoints(catalog, options.index_points));
+  // Only the points are read from here on; the Dirichlet sample they were
+  // clustered from is freed before the seed-list stage.
+  std::vector<simplex::TopicVector>().swap(selection.samples);
   const size_t h = selection.points.size();
   INFLEX_LOG(Info) << "INFLEX build: " << h << " index points selected, "
                    << "precomputing seed lists (l=" << options.seed_list_length

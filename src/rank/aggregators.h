@@ -43,17 +43,51 @@ Result<std::vector<double>> WeightedBordaScores(
 /// `pm.items()`.
 std::vector<double> WeightedCopelandScores(const PreferenceMatrix& pm);
 
+class AggregationContext;
+
 /// Full INFLEX aggregation pipeline: score with the chosen method, order by
 /// descending score (ties broken by ascending item id for determinism),
 /// optionally Local-Kemenize against the weighted inputs, and truncate to
 /// the top-k. Every stage that reads pairwise preferences shares one
-/// PreferenceMatrix; Borda without Local Kemenization reads none and builds
-/// none. `k` may exceed |U|, in which case all of U is returned — the
-/// paper's mechanism for answering k > ℓ queries.
+/// PreferenceMatrix. `k` may exceed |U|, in which case all of U is returned
+/// — the paper's mechanism for answering k > ℓ queries. Scratch comes from
+/// `ctx`, or from a thread_local context when it is null, so steady-state
+/// Borda and Copeland calls allocate only their result (MC4 allocates its
+/// transition).
 Result<RankedList> AggregateRankings(const std::vector<RankedList>& lists,
                                      const std::vector<double>& weights,
                                      size_t k,
-                                     const AggregationOptions& options = {});
+                                     const AggregationOptions& options = {},
+                                     AggregationContext* ctx = nullptr);
+
+/// \brief Reusable scratch of AggregateRankings: the preference matrix's
+/// rank rows, union and slot map, the scores, the slot order and the vote
+/// rows. Each call first releases buffers whose capacity is far beyond what
+/// its input can demand, so a context that once served a large union does
+/// not keep it. Not thread-safe: one context per thread.
+class AggregationContext {
+ public:
+  AggregationContext() = default;
+
+  /// Bytes of scratch capacity retained between calls.
+  size_t retained_bytes() const;
+
+ private:
+  friend Result<RankedList> AggregateRankings(
+      const std::vector<RankedList>& lists, const std::vector<double>& weights,
+      size_t k, const AggregationOptions& options, AggregationContext* ctx);
+
+  /// Bounds the retained capacity against `lists`, then rebuilds the
+  /// preference matrix over them.
+  Status Prepare(const std::vector<RankedList>& lists,
+                 const std::vector<double>& weights);
+
+  PreferenceMatrix pm_;
+  std::vector<double> scores_;
+  std::vector<size_t> order_;
+  std::vector<double> votes_for_;
+  std::vector<double> votes_against_;
+};
 
 /// Mean (weighted) top-ℓ Kendall-τ distance from `candidate` to the input
 /// lists — the Kemeny objective of Eq. 8 that aggregation approximates.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 namespace inflex {
@@ -15,16 +16,13 @@ Result<double> PairwiseKemenyCost(const RankedList& ranking,
     return Status::InvalidArgument(
         "ranking must cover exactly the union of the input lists");
   }
-  std::unordered_map<Item, size_t> slot_of;
-  slot_of.reserve(pm.num_items() * 2);
-  for (size_t x = 0; x < pm.num_items(); ++x) slot_of[pm.items()[x]] = x;
   std::vector<size_t> slots(ranking.size());
   for (size_t i = 0; i < ranking.size(); ++i) {
-    const auto it = slot_of.find(ranking[i]);
-    if (it == slot_of.end()) {
+    const std::optional<size_t> slot = pm.SlotOf(ranking[i]);
+    if (!slot) {
       return Status::InvalidArgument("ranking contains an item outside U");
     }
-    slots[i] = it->second;
+    slots[i] = *slot;
   }
   double cost = 0.0;
   for (size_t i = 0; i < slots.size(); ++i) {
@@ -51,7 +49,12 @@ Result<RankedList> ExactKemenyAggregate(const PreferenceMatrix& pm,
   // Held-Karp over subsets: dp[S] = minimal cost of ordering the items of S
   // as the ranking's prefix. Transition: append v ∉ S at the next position;
   // v now precedes every item u outside S ∪ {v}, incurring the weight of
-  // lists preferring u over v.
+  // lists preferring u over v. The DP reads each pair up to 2^m times, so
+  // its votes are summed once up front.
+  std::vector<double> votes(m * m);
+  for (size_t u = 0; u < m; ++u) {
+    for (size_t v = 0; v < m; ++v) votes[u * m + v] = pm.Votes(u, v);
+  }
   const size_t full = (size_t{1} << m) - 1;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> dp(full + 1, kInf);
@@ -64,7 +67,7 @@ Result<RankedList> ExactKemenyAggregate(const PreferenceMatrix& pm,
       const size_t next = mask | (size_t{1} << v);
       double added = 0.0;
       for (size_t u = 0; u < m; ++u) {
-        if (u != v && !(next & (size_t{1} << u))) added += pm.Votes(u, v);
+        if (u != v && !(next & (size_t{1} << u))) added += votes[u * m + v];
       }
       if (dp[mask] + added < dp[next]) {
         dp[next] = dp[mask] + added;

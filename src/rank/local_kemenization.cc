@@ -1,6 +1,6 @@
 #include "rank/local_kemenization.h"
 
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 namespace inflex {
@@ -24,9 +24,6 @@ Status LocalKemenization(const std::vector<RankedList>& lists,
   INFLEX_RETURN_NOT_OK(ValidateRankedList(*aggregated));
   INFLEX_ASSIGN_OR_RETURN(const PreferenceMatrix pm,
                           PreferenceMatrix::Build(lists, weights));
-  std::unordered_map<Item, size_t> slot_of;
-  slot_of.reserve(pm.num_items() * 2);
-  for (size_t x = 0; x < pm.num_items(); ++x) slot_of[pm.items()[x]] = x;
 
   // Items outside U split τ into runs; each run is Kemenized on its own.
   RankedList& tau = *aggregated;
@@ -34,9 +31,9 @@ Status LocalKemenization(const std::vector<RankedList>& lists,
   for (size_t begin = 0, end = 0; begin < tau.size(); begin = end + 1) {
     run.clear();
     for (end = begin; end < tau.size(); ++end) {
-      const auto it = slot_of.find(tau[end]);
-      if (it == slot_of.end()) break;
-      run.push_back(it->second);
+      const std::optional<size_t> slot = pm.SlotOf(tau[end]);
+      if (!slot) break;
+      run.push_back(*slot);
     }
     LocalKemenization(pm, &run);
     for (size_t i = 0; i < run.size(); ++i) tau[begin + i] = pm.items()[run[i]];

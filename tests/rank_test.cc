@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <set>
 
 #include "rank/aggregators.h"
 #include "rank/kemeny.h"
@@ -9,6 +13,8 @@
 #include "rank/local_kemenization.h"
 #include "rank/preference_matrix.h"
 #include "rank/ranked_list.h"
+#include "rank/vote_kernel.h"
+#include "util/cpu_features.h"
 #include "util/random.h"
 
 namespace inflex {
@@ -211,12 +217,181 @@ TEST(PreferenceMatrixTest, RejectsBadInput) {
   EXPECT_FALSE(PreferenceMatrix::Build({{1, 2}}, {1.0, 2.0}).ok());
   EXPECT_FALSE(PreferenceMatrix::Build({{1, 1}}, {}).ok());
   EXPECT_FALSE(PreferenceMatrix::Build({{1, 2}}, {-1.0}).ok());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kInf, -kInf, std::nan("")}) {
+    EXPECT_FALSE(PreferenceMatrix::Build({{1, 2}, {2, 1}}, {1.0, bad}).ok())
+        << bad;
+    EXPECT_FALSE(
+        PreferenceMatrix::Validate({{1, 2}, {2, 1}}, {1.0, bad}).ok())
+        << bad;
+  }
   // An empty list is rejected here, and so by every consumer of the matrix
   // (Copeland, MC4, Local Kemenization, the Kemeny functions) and by Borda.
   EXPECT_FALSE(PreferenceMatrix::Build({{1, 2}, {}}, {}).ok());
   EXPECT_FALSE(WeightedBordaScores({{1, 2}, {}}, {}).ok());
   RankedList tau = {2, 1};
   EXPECT_FALSE(LocalKemenization({{1, 2}, {}}, {}, &tau).ok());
+}
+
+// --------------------------------------------------------------- vote rows ---
+
+// The former m×m tally, kept here as the reference: each cell receives w_j
+// for every list j ranking x ahead of y, in list order.
+std::vector<double> ReferenceTally(const std::vector<RankedList>& lists,
+                                   const std::vector<double>& weights,
+                                   const RankedList& items) {
+  const size_t m = items.size();
+  std::vector<double> tally(m * m, 0.0);
+  constexpr size_t kAbsent = static_cast<size_t>(-1);
+  std::vector<size_t> rank_of(m);
+  for (size_t j = 0; j < lists.size(); ++j) {
+    const double w = weights.empty() ? 1.0 : weights[j];
+    if (w == 0.0) continue;
+    std::fill(rank_of.begin(), rank_of.end(), kAbsent);
+    for (size_t r = 0; r < lists[j].size(); ++r) {
+      rank_of[std::find(items.begin(), items.end(), lists[j][r]) -
+              items.begin()] = r;
+    }
+    for (size_t x = 0; x < m; ++x) {
+      for (size_t y = x + 1; y < m; ++y) {
+        const size_t rx = rank_of[x], ry = rank_of[y];
+        if (rx == kAbsent && ry == kAbsent) continue;
+        if (ry == kAbsent || (rx != kAbsent && rx < ry)) {
+          tally[x * m + y] += w;
+        } else {
+          tally[y * m + x] += w;
+        }
+      }
+    }
+  }
+  return tally;
+}
+
+// Ragged top-ℓ lists over a shuffled universe, weighted per `mode`:
+// 0 random with some zeros, 1 all equal (empty weights), 2 all zero.
+struct VoteCase {
+  std::vector<RankedList> lists;
+  std::vector<double> weights;
+};
+
+VoteCase RandomVoteCase(size_t num_lists, size_t universe_size, int mode,
+                        Rng* rng) {
+  RankedList universe(universe_size);
+  for (size_t i = 0; i < universe.size(); ++i) {
+    universe[i] = static_cast<Item>(3 * i + rng->UniformInt(3));
+  }
+  VoteCase c;
+  for (size_t j = 0; j < num_lists; ++j) {
+    rng->Shuffle(&universe);
+    c.lists.emplace_back(universe.begin(),
+                         universe.begin() + 1 + rng->UniformInt(universe_size));
+    if (mode == 0) {
+      c.weights.push_back(rng->UniformInt(4) == 0 ? 0.0
+                                                  : rng->Uniform(0.0, 3.0));
+    } else if (mode == 2) {
+      c.weights.push_back(0.0);
+    }
+  }
+  return c;
+}
+
+// The rank rows PreferenceMatrix keeps: one padded row per nonzero-weight
+// list.
+struct RankRows {
+  size_t stride = 0;
+  std::vector<uint32_t> ranks;
+  std::vector<double> weights;
+};
+
+RankRows BuildRankRows(const VoteCase& c, const RankedList& items) {
+  RankRows rows;
+  rows.stride = (items.size() + internal::kVoteBlock - 1) /
+                internal::kVoteBlock * internal::kVoteBlock;
+  for (size_t j = 0; j < c.lists.size(); ++j) {
+    const double w = c.weights.empty() ? 1.0 : c.weights[j];
+    if (w == 0.0) continue;
+    const size_t base = rows.ranks.size();
+    rows.ranks.resize(base + rows.stride, internal::kAbsentRank);
+    for (size_t r = 0; r < c.lists[j].size(); ++r) {
+      const size_t slot =
+          std::find(items.begin(), items.end(), c.lists[j][r]) - items.begin();
+      rows.ranks[base + slot] = static_cast<uint32_t>(r);
+    }
+    rows.weights.push_back(w);
+  }
+  return rows;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Every vote-row kernel, the public Votes/VoteRows and the tally agree bit
+// for bit: L ∈ {1, 2, 5, 10, 20}, unions of every size mod the block width,
+// lists of unequal length, and random, equal and all-zero weights.
+TEST(VoteKernelTest, RowsMatchScalarAndTallyBitForBit) {
+  std::vector<std::pair<const char*, internal::VoteRowKernel>> kernels = {
+      {"scalar", internal::VoteRowsScalar}};
+  if (util::DetectCpuSimd().avx2 && internal::Avx2VoteRows() != nullptr) {
+    kernels.emplace_back("avx2", internal::Avx2VoteRows());
+  }
+  Rng rng(20);
+  std::set<size_t> residues;
+  for (size_t num_lists : {1, 2, 5, 10, 20}) {
+    for (int mode : {0, 1, 2}) {
+      for (size_t universe : {7, 30, 61, 126}) {
+        const VoteCase c = RandomVoteCase(num_lists, universe, mode, &rng);
+        const PreferenceMatrix pm = Pm(c.lists, c.weights);
+        const RankedList& items = pm.items();
+        const size_t m = items.size();
+        residues.insert(m % internal::kVoteBlock);
+        const std::vector<double> tally =
+            ReferenceTally(c.lists, c.weights, items);
+        const RankRows rows = BuildRankRows(c, items);
+        ASSERT_EQ(pm.row_stride(), rows.stride);
+        std::vector<double> f(rows.stride), a(rows.stride);
+        for (size_t x = 0; x < m; ++x) {
+          for (size_t y = 0; y < m; ++y) {
+            ASSERT_EQ(Bits(pm.Votes(x, y)), Bits(tally[x * m + y]))
+                << "L " << num_lists << " m " << m << " x " << x << " y " << y;
+          }
+          const size_t tail = (x + 1) / internal::kVoteBlock *
+                              internal::kVoteBlock;
+          for (const auto& [name, kernel] : kernels) {
+            for (size_t first : {size_t{0}, tail}) {
+              std::fill(f.begin(), f.end(), -1.0);
+              std::fill(a.begin(), a.end(), -1.0);
+              kernel(rows.ranks.data(), rows.stride, rows.weights.data(),
+                     rows.weights.size(), x, first, f.data(), a.data());
+              for (size_t y = 0; y < first; ++y) {
+                ASSERT_EQ(f[y], -1.0) << name << " wrote below first";
+              }
+              for (size_t y = first; y < m; ++y) {
+                ASSERT_EQ(Bits(f[y]), Bits(tally[x * m + y]))
+                    << name << " L " << num_lists << " m " << m << " x " << x
+                    << " y " << y;
+                ASSERT_EQ(Bits(a[y]), Bits(tally[y * m + x]))
+                    << name << " L " << num_lists << " m " << m << " x " << x
+                    << " y " << y;
+              }
+            }
+          }
+          pm.VoteRows(x, 0, f.data(), a.data());
+          for (size_t y = 0; y < m; ++y) {
+            ASSERT_EQ(Bits(f[y]), Bits(tally[x * m + y]));
+            ASSERT_EQ(Bits(a[y]), Bits(tally[y * m + x]));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(residues.size(), internal::kVoteBlock)
+      << "every union size mod the block width must be covered";
+}
+
+TEST(VoteKernelTest, ForceScalarResolvesTheReferenceLoop) {
+  EXPECT_EQ(internal::ResolveVoteRowKernel(true), &internal::VoteRowsScalar);
+  if (util::DetectCpuSimd().avx2 && internal::Avx2VoteRows() != nullptr) {
+    EXPECT_EQ(internal::ResolveVoteRowKernel(false), internal::Avx2VoteRows());
+  }
 }
 
 // ---------------------------------------------------------------- Borda ---
@@ -502,7 +677,51 @@ TEST(AggregateRankingsTest, RejectsBadInput) {
       opts.local_kemenization = lk;
       EXPECT_FALSE(AggregateRankings({{1, 2}, {}}, {}, 2, opts).ok())
           << static_cast<int>(method) << " lk " << lk;
+      for (double bad : {std::numeric_limits<double>::infinity(),
+                         std::nan("")}) {
+        EXPECT_FALSE(
+            AggregateRankings({{1, 2}, {2, 1}}, {bad, 1.0}, 2, opts).ok())
+            << static_cast<int>(method) << " lk " << lk << " w " << bad;
+      }
     }
+  }
+}
+
+// One context serves a large union, then a small one: the small call
+// releases the large scratch, and every answer equals a fresh context's.
+TEST(AggregationContextTest, RetainedCapacityFollowsTheInput) {
+  Rng rng(31);
+  const VoteCase large = RandomVoteCase(20, 600, 0, &rng);
+  const VoteCase small = RandomVoteCase(3, 8, 0, &rng);
+  for (auto method : {AggregationMethod::kBorda, AggregationMethod::kCopeland,
+                      AggregationMethod::kMarkovChainMc4}) {
+    AggregationOptions opts;
+    opts.method = method;
+    AggregationContext ctx;
+    const auto fresh = [&](const VoteCase& c) {
+      AggregationContext once;
+      return AggregateRankings(c.lists, c.weights, 50, opts, &once)
+          .ValueOrDie();
+    };
+    EXPECT_EQ(AggregateRankings(large.lists, large.weights, 50, opts, &ctx)
+                  .ValueOrDie(),
+              fresh(large));
+    const size_t after_large = ctx.retained_bytes();
+    EXPECT_EQ(AggregateRankings(small.lists, small.weights, 50, opts, &ctx)
+                  .ValueOrDie(),
+              fresh(small));
+    const size_t after_small = ctx.retained_bytes();
+    EXPECT_LT(after_small, after_large / 20)
+        << static_cast<int>(method) << ": " << after_small << " of "
+        << after_large << " bytes kept";
+    EXPECT_LT(after_small, size_t{8192}) << static_cast<int>(method);
+    // A second large call on the bounded context, and the thread_local one.
+    EXPECT_EQ(AggregateRankings(large.lists, large.weights, 50, opts, &ctx)
+                  .ValueOrDie(),
+              fresh(large));
+    EXPECT_EQ(AggregateRankings(large.lists, large.weights, 50, opts)
+                  .ValueOrDie(),
+              fresh(large));
   }
 }
 

@@ -11,9 +11,10 @@
 # the KL kernel layer works on raw pointers into flat SoA buffers that
 # Insert() reallocates, the seed selectors reuse per-thread oracle workspaces
 # across graphs of different sizes, snapshot sampling appends through a raw
-# pointer past the kept count, rank aggregation indexes one flat m×m
-# preference tally by slot, and the pooled k-means and arc-probability passes
-# write per-point slots — exactly the kind of code ASan exists for.
+# pointer past the kept count, rank aggregation's vote kernels read padded
+# per-list rank rows by slot out of reused per-thread scratch, and the pooled
+# k-means and arc-probability passes write per-point slots — exactly the kind
+# of code ASan exists for.
 #
 # Usage: tests/run_sanitized_stress.sh [source-dir] [build-dir] [asan-dir]
 # (defaults: the repo root containing this script, <source>/build-tsan,
@@ -126,11 +127,16 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
 
 echo "== run rank-aggregation tests under ASan+UBSan"
 # Copeland, MC4, Local Kemenization and the Kemeny functions all index the
-# one m×m PreferenceMatrix tally by slot; extensions_test holds the MC4 cases.
+# PreferenceMatrix's padded rank rows by slot, through the AVX2 vote-row
+# kernel and the scalar loop, and reuse one AggregationContext's scratch;
+# extensions_test holds the MC4 cases. The forced-scalar pass walks the
+# reference loop's own indexing.
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/rank_test"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/extensions_test"
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
+  "$BUILD_ASAN/tests/rank_test"
 
 echo "== run clustering + dataset tests under ASan+UBSan"
 # Pooled k-means passes and the batched per-item arc-probability buffers.
