@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <utility>
 
 #include "im/cascade.h"
@@ -104,62 +103,70 @@ Result<SyntheticDataset> GenerateSyntheticDataset(
     }
   }
 
-  // --- Arcs ----------------------------------------------------------------
-  // For every user v draw ~avg_degree influencers u (arc u→v): mostly
-  // authority-weighted members of v's community, the rest global. This
-  // yields power-law out-degrees (influence) per community.
-  std::set<std::pair<graph::NodeId, graph::NodeId>> arcs;
-  for (size_t v = 0; v < n; ++v) {
-    const uint32_t community = ds.user_community[v];
-    const size_t degree =
-        1 + rng.UniformInt(static_cast<uint64_t>(2.0 * options.avg_degree));
-    for (size_t d = 0; d < degree; ++d) {
-      graph::NodeId u;
-      if (rng.Uniform() < options.intra_community_fraction) {
-        const size_t idx =
-            SampleByCumulative(community_cumulative[community], &rng);
-        u = community_members[community][idx];
-      } else {
-        u = static_cast<graph::NodeId>(
-            SampleByCumulative(global_cumulative, &rng));
+  // --- Arcs and per-topic probabilities -----------------------------------
+  // The arc list and the builder's staging are scoped to this block, so
+  // they are freed before the propagation log is simulated.
+  {
+    // For every user v draw ~avg_degree influencers u (arc u→v): mostly
+    // authority-weighted members of v's community, the rest global. This
+    // yields power-law out-degrees (influence) per community. Repeated
+    // draws collapse, and the probabilities below are drawn in (u, v)
+    // order, so the arcs are sorted and uniqued first.
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> arcs;
+    for (size_t v = 0; v < n; ++v) {
+      const uint32_t community = ds.user_community[v];
+      const size_t degree =
+          1 + rng.UniformInt(static_cast<uint64_t>(2.0 * options.avg_degree));
+      for (size_t d = 0; d < degree; ++d) {
+        graph::NodeId u;
+        if (rng.Uniform() < options.intra_community_fraction) {
+          const size_t idx =
+              SampleByCumulative(community_cumulative[community], &rng);
+          u = community_members[community][idx];
+        } else {
+          u = static_cast<graph::NodeId>(
+              SampleByCumulative(global_cumulative, &rng));
+        }
+        if (u != v) arcs.emplace_back(u, static_cast<graph::NodeId>(v));
       }
-      if (u != v) arcs.insert({u, static_cast<graph::NodeId>(v)});
     }
-  }
+    std::sort(arcs.begin(), arcs.end());
+    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
 
-  // --- Per-topic probabilities ---------------------------------------------
-  // Arc u→v is strong ONLY on u's community topic: authorities persuade on
-  // their own subject and are near-inert elsewhere. This is what makes WHO
-  // is influential topic-dependent — a topic-blind (uniform-mixture) seeder
-  // sees every arc at roughly strong/Z and picks generically popular hubs,
-  // few of which can actually push a topical item.
-  const double max_authority =
-      *std::max_element(authority.begin(), authority.end());
-  std::vector<char> is_generalist(n, 0);
-  for (size_t u = 0; u < n; ++u) {
-    is_generalist[u] = rng.Uniform() < options.generalist_fraction ? 1 : 0;
-  }
-  graph::TopicGraphBuilder builder(n, z_count);
-  std::vector<double> probs(z_count);
-  for (const auto& [u, v] : arcs) {
-    const uint32_t cu = ds.user_community[u];
-    // Source authority scales the strong topic: hubs are more persuasive.
-    const double auth_scale =
-        0.5 + 0.5 * std::sqrt(authority[u] / max_authority);
-    for (size_t z = 0; z < z_count; ++z) {
-      if (is_generalist[u]) {
-        probs[z] = options.generalist_prob_scale * auth_scale *
-                   rng.Uniform(options.strong_prob_lo, options.strong_prob_hi);
-      } else if (z == cu) {
-        probs[z] = auth_scale *
-                   rng.Uniform(options.strong_prob_lo, options.strong_prob_hi);
-      } else {
-        probs[z] = rng.Uniform(options.weak_prob_lo, options.weak_prob_hi);
-      }
+    // Arc u→v is strong ONLY on u's community topic: authorities persuade
+    // on their own subject and are near-inert elsewhere. This is what makes
+    // WHO is influential topic-dependent — a topic-blind (uniform-mixture)
+    // seeder sees every arc at roughly strong/Z and picks generically
+    // popular hubs, few of which can actually push a topical item.
+    const double max_authority =
+        *std::max_element(authority.begin(), authority.end());
+    std::vector<char> is_generalist(n, 0);
+    for (size_t u = 0; u < n; ++u) {
+      is_generalist[u] = rng.Uniform() < options.generalist_fraction ? 1 : 0;
     }
-    INFLEX_RETURN_NOT_OK(builder.AddArc(u, v, probs));
+    graph::TopicGraphBuilder builder(n, z_count);
+    std::vector<double> probs(z_count);
+    for (const auto& [u, v] : arcs) {
+      const uint32_t cu = ds.user_community[u];
+      // Source authority scales the strong topic: hubs are more persuasive.
+      const double auth_scale =
+          0.5 + 0.5 * std::sqrt(authority[u] / max_authority);
+      for (size_t z = 0; z < z_count; ++z) {
+        if (is_generalist[u]) {
+          probs[z] =
+              options.generalist_prob_scale * auth_scale *
+              rng.Uniform(options.strong_prob_lo, options.strong_prob_hi);
+        } else if (z == cu) {
+          probs[z] = auth_scale * rng.Uniform(options.strong_prob_lo,
+                                              options.strong_prob_hi);
+        } else {
+          probs[z] = rng.Uniform(options.weak_prob_lo, options.weak_prob_hi);
+        }
+      }
+      INFLEX_RETURN_NOT_OK(builder.AddArc(u, v, probs));
+    }
+    INFLEX_ASSIGN_OR_RETURN(ds.graph, builder.Build());
   }
-  INFLEX_ASSIGN_OR_RETURN(ds.graph, builder.Build());
 
   // --- Catalog ---------------------------------------------------------------
   // Peaked Dirichlet mixture: each item concentrates on a primary topic.

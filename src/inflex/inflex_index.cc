@@ -4,6 +4,10 @@
 #include <atomic>
 #include <numeric>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "oracle/celfpp_oracle.h"
 #include "simplex/topic_distribution.h"
 #include "util/check.h"
@@ -35,23 +39,14 @@ const char* QueryStrategyName(QueryStrategy s) {
   return "?";
 }
 
-Result<InflexIndex> InflexIndex::Build(
+namespace {
+
+// Phases 1 and 2 of the offline phase and the bb-tree (§3); every transient
+// they allocate is freed by the time this returns.
+Result<InflexIndex> BuildParts(
     const graph::TopicGraph& graph,
     const std::vector<simplex::TopicDistribution>& catalog,
     const InflexBuildOptions& options) {
-  if (catalog.empty()) {
-    return Status::InvalidArgument("INFLEX build requires an item catalog");
-  }
-  if (catalog.front().num_topics() != graph.num_topics()) {
-    return Status::InvalidArgument("catalog dimension does not match graph");
-  }
-  if (options.seed_list_length == 0) {
-    return Status::InvalidArgument("seed_list_length must be positive");
-  }
-  if (options.seed_list_length > graph.num_nodes()) {
-    return Status::InvalidArgument("seed_list_length exceeds node count");
-  }
-
   // Phase 1 (§3.1): select the h index points.
   INFLEX_ASSIGN_OR_RETURN(IndexPointSelection selection,
                           SelectIndexPoints(catalog, options.index_points));
@@ -95,8 +90,42 @@ Result<InflexIndex> InflexIndex::Build(
     INFLEX_RETURN_NOT_OK(s);
   }
 
-  return FromParts(&graph, std::move(selection.points), std::move(seed_lists),
-                   options.tree);
+  return InflexIndex::FromParts(&graph, std::move(selection.points),
+                                std::move(seed_lists), options.tree);
+}
+
+}  // namespace
+
+Result<InflexIndex> InflexIndex::Build(
+    const graph::TopicGraph& graph,
+    const std::vector<simplex::TopicDistribution>& catalog,
+    const InflexBuildOptions& options) {
+  if (catalog.empty()) {
+    return Status::InvalidArgument("INFLEX build requires an item catalog");
+  }
+  if (catalog.front().num_topics() != graph.num_topics()) {
+    return Status::InvalidArgument("catalog dimension does not match graph");
+  }
+  if (options.seed_list_length == 0) {
+    return Status::InvalidArgument("seed_list_length must be positive");
+  }
+  if (options.seed_list_length > graph.num_nodes()) {
+    return Status::InvalidArgument("seed_list_length exceeds node count");
+  }
+
+  Result<InflexIndex> index = BuildParts(graph, catalog, options);
+#if defined(__GLIBC__)
+  // The offline phase's transients are freed, but glibc keeps them resident:
+  // its dynamic mmap threshold sends large buffers to the arenas after the
+  // first one is freed, and each pool thread holds an arena. One trim, here
+  // and only here, hands those pages back before serving (DESIGN.md
+  // "Offline-phase memory").
+  Timer trim_timer;
+  malloc_trim(0);
+  INFLEX_LOG(Info) << "INFLEX build: freed heap returned in "
+                   << trim_timer.ElapsedMillis() << " ms";
+#endif
+  return index;
 }
 
 Result<InflexIndex> InflexIndex::FromParts(

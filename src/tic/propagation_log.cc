@@ -41,25 +41,26 @@ Status PropagationLog::Finalize() {
               if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
               return a.user < b.user;
             });
-  // Keep only each user's earliest activation per item.
-  std::vector<Activation> dedup;
-  dedup.reserve(activations_.size());
+  // Keep only each user's earliest activation per item, compacting in place:
+  // the write cursor never passes the read cursor, so a kept record moves
+  // down over one already read or dropped.
   std::vector<char> seen(num_users_, 0);
+  size_t write = 0;
   size_t i = 0;
   while (i < activations_.size()) {
     const ItemId item = activations_[i].item;
-    size_t j = i;
-    while (j < activations_.size() && activations_[j].item == item) ++j;
-    for (size_t k = i; k < j; ++k) {
-      if (!seen[activations_[k].user]) {
-        seen[activations_[k].user] = 1;
-        dedup.push_back(activations_[k]);
+    const size_t item_begin = write;
+    for (; i < activations_.size() && activations_[i].item == item; ++i) {
+      if (!seen[activations_[i].user]) {
+        seen[activations_[i].user] = 1;
+        activations_[write++] = activations_[i];
       }
     }
-    for (size_t k = i; k < j; ++k) seen[activations_[k].user] = 0;
-    i = j;
+    for (size_t k = item_begin; k < write; ++k) {
+      seen[activations_[k].user] = 0;
+    }
   }
-  activations_ = std::move(dedup);
+  activations_.resize(write);
 
   item_offsets_.assign(num_items_ + 1, 0);
   for (const Activation& a : activations_) item_offsets_[a.item + 1]++;

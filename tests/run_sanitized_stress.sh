@@ -7,14 +7,16 @@
 # phase runs cluster_test, data_test and im_test, whose k-means passes,
 # dataset arc probabilities and CELF++ first round fan out over the pool.
 # A second phase builds kernel_test, im_test, rank_test, extensions_test,
-# cluster_test and data_test under ASan+UBSan (-DINFLEX_SANITIZE=address):
+# cluster_test, data_test and tic_test under ASan+UBSan
+# (-DINFLEX_SANITIZE=address):
 # the KL kernel layer works on raw pointers into flat SoA buffers that
 # Insert() reallocates, the seed selectors reuse per-thread oracle workspaces
 # across graphs of different sizes, snapshot sampling appends through a raw
 # pointer past the kept count, rank aggregation's vote kernels read padded
 # per-list rank rows by slot out of reused per-thread scratch, and the pooled
-# k-means and arc-probability passes write per-point slots — exactly the kind
-# of code ASan exists for.
+# k-means and arc-probability passes write per-point slots, and the
+# propagation log compacts its records in place behind a read cursor —
+# exactly the kind of code ASan exists for.
 #
 # Usage: tests/run_sanitized_stress.sh [source-dir] [build-dir] [asan-dir]
 # (defaults: the repo root containing this script, <source>/build-tsan,
@@ -104,9 +106,9 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test)"
+echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test tic_test)"
 cmake --build "$BUILD_ASAN" --target kernel_test im_test rank_test \
-  extensions_test cluster_test data_test -j "$(nproc)" > /dev/null
+  extensions_test cluster_test data_test tic_test -j "$(nproc)" > /dev/null
 
 echo "== run KL kernel + SoA search tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
@@ -138,11 +140,14 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
   "$BUILD_ASAN/tests/rank_test"
 
-echo "== run clustering + dataset tests under ASan+UBSan"
-# Pooled k-means passes and the batched per-item arc-probability buffers.
+echo "== run clustering, dataset + propagation-log tests under ASan+UBSan"
+# Pooled k-means passes, the batched per-item arc-probability buffers and
+# the propagation log's in-place deduplication.
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/cluster_test"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/data_test"
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/tic_test"
 
-echo "ASan tests: OK (kernel dispatched + forced-scalar, im, rank, extensions, cluster, data)"
+echo "ASan tests: OK (kernel dispatched + forced-scalar, im, rank, extensions, cluster, data, tic)"

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "graph/topic_graph.h"
@@ -9,6 +13,7 @@
 #include "tic/propagation_log.h"
 #include "tic/tic_learner.h"
 #include "tic/tic_model.h"
+#include "util/random.h"
 
 namespace inflex {
 namespace tic {
@@ -43,6 +48,115 @@ TEST(PropagationLogTest, FinalizeSortsAndDeduplicates) {
   EXPECT_EQ(log.ItemActivations(1).size(), 1u);
   EXPECT_EQ(log.num_active_items(), 2u);
   EXPECT_EQ(log.size(), 3u);
+}
+
+// Reference for Finalize: each (item, user) keeps its earliest timestamp,
+// and an item's records are ordered by (timestamp, user).
+std::vector<std::vector<Activation>> ReferenceDedup(
+    const std::vector<Activation>& records, size_t num_items) {
+  std::map<std::pair<ItemId, NodeId>, double> earliest;
+  for (const Activation& a : records) {
+    auto [it, inserted] = earliest.try_emplace({a.item, a.user}, a.timestamp);
+    if (!inserted) it->second = std::min(it->second, a.timestamp);
+  }
+  std::vector<std::vector<Activation>> by_item(num_items);
+  for (const auto& [key, t] : earliest) {
+    by_item[key.first].push_back(Activation{key.second, key.first, t});
+  }
+  for (auto& acts : by_item) {
+    std::sort(acts.begin(), acts.end(),
+              [](const Activation& a, const Activation& b) {
+                if (a.timestamp != b.timestamp) {
+                  return a.timestamp < b.timestamp;
+                }
+                return a.user < b.user;
+              });
+  }
+  return by_item;
+}
+
+void ExpectMatchesReference(const PropagationLog& log,
+                            const std::vector<Activation>& records) {
+  const auto want = ReferenceDedup(records, log.num_items());
+  size_t total = 0;
+  size_t active = 0;
+  for (ItemId i = 0; i < log.num_items(); ++i) {
+    const auto got = log.ItemActivations(i);
+    ASSERT_EQ(got.size(), want[i].size()) << "item " << i;
+    for (size_t j = 0; j < got.size(); ++j) {
+      EXPECT_EQ(got[j].user, want[i][j].user) << "item " << i << " #" << j;
+      EXPECT_EQ(got[j].item, i);
+      EXPECT_EQ(got[j].timestamp, want[i][j].timestamp)
+          << "item " << i << " #" << j;
+    }
+    total += want[i].size();
+    if (!want[i].empty()) ++active;
+  }
+  EXPECT_EQ(log.size(), total);
+  EXPECT_EQ(log.num_active_items(), active);
+}
+
+// Finalize compacts in place. Item 0 carries many repeats, so by the time
+// items 2 and 3 are read the write cursor is well behind the read cursor and
+// their kept records move down across item boundaries; item 1 is empty.
+// Repeated users arrive with their earlier timestamp later in input order.
+TEST(PropagationLogTest, FinalizeCompactsInPlaceAcrossItems) {
+  std::vector<Activation> records;
+  for (int rep = 0; rep < 5; ++rep) {
+    for (NodeId u = 0; u < 4; ++u) {
+      records.push_back({u, 0, 10.0 - rep + 0.1 * u});
+    }
+  }
+  records.push_back({7, 2, 8.0});
+  records.push_back({5, 2, 3.0});
+  records.push_back({7, 2, 2.0});  // user 7's earliest comes later
+  records.push_back({5, 2, 3.0});  // exact repeat
+  records.push_back({6, 2, 3.0});  // ties with user 5 on time
+  records.push_back({1, 3, 4.0});
+  records.push_back({1, 3, 1.0});
+  records.push_back({0, 3, 4.0});
+  PropagationLog log(8, 4);
+  for (const Activation& a : records) {
+    ASSERT_TRUE(log.Add(a.user, a.item, a.timestamp).ok());
+  }
+  ASSERT_TRUE(log.Finalize().ok());
+  ExpectMatchesReference(log, records);
+  EXPECT_EQ(log.ItemActivations(0).size(), 4u);
+  EXPECT_TRUE(log.ItemActivations(1).empty());
+  const auto item2 = log.ItemActivations(2);
+  ASSERT_EQ(item2.size(), 3u);
+  EXPECT_EQ(item2[0].user, 7u);
+  EXPECT_EQ(item2[0].timestamp, 2.0);
+  EXPECT_EQ(item2[1].user, 5u);
+  EXPECT_EQ(item2[2].user, 6u);
+  const auto item3 = log.ItemActivations(3);
+  ASSERT_EQ(item3.size(), 2u);
+  EXPECT_EQ(item3[0].user, 1u);
+  EXPECT_EQ(item3[0].timestamp, 1.0);
+  EXPECT_EQ(item3[1].user, 0u);
+}
+
+TEST(PropagationLogTest, FinalizeMatchesReferenceOnRandomLogs) {
+  Rng rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t users = 3 + rng.UniformInt(20);
+    const size_t items = 1 + rng.UniformInt(8);
+    const size_t count = rng.UniformInt(300);
+    std::vector<Activation> records;
+    for (size_t r = 0; r < count; ++r) {
+      // Few distinct timestamps, so ties on time and exact repeats occur.
+      records.push_back({static_cast<NodeId>(rng.UniformInt(users)),
+                         static_cast<ItemId>(rng.UniformInt(items)),
+                         static_cast<double>(rng.UniformInt(10))});
+    }
+    PropagationLog log(users, items);
+    for (const Activation& a : records) {
+      ASSERT_TRUE(log.Add(a.user, a.item, a.timestamp).ok());
+    }
+    ASSERT_TRUE(log.Finalize().ok());
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectMatchesReference(log, records);
+  }
 }
 
 TEST(PropagationLogTest, DoubleFinalizeAndPostAddFail) {
