@@ -1,7 +1,7 @@
 #include "im/snapshot_oracle.h"
 
 #include <algorithm>
-#include <limits>
+#include <bit>
 #include <memory>
 
 #include "im/snapshot_sampler.h"
@@ -16,16 +16,9 @@ Result<SnapshotSpreadOracle> SnapshotSpreadOracle::Create(
   if (arc_probs.size() != g.num_arcs()) {
     return Status::InvalidArgument("arc probability vector size mismatch");
   }
-  if (options.num_snapshots == 0) {
-    return Status::InvalidArgument("num_snapshots must be positive");
-  }
   const size_t n = g.num_nodes();
-  const size_t m = g.num_arcs();
   const size_t w = options.num_snapshots;
-  if (w > std::numeric_limits<uint32_t>::max() / std::max<size_t>(m, 1)) {
-    return Status::InvalidArgument(
-        "num_snapshots * num_arcs exceeds the 32-bit snapshot offsets");
-  }
+  INFLEX_RETURN_NOT_OK(internal::CheckSnapshotShape(n, g.num_arcs(), w));
 
   internal::SnapshotDraws draws = internal::PrepareDraws(g, arc_probs);
   graph::ArcProbabilities().swap(arc_probs);
@@ -34,7 +27,9 @@ Result<SnapshotSpreadOracle> SnapshotSpreadOracle::Create(
   SnapshotSpreadOracle oracle;
   oracle.num_nodes_ = n;
   oracle.num_snapshots_ = w;
-  oracle.offsets_ = std::move(arrays.offsets);
+  oracle.active_bits_ = std::move(arrays.active_bits);
+  oracle.word_ranks_ = std::move(arrays.word_ranks);
+  oracle.pair_offsets_ = std::move(arrays.pair_offsets);
   oracle.targets_ = std::move(arrays.targets);
   oracle.active_offsets_ = std::move(arrays.active_offsets);
   oracle.active_snapshots_ = std::move(arrays.active_snapshots);
@@ -53,10 +48,14 @@ SnapshotSpreadOracle::Workspace* SnapshotSpreadOracle::ThreadWorkspace()
   return ws.get();
 }
 
+uint32_t SnapshotSpreadOracle::PairOf(size_t bit) const {
+  return internal::PairIndex(active_bits_.data(), word_ranks_.data(), bit);
+}
+
 uint64_t SnapshotSpreadOracle::CountReach(graph::NodeId v, size_t s,
+                                          uint32_t pair,
                                           Workspace* ws) const {
   const size_t cov = s * num_nodes_;
-  const uint32_t* off = offsets_.data() + s * (num_nodes_ + 1);
   if (++ws->epoch_ == 0) {
     std::fill(ws->stamps_.begin(), ws->stamps_.end(), 0u);
     ws->epoch_ = 1;
@@ -64,28 +63,40 @@ uint64_t SnapshotSpreadOracle::CountReach(graph::NodeId v, size_t s,
   ++ws->bfs_runs_;
   const uint32_t epoch = ws->epoch_;
   uint32_t* stamps = ws->stamps_.data();
+  // Read through locals: through the members, the compiler reloads the
+  // arrays' data pointers after every store of the loop.
+  const uint32_t* pair_offsets = pair_offsets_.data();
+  const graph::NodeId* targets = targets_.data();
+  const uint64_t* covered = covered_.data();
   // Each node enters at most once, so n slots hold any frontier.
-  graph::NodeId* frontier = ws->frontier_.data();
+  uint32_t* frontier = ws->frontier_.data();
   size_t size = 0;
-  frontier[size++] = v;
+  uint64_t reached = 1;
+  frontier[size++] = pair;
   stamps[v] = epoch;
   for (size_t head = 0; head < size; ++head) {
-    const graph::NodeId u = frontier[head];
-    for (uint32_t e = off[u]; e < off[u + 1]; ++e) {
-      const graph::NodeId t = targets_[e];
-      if (stamps[t] != epoch && !Covered(cov + t)) {
-        stamps[t] = epoch;
-        frontier[size++] = t;
+    const uint32_t p = frontier[head];
+    const uint32_t end = pair_offsets[p + 1];
+    for (uint32_t e = pair_offsets[p]; e < end; ++e) {
+      const graph::NodeId entry = targets[e];
+      const graph::NodeId t = entry & ~internal::kSinkFlag;
+      const size_t bit = cov + t;
+      if (stamps[t] == epoch || ((covered[bit >> 6] >> (bit & 63)) & 1)) {
+        continue;
       }
+      stamps[t] = epoch;
+      ++reached;
+      if ((entry & internal::kSinkFlag) == 0) frontier[size++] = PairOf(bit);
     }
   }
-  return size;
+  return reached;
 }
 
 uint64_t SnapshotSpreadOracle::ReachSum(graph::NodeId v, Workspace* ws) const {
   uint64_t sum = num_snapshots_ - covered_count_[v];
   for (const uint32_t s : ActiveSnapshots(v)) {
-    if (!Covered(s * num_nodes_ + v)) sum += CountReach(v, s, ws) - 1;
+    const size_t bit = s * num_nodes_ + v;
+    if (!Covered(bit)) sum += CountReach(v, s, PairOf(bit), ws) - 1;
   }
   return sum;
 }
@@ -103,8 +114,31 @@ void SnapshotSpreadOracle::SingletonGains(graph::NodeId begin,
   INFLEX_CHECK_LE(begin, end);
   INFLEX_CHECK_LE(end, num_nodes_);
   INFLEX_CHECK_EQ(gains.size(), num_nodes_);
+  if (begin == end) return;
+  // ReachSum's integer sums, gathered snapshot by snapshot: the active
+  // pairs of a row segment are its set bits, numbered on from one rank.
+  std::vector<uint64_t> sums(end - begin);
   for (graph::NodeId v = begin; v < end; ++v) {
-    gains[v] = static_cast<double>(ReachSum(v, ws)) /
+    sums[v - begin] = num_snapshots_ - covered_count_[v];
+  }
+  for (size_t s = 0; s < num_snapshots_; ++s) {
+    const size_t row = s * num_nodes_;
+    const size_t lo = row + begin;
+    const size_t hi = row + end;
+    uint32_t pair = PairOf(lo);
+    for (size_t i = lo >> 6; i <= (hi - 1) >> 6; ++i) {
+      uint64_t word = active_bits_[i];
+      if (i == lo >> 6) word &= ~uint64_t{0} << (lo & 63);
+      if (i == (hi - 1) >> 6) word &= ~uint64_t{0} >> (63 - ((hi - 1) & 63));
+      for (; word != 0; word &= word - 1, ++pair) {
+        const size_t bit = 64 * i + std::countr_zero(word);
+        const graph::NodeId v = static_cast<graph::NodeId>(bit - row);
+        if (!Covered(bit)) sums[v - begin] += CountReach(v, s, pair, ws) - 1;
+      }
+    }
+  }
+  for (graph::NodeId v = begin; v < end; ++v) {
+    gains[v] = static_cast<double>(sums[v - begin]) /
                static_cast<double>(num_snapshots_);
   }
 }
@@ -113,26 +147,31 @@ double SnapshotSpreadOracle::CommitSeed(graph::NodeId v, Workspace* ws) {
   INFLEX_CHECK_LT(v, num_nodes_);
   const size_t n = num_nodes_;
   uint64_t gain = 0;
-  graph::NodeId* frontier = ws->frontier_.data();
+  uint32_t* frontier = ws->frontier_.data();
   for (size_t s = 0; s < num_snapshots_; ++s) {
     const size_t cov = s * n;
     if (Covered(cov + v)) continue;
-    const uint32_t* off = offsets_.data() + s * (n + 1);
-    size_t size = 0;
-    frontier[size++] = v;
     Cover(cov + v);
+    ++covered_count_[v];
+    ++gain;
+    if (!Active(cov + v)) continue;
+    size_t size = 0;
+    frontier[size++] = PairOf(cov + v);
     for (size_t head = 0; head < size; ++head) {
-      const graph::NodeId u = frontier[head];
-      for (uint32_t e = off[u]; e < off[u + 1]; ++e) {
-        const graph::NodeId t = targets_[e];
-        if (!Covered(cov + t)) {
-          Cover(cov + t);
-          frontier[size++] = t;
+      const uint32_t p = frontier[head];
+      const uint32_t end = pair_offsets_[p + 1];
+      for (uint32_t e = pair_offsets_[p]; e < end; ++e) {
+        const graph::NodeId entry = targets_[e];
+        const graph::NodeId t = entry & ~internal::kSinkFlag;
+        if (Covered(cov + t)) continue;
+        Cover(cov + t);
+        ++covered_count_[t];
+        ++gain;
+        if ((entry & internal::kSinkFlag) == 0) {
+          frontier[size++] = PairOf(cov + t);
         }
       }
     }
-    for (size_t i = 0; i < size; ++i) ++covered_count_[frontier[i]];
-    gain += size;
   }
   total_covered_ += gain;
   return static_cast<double>(gain) / static_cast<double>(num_snapshots_);
@@ -148,33 +187,37 @@ double SnapshotSpreadOracle::SpreadOf(std::span<const graph::NodeId> seeds,
                                       Workspace* ws) const {
   const size_t n = num_nodes_;
   uint64_t total = 0;
-  graph::NodeId* frontier = ws->frontier_.data();
+  uint32_t* frontier = ws->frontier_.data();
   for (size_t s = 0; s < num_snapshots_; ++s) {
     if (++ws->epoch_ == 0) {
       std::fill(ws->stamps_.begin(), ws->stamps_.end(), 0u);
       ws->epoch_ = 1;
     }
     const uint32_t epoch = ws->epoch_;
-    const uint32_t* off = offsets_.data() + s * (n + 1);
+    const size_t cov = s * n;
     size_t size = 0;
     for (graph::NodeId seed : seeds) {
       INFLEX_CHECK_LT(seed, num_nodes_);
       if (ws->stamps_[seed] != epoch) {
         ws->stamps_[seed] = epoch;
-        frontier[size++] = seed;
+        ++total;
+        if (Active(cov + seed)) frontier[size++] = PairOf(cov + seed);
       }
     }
     for (size_t head = 0; head < size; ++head) {
-      const graph::NodeId u = frontier[head];
-      for (uint32_t e = off[u]; e < off[u + 1]; ++e) {
-        const graph::NodeId t = targets_[e];
-        if (ws->stamps_[t] != epoch) {
-          ws->stamps_[t] = epoch;
-          frontier[size++] = t;
+      const uint32_t p = frontier[head];
+      const uint32_t end = pair_offsets_[p + 1];
+      for (uint32_t e = pair_offsets_[p]; e < end; ++e) {
+        const graph::NodeId entry = targets_[e];
+        const graph::NodeId t = entry & ~internal::kSinkFlag;
+        if (ws->stamps_[t] == epoch) continue;
+        ws->stamps_[t] = epoch;
+        ++total;
+        if ((entry & internal::kSinkFlag) == 0) {
+          frontier[size++] = PairOf(cov + t);
         }
       }
     }
-    total += size;
   }
   return static_cast<double>(total) / static_cast<double>(num_snapshots_);
 }

@@ -35,10 +35,12 @@ class SnapshotSpreadOracle {
   /// with p > 0 takes one draw and is kept when it lands below p; arcs with
   /// p <= 0 or NaN take none. Every sampler variant (im/snapshot_sampler.h)
   /// yields the same snapshots. Fails on a probability vector of the wrong
-  /// size, zero snapshots, or W · max(m, 1) > UINT32_MAX (snapshot offsets
-  /// are 32-bit), before allocating. The probabilities are released once
-  /// the draws are laid out, so a caller that moves them in does not hold
-  /// them through sampling.
+  /// size, or on a shape internal::CheckSnapshotShape rejects (zero
+  /// snapshots, n > 2³¹ because a kept target's top bit is its sink flag,
+  /// or W · max(m, 1) > UINT32_MAX because targets and pair offsets are
+  /// 32-bit), before allocating. The probabilities are released once the
+  /// draws are laid out, so a caller that moves them in does not hold them
+  /// through sampling.
   static Result<SnapshotSpreadOracle> Create(const graph::TopicGraph& g,
                                              graph::ArcProbabilities arc_probs,
                                              const Options& options);
@@ -46,8 +48,8 @@ class SnapshotSpreadOracle {
   size_t num_nodes() const { return num_nodes_; }
   size_t num_snapshots() const { return num_snapshots_; }
 
-  /// \brief Per-caller scratch (BFS stamps + frontier); one per thread when
-  /// evaluating marginal gains concurrently.
+  /// \brief Per-caller scratch (BFS stamps + a frontier of active pairs);
+  /// one per thread when evaluating marginal gains concurrently.
   class Workspace {
    public:
     explicit Workspace(size_t num_nodes)
@@ -60,7 +62,7 @@ class SnapshotSpreadOracle {
    private:
     friend class SnapshotSpreadOracle;
     std::vector<uint32_t> stamps_;
-    std::vector<graph::NodeId> frontier_;
+    std::vector<uint32_t> frontier_;
     uint32_t epoch_ = 0;
     uint64_t bfs_runs_ = 0;
   };
@@ -111,20 +113,30 @@ class SnapshotSpreadOracle {
   SnapshotSpreadOracle() = default;
 
   // How many nodes v newly reaches in snapshot s, v included, by BFS over
-  // the uncovered nodes (v must be uncovered). Leaves them in ws->frontier_.
-  uint64_t CountReach(graph::NodeId v, size_t s, Workspace* ws) const;
+  // the uncovered nodes (v must be uncovered and active in s, with pair
+  // number `pair`). Reached sinks are counted, never pushed.
+  uint64_t CountReach(graph::NodeId v, size_t s, uint32_t pair,
+                      Workspace* ws) const;
 
   // W · MarginalGain(v): W − covered_count_[v] snapshots where v is
   // uncovered, each reaching v itself, plus what v reaches beyond itself
   // in those of its active snapshots where it is uncovered.
   uint64_t ReachSum(graph::NodeId v, Workspace* ws) const;
 
-  // Snapshot adjacency, concatenated: snapshot g's arcs of node u live in
-  // targets_[offsets_[g * (n+1) + u] .. offsets_[g * (n+1) + u + 1]).
+  // Sparse snapshot adjacency (internal::SnapshotArrays): bit g · n + u of
+  // active_bits_ is set iff u keeps an out-arc in snapshot g, and that
+  // pair's kept targets, sinks flagged, are targets_[pair_offsets_[p] ..
+  // pair_offsets_[p + 1]) for p = PairOf(g · n + u).
   size_t num_nodes_ = 0;
   size_t num_snapshots_ = 0;
-  std::vector<uint32_t> offsets_;
+  std::vector<uint64_t> active_bits_;
+  std::vector<uint32_t> word_ranks_;
+  std::vector<uint32_t> pair_offsets_;
   std::vector<graph::NodeId> targets_;
+  bool Active(size_t bit) const {
+    return (active_bits_[bit >> 6] >> (bit & 63)) & 1;
+  }
+  uint32_t PairOf(size_t bit) const;
   // Node-major: v's active snapshots are active_snapshots_[active_offsets_[v]
   // .. active_offsets_[v + 1]).
   std::vector<uint32_t> active_offsets_;

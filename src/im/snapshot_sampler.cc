@@ -7,6 +7,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 
 #include "util/cpu_features.h"
@@ -67,10 +68,13 @@ void SampleRange(const SnapshotDraws& d, size_t s_begin, size_t s_end,
 
 // Turns the `len` kept draw indices of W snapshots (snapshot s's from
 // kept[bounds[s]] on, ascending) into the snapshot arrays, in place, once
-// every draw is taken: releases the thresholds, counts the kept arcs per
-// (snapshot, source) and the active snapshots per source, takes the prefix
-// sums, then writes each snapshot into its sources' active lists and each
-// index's target over it.
+// every draw is taken. A snapshot's indices ascend, so its sources ascend
+// and each source's kept arcs are adjacent: a pair starts wherever the
+// source changes. After releasing the thresholds, the first pass sets each
+// pair's bit and counts the pairs and each source's active snapshots; the
+// second writes the pair offsets and the active lists, and each index's
+// target, with its sink flag, over the index; the word ranks are a prefix
+// sum of the bitmap's word counts.
 SnapshotArrays BuildArrays(SnapshotDraws d, std::vector<uint32_t> bounds,
                            std::vector<graph::NodeId> kept, uint32_t len) {
   std::vector<uint64_t>().swap(d.threshold);
@@ -79,37 +83,53 @@ SnapshotArrays BuildArrays(SnapshotDraws d, std::vector<uint32_t> bounds,
   bounds[num_snapshots] = len;
   kept.resize(len);
   SnapshotArrays out;
-  out.offsets.assign(num_snapshots * (n + 1), 0);
+  out.active_bits.assign((num_snapshots * n + 63) / 64, 0);
   out.active_offsets.assign(n + 1, 0);
+  uint64_t* bits = out.active_bits.data();
+  uint32_t num_pairs = 0;
   for (size_t s = 0; s < num_snapshots; ++s) {
-    // Source u's count goes one slot past u, so the prefix sum over the
-    // whole array yields every snapshot's offsets, each starting where the
-    // previous snapshot ends.
-    uint32_t* count = out.offsets.data() + s * (n + 1) + 1;
+    // Branch-free: setting a pair's bit again is harmless.
+    size_t prev = n;
     for (uint32_t k = bounds[s]; k < bounds[s + 1]; ++k) {
       const graph::NodeId u = d.source[kept[k]];
-      out.active_offsets[u + 1] += count[u]++ == 0;
+      const uint32_t fresh = u != prev;
+      prev = u;
+      const size_t bit = s * n + u;
+      bits[bit >> 6] |= uint64_t{1} << (bit & 63);
+      out.active_offsets[u + 1] += fresh;
+      num_pairs += fresh;
     }
   }
   uint32_t sum = 0;
-  for (uint32_t& o : out.offsets) o = sum += o;
-  sum = 0;
   for (uint32_t& o : out.active_offsets) o = sum += o;
 
+  out.pair_offsets.resize(num_pairs + 1);
   out.active_snapshots.resize(out.active_offsets[n]);
   std::vector<uint32_t> cursor(out.active_offsets.begin(),
                                out.active_offsets.end() - 1);
+  uint32_t pair = 0;
   for (size_t s = 0; s < num_snapshots; ++s) {
-    // A snapshot's indices ascend, so each source's kept arcs are adjacent.
+    const size_t row = s * n;
     size_t prev = n;
     for (uint32_t k = bounds[s]; k < bounds[s + 1]; ++k) {
       const graph::NodeId u = d.source[kept[k]];
       if (u != prev) {
+        out.pair_offsets[pair++] = k;
         out.active_snapshots[cursor[u]++] = static_cast<uint32_t>(s);
         prev = u;
       }
-      kept[k] = d.target[kept[k]];
+      const graph::NodeId t = d.target[kept[k]];
+      const size_t bit = row + t;
+      const bool sink = ((bits[bit >> 6] >> (bit & 63)) & 1) == 0;
+      kept[k] = t | (sink ? kSinkFlag : 0);
     }
+  }
+  out.pair_offsets[num_pairs] = len;
+  out.word_ranks.resize(out.active_bits.size());
+  sum = 0;
+  for (size_t i = 0; i < out.active_bits.size(); ++i) {
+    out.word_ranks[i] = sum;
+    sum += PopCount64(bits[i]);
   }
   out.targets = std::move(kept);
   return out;
@@ -203,6 +223,23 @@ SnapshotArrays SampleSnapshotsAvx2(SnapshotDraws draws, size_t num_snapshots,
 }
 
 }  // namespace
+
+Status CheckSnapshotShape(size_t num_nodes, size_t num_arcs,
+                          size_t num_snapshots) {
+  if (num_snapshots == 0) {
+    return Status::InvalidArgument("num_snapshots must be positive");
+  }
+  if (num_nodes > kMaxSnapshotNodes) {
+    return Status::InvalidArgument(
+        "num_nodes exceeds the snapshot targets' 31-bit node ids");
+  }
+  if (num_snapshots >
+      std::numeric_limits<uint32_t>::max() / std::max<size_t>(num_arcs, 1)) {
+    return Status::InvalidArgument(
+        "num_snapshots * num_arcs exceeds the 32-bit snapshot offsets");
+  }
+  return Status::OK();
+}
 
 SnapshotDraws PrepareDraws(const graph::TopicGraph& g,
                            const graph::ArcProbabilities& arc_probs) {

@@ -240,8 +240,8 @@ TEST(SnapshotOracleTest, EdgeProbabilitiesMatchBernoulliReference) {
   }
 }
 
-// W · m must fit the 32-bit snapshot offsets; the check runs before the
-// W · (n + 1) offset array would be allocated.
+// W · m must fit the 32-bit targets and pair offsets; the check runs
+// before any snapshot array would be allocated.
 TEST(SnapshotOracleTest, RejectsSnapshotCountBeyondOffsetRange) {
   TopicGraphBuilder b(2, 1);
   ASSERT_TRUE(b.AddArc(0, 1, {0.5}).ok());
@@ -273,24 +273,128 @@ ArcProbabilities MixedProbs(const TopicGraph& g, uint64_t seed) {
   return p;
 }
 
+// The shape check behind Create, at its edges: n up to kMaxSnapshotNodes
+// (a kept target's top bit is its sink flag), W · max(m, 1) up to
+// UINT32_MAX, W > 0.
+TEST(SnapshotOracleTest, ShapeCheckBoundsNodesArcsAndSnapshots) {
+  constexpr size_t kMaxNodes = internal::kMaxSnapshotNodes;
+  constexpr size_t kMax32 = std::numeric_limits<uint32_t>::max();
+  ASSERT_EQ(kMaxNodes, size_t{1} << 31);
+  struct Shape {
+    size_t n, m, w;
+    bool ok;
+  };
+  const Shape shapes[] = {
+      {kMaxNodes, 10, 100, true},     {kMaxNodes + 1, 10, 100, false},
+      {size_t{1} << 32, 10, 1, false}, {0, 0, 1, true},
+      {10, 0, kMax32, true},           {10, 0, kMax32 + 1, false},
+      {10, 3, kMax32 / 3, true},       {10, 3, kMax32 / 3 + 1, false},
+      {10, 10, 0, false},
+  };
+  for (const Shape& sh : shapes) {
+    const Status st = internal::CheckSnapshotShape(sh.n, sh.m, sh.w);
+    EXPECT_EQ(st.ok(), sh.ok) << sh.n << " " << sh.m << " " << sh.w;
+    if (!sh.ok) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << sh.n << " " << sh.m << " " << sh.w;
+    }
+  }
+}
+
+// W live-edge snapshots in the dense layout the oracle's arrays stand for:
+// snapshot s's kept arcs of node u are targets[offsets[s · (n + 1) + u] ..
+// offsets[s · (n + 1) + u + 1]), and the node-major active lists.
+struct DenseSnapshots {
+  std::vector<uint32_t> offsets;
+  std::vector<NodeId> targets;
+  std::vector<uint32_t> active_offsets;
+  std::vector<uint32_t> active_snapshots;
+};
+
+// Expands the active bits, word ranks and pair offsets of W snapshots into
+// dense offsets, reading the bits one by one. Along the way it checks what
+// the expansion alone cannot show: each word's rank against a running count
+// of set bits, no bit set past W · n, internal::PairIndex against the pair
+// number, every active pair non-empty, and each target's sink flag against
+// the target's dense range in its snapshot. The flags are cleared in the
+// returned targets.
+DenseSnapshots ExpandSnapshots(const internal::SnapshotArrays& a, size_t w,
+                               const std::string& what) {
+  const size_t n = a.active_offsets.size() - 1;
+  DenseSnapshots d;
+  d.active_offsets = a.active_offsets;
+  d.active_snapshots = a.active_snapshots;
+  EXPECT_EQ(a.active_bits.size(), (w * n + 63) / 64) << what;
+  EXPECT_EQ(a.word_ranks.size(), a.active_bits.size()) << what;
+  if (a.active_bits.size() != (w * n + 63) / 64 ||
+      a.word_ranks.size() != a.active_bits.size() || a.pair_offsets.empty()) {
+    ADD_FAILURE() << what << ": array sizes";
+    return d;
+  }
+  uint32_t count = 0;
+  for (size_t i = 0; i < a.active_bits.size(); ++i) {
+    EXPECT_EQ(a.word_ranks[i], count) << what << " word " << i;
+    for (size_t b = 0; b < 64; ++b) {
+      if (((a.active_bits[i] >> b) & 1) == 0) continue;
+      EXPECT_LT(64 * i + b, w * n) << what;
+      ++count;
+    }
+  }
+  EXPECT_EQ(a.pair_offsets.size(), size_t{count} + 1) << what;
+  if (a.pair_offsets.size() != size_t{count} + 1) return d;
+  uint32_t pair = 0;
+  uint32_t cursor = 0;
+  for (size_t s = 0; s < w; ++s) {
+    for (size_t u = 0; u < n; ++u) {
+      d.offsets.push_back(cursor);
+      const size_t bit = s * n + u;
+      if (((a.active_bits[bit / 64] >> (bit % 64)) & 1) == 0) continue;
+      EXPECT_EQ(internal::PairIndex(a.active_bits.data(),
+                                    a.word_ranks.data(), bit),
+                pair)
+          << what << " bit " << bit;
+      EXPECT_EQ(a.pair_offsets[pair], cursor) << what << " pair " << pair;
+      EXPECT_LT(a.pair_offsets[pair], a.pair_offsets[pair + 1])
+          << what << " pair " << pair;
+      cursor = a.pair_offsets[++pair];
+    }
+    d.offsets.push_back(cursor);
+  }
+  EXPECT_EQ(cursor, a.targets.size()) << what;
+  for (size_t s = 0; s < w; ++s) {
+    const uint32_t* off = d.offsets.data() + s * (n + 1);
+    for (uint32_t e = off[0]; e < off[n] && e < a.targets.size(); ++e) {
+      const NodeId t = a.targets[e] & ~internal::kSinkFlag;
+      const bool sink = (a.targets[e] & internal::kSinkFlag) != 0;
+      EXPECT_LT(t, n) << what;
+      if (t >= n) continue;
+      EXPECT_EQ(sink, off[t + 1] == off[t])
+          << what << " snapshot " << s << " target " << t;
+      d.targets.push_back(t);
+    }
+  }
+  return d;
+}
+
 void ExpectSameSnapshots(const internal::SnapshotArrays& got,
-                         const internal::SnapshotArrays& want,
+                         const DenseSnapshots& want, size_t w,
                          const std::string& what) {
-  EXPECT_EQ(got.offsets, want.offsets) << what;
-  EXPECT_EQ(got.targets, want.targets) << what;
-  EXPECT_EQ(got.active_offsets, want.active_offsets) << what;
-  EXPECT_EQ(got.active_snapshots, want.active_snapshots) << what;
+  const DenseSnapshots d = ExpandSnapshots(got, w, what);
+  EXPECT_EQ(d.offsets, want.offsets) << what;
+  EXPECT_EQ(d.targets, want.targets) << what;
+  EXPECT_EQ(d.active_offsets, want.active_offsets) << what;
+  EXPECT_EQ(d.active_snapshots, want.active_snapshots) << what;
 }
 
 // The snapshot arrays straight from their definition: one Rng(seed) stream
 // consumed in snapshot, node and arc order, one Bernoulli draw per arc with
 // p > 0 (none for p <= 0 or NaN); v's active snapshots are those where it
 // kept an out-arc.
-internal::SnapshotArrays ReferenceSnapshots(const TopicGraph& g,
-                                            const ArcProbabilities& probs,
-                                            size_t w, uint64_t seed) {
+DenseSnapshots ReferenceSnapshots(const TopicGraph& g,
+                                  const ArcProbabilities& probs, size_t w,
+                                  uint64_t seed) {
   const size_t n = g.num_nodes();
-  internal::SnapshotArrays ref;
+  DenseSnapshots ref;
   std::vector<std::vector<uint32_t>> active(n);
   Rng rng(seed);
   for (size_t s = 0; s < w; ++s) {
@@ -317,9 +421,10 @@ internal::SnapshotArrays ReferenceSnapshots(const TopicGraph& g,
   return ref;
 }
 
-// The active sampler (four AVX2 lanes on AVX2 CPUs) reproduces the scalar
-// reference array for array: no lanes (W < 4), whole blocks (W % 4 == 0)
-// and leftover snapshots, and a graph whose arcs all skip the draw.
+// The active sampler (four AVX2 lanes on AVX2 CPUs) and the scalar loop
+// both expand to the reference: no lanes (W < 4), whole blocks (W % 4 ==
+// 0) and leftover snapshots, and a graph whose arcs all skip the draw. At
+// n = 150 most snapshot rows straddle a bitmap word.
 TEST(SnapshotSamplerTest, LanesMatchScalar) {
   const internal::SnapshotSampler scalar =
       internal::ResolveSnapshotSampler(true);
@@ -331,9 +436,11 @@ TEST(SnapshotSamplerTest, LanesMatchScalar) {
     if (seed == 4) std::fill(probs.begin(), probs.end(), 0.0);
     const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);
     for (const size_t w : {1, 3, 4, 5, 7, 8, 100, 101, 150}) {
-      ExpectSameSnapshots(active(draws, w, seed), scalar(draws, w, seed),
-                          "seed " + std::to_string(seed) + " W " +
-                              std::to_string(w));
+      const std::string what =
+          "seed " + std::to_string(seed) + " W " + std::to_string(w);
+      const DenseSnapshots want = ReferenceSnapshots(g, probs, w, seed);
+      ExpectSameSnapshots(active(draws, w, seed), want, w, what);
+      ExpectSameSnapshots(scalar(draws, w, seed), want, w, what);
     }
   }
 }
@@ -343,12 +450,12 @@ TEST(SnapshotSamplerTest, LanesMatchScalar) {
 TEST(SnapshotSamplerTest, LaneRegionOverflowFallsBackToScalar) {
   if (!util::DetectCpuSimd().avx2) GTEST_SKIP() << "no AVX2";
   const TopicGraph g = MakeRandomGraph(150, 900, 0.1, 0.5, 310);
-  const internal::SnapshotDraws draws =
-      internal::PrepareDraws(g, MixedProbs(g, 11));
-  const auto want = internal::SampleSnapshotsScalar(draws, 101, 5);
+  const ArcProbabilities probs = MixedProbs(g, 11);
+  const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);
+  const DenseSnapshots want = ReferenceSnapshots(g, probs, 101, 5);
   for (const size_t region : {size_t{1}, size_t{64}, size_t{2000}}) {
     ExpectSameSnapshots(
-        internal::SampleSnapshotsLanes(draws, 101, 5, region), want,
+        internal::SampleSnapshotsLanes(draws, 101, 5, region), want, 101,
         "region " + std::to_string(region));
   }
 }
@@ -358,7 +465,9 @@ TEST(SnapshotSamplerTest, LaneRegionOverflowFallsBackToScalar) {
 // its start, middle and end; nodes 0, 33 and 69 have no out-arcs and sit at
 // the first node, at the 256-draw mark (nodes 1..32 draw eight arcs each)
 // and at the last node, where each snapshot and so each lane block begins
-// or ends. Every sampler must still match the scalar stream's definition.
+// or ends; they are active in no snapshot, and node 34 (a p = 1 arc) in
+// every one. n = 70 puts each snapshot row across a bitmap word boundary.
+// Every sampler must still match the scalar stream's definition.
 TEST(SnapshotSamplerTest, DrawFreeArcsAndSinksKeepTheStreamOrder) {
   constexpr size_t kNodes = 70;
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -390,11 +499,16 @@ TEST(SnapshotSamplerTest, DrawFreeArcsAndSinksKeepTheStreamOrder) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       const std::string what =
           "W " + std::to_string(w) + " seed " + std::to_string(seed);
-      const auto want = ReferenceSnapshots(g, probs, w, seed);
+      const DenseSnapshots want = ReferenceSnapshots(g, probs, w, seed);
+      const auto num_active = [&](NodeId u) {
+        return want.active_offsets[u + 1] - want.active_offsets[u];
+      };
+      for (const NodeId sink : {0, 33, 69}) ASSERT_EQ(num_active(sink), 0u);
+      ASSERT_EQ(num_active(34), w);
       ExpectSameSnapshots(internal::SampleSnapshotsScalar(draws, w, seed),
-                          want, what);
+                          want, w, what);
       ExpectSameSnapshots(internal::ActiveSnapshotSampler()(draws, w, seed),
-                          want, what);
+                          want, w, what);
     }
   }
 }
@@ -533,13 +647,48 @@ TopicGraph MakeGraphWithSinks(size_t n, size_t degree, double p_lo,
   return b.Build().ValueOrDie();
 }
 
-// The active-snapshot gains against the all-snapshot definition: as
-// integers, W · MarginalGain(v) = W · SpreadOf(S ∪ {v}) − W · SpreadOf(S)
-// for every node, and CommitSeed returns the same difference; SingletonGains
-// over blocks off the 256-node grid returns MarginalGain's doubles. Checked
-// from no seeds, after each of several commits and after ResetSeeds, on a
-// sparse and a dense graph (p up to 1) with cycles and sinks. The oracle's
-// active lists equal a recount from the sampler's offsets.
+// W times the spread of `seeds` over the dense reference snapshots: the
+// nodes they reach, summed over the W snapshots, by a plain BFS per
+// snapshot.
+long long ReferenceReach(const DenseSnapshots& ref, size_t w,
+                         const std::vector<NodeId>& seeds) {
+  const size_t n = ref.active_offsets.size() - 1;
+  long long total = 0;
+  for (size_t s = 0; s < w; ++s) {
+    const uint32_t* off = ref.offsets.data() + s * (n + 1);
+    std::vector<bool> seen(n, false);
+    std::vector<NodeId> queue;
+    for (const NodeId v : seeds) {
+      if (!seen[v]) {
+        seen[v] = true;
+        queue.push_back(v);
+      }
+    }
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
+      for (uint32_t e = off[u]; e < off[u + 1]; ++e) {
+        const NodeId t = ref.targets[e];
+        if (!seen[t]) {
+          seen[t] = true;
+          queue.push_back(t);
+        }
+      }
+    }
+    total += static_cast<long long>(queue.size());
+  }
+  return total;
+}
+
+// The active-snapshot gains against the all-snapshot definition, computed
+// over the dense reference snapshots (ReferenceReach), not the oracle's own
+// arrays: as integers, W · MarginalGain(v) = reach(S ∪ {v}) − reach(S) for
+// every node, CommitSeed returns the same difference, and CurrentSpread and
+// SpreadOf equal reach(S); SingletonGains over blocks off the 256-node grid
+// returns MarginalGain's doubles. Checked from no seeds, after each of
+// several commits and after ResetSeeds, on a sparse and a dense graph (p up
+// to 1) with cycles and sinks. The sampler's arrays expand to the
+// reference, and the oracle's active lists equal a recount from its
+// offsets.
 TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
   struct Case {
     size_t n, degree;
@@ -562,12 +711,14 @@ TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
     const double w = static_cast<double>(k.w);
     const auto scaled = [w](double x) { return std::llround(w * x); };
 
-    const internal::SnapshotArrays arrays = internal::ActiveSnapshotSampler()(
-        internal::PrepareDraws(g, probs), k.w, opts.seed);
+    const DenseSnapshots ref = ReferenceSnapshots(g, probs, k.w, opts.seed);
+    ExpectSameSnapshots(internal::ActiveSnapshotSampler()(
+                            internal::PrepareDraws(g, probs), k.w, opts.seed),
+                        ref, k.w, "case " + std::to_string(c));
     for (NodeId v = 0; v < k.n; ++v) {
       std::vector<uint32_t> recount;
       for (uint32_t s = 0; s < k.w; ++s) {
-        const uint32_t* off = arrays.offsets.data() + s * (k.n + 1);
+        const uint32_t* off = ref.offsets.data() + s * (k.n + 1);
         if (off[v + 1] > off[v]) recount.push_back(s);
       }
       const auto active = o.ActiveSnapshots(v);
@@ -577,7 +728,8 @@ TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
 
     std::vector<NodeId> committed;
     const auto check_gains = [&](const std::string& what) {
-      const long long base = scaled(o.SpreadOf(committed, &ws));
+      const long long base = ReferenceReach(ref, k.w, committed);
+      EXPECT_EQ(scaled(o.SpreadOf(committed, &ws)), base) << what;
       std::vector<double> blocks(k.n, -1.0);
       const NodeId n = static_cast<NodeId>(k.n);
       const NodeId cuts[] = {0, 1, 97, 255, n};
@@ -589,7 +741,7 @@ TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
         std::vector<NodeId> extended = committed;
         extended.push_back(v);
         const double gain = o.MarginalGain(v, &ws);
-        EXPECT_EQ(scaled(gain), scaled(o.SpreadOf(extended, &ws)) - base)
+        EXPECT_EQ(scaled(gain), ReferenceReach(ref, k.w, extended) - base)
             << what << " v " << v;
         EXPECT_EQ(blocks[v], gain) << what << " v " << v;
       }
@@ -601,15 +753,15 @@ TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
                     std::to_string(round) + " commits " +
                     std::to_string(commits));
         const NodeId v = static_cast<NodeId>(rng.UniformInt(k.n));
-        const long long before = scaled(o.SpreadOf(committed, &ws));
+        const long long before = ReferenceReach(ref, k.w, committed);
         const double expected = o.MarginalGain(v, &ws);
         const double realized = o.CommitSeed(v, &ws);
         committed.push_back(v);
         EXPECT_EQ(realized, expected);
         EXPECT_EQ(scaled(realized),
-                  scaled(o.SpreadOf(committed, &ws)) - before);
+                  ReferenceReach(ref, k.w, committed) - before);
         EXPECT_EQ(scaled(o.CurrentSpread()),
-                  scaled(o.SpreadOf(committed, &ws)));
+                  ReferenceReach(ref, k.w, committed));
       }
       o.ResetSeeds();
       committed.clear();

@@ -12,8 +12,10 @@
 # the KL kernel layer works on raw pointers into flat SoA buffers that
 # Insert() reallocates, the seed selectors reuse per-thread oracle workspaces
 # across graphs of different sizes, snapshot sampling appends through a raw
-# pointer past the kept count, rank aggregation's vote kernels read padded
-# per-list rank rows by slot out of reused per-thread scratch, and the pooled
+# pointer past the kept count, the counting build and the reach BFS index
+# the sparse snapshot adjacency by bitmap rank, rank aggregation's vote
+# kernels read padded per-list rank rows by slot out of reused per-thread
+# scratch, and the pooled
 # k-means and arc-probability passes write per-point slots, and the
 # propagation log compacts its records in place behind a read cursor —
 # exactly the kind of code ASan exists for.
@@ -124,7 +126,11 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
 echo "== run influence-maximization tests under ASan+UBSan"
 # One process runs parallel seed selection on a small graph, then a large
 # one: each pool thread's workspace must follow the oracle's node count.
+# The forced-scalar pass feeds the counting build from the scalar sampler's
+# buffer instead of the four AVX2 lane regions.
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/im_test"
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
   "$BUILD_ASAN/tests/im_test"
 
 echo "== run rank-aggregation tests under ASan+UBSan"
@@ -150,4 +156,4 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/tic_test"
 
-echo "ASan tests: OK (kernel dispatched + forced-scalar, im, rank, extensions, cluster, data, tic)"
+echo "ASan tests: OK (kernel, im and rank dispatched + forced-scalar, extensions, cluster, data, tic)"
