@@ -341,7 +341,7 @@ SnapshotArrays SampleSnapshotsLanes(SnapshotDraws draws,
 }
 
 SnapshotSampler ResolveSnapshotSampler(bool force_scalar) {
-  if (force_scalar || !util::DetectCpuSimd().avx2) {
+  if (force_scalar || !util::CpuHasAvx2()) {
     return SampleSnapshotsScalar;
   }
   return SampleSnapshotsAvx2;

@@ -128,8 +128,7 @@ VoteRowKernel Avx2VoteRows() {
 }
 
 VoteRowKernel ResolveVoteRowKernel(bool force_scalar) {
-  if (force_scalar || !util::DetectCpuSimd().avx2 ||
-      Avx2VoteRows() == nullptr) {
+  if (force_scalar || !util::CpuHasAvx2() || Avx2VoteRows() == nullptr) {
     return VoteRowsScalar;
   }
   return Avx2VoteRows();

@@ -1,5 +1,6 @@
 #include "simplex/kl_kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -16,15 +17,17 @@ double NegativeEntropy(const double* p, size_t n) {
   return s;
 }
 
-// The public kernels route through the process-wide dispatch table
-// (kl_kernel_simd.h): resolved once from cpuid + INFLEX_FORCE_SCALAR, and
-// every variant reproduces the scalar fixed-order reduction bit-for-bit, so
-// call sites keep the determinism guarantees they had when these were plain
-// scalar loops.
-
+// Not dispatched: a vector clamp in front of the libm calls measured no
+// faster (EXPERIMENTS.md "One SIMD tier").
 void ClampedLog(const double* v, size_t n, double eps, double* out) {
-  ActiveKernelOps().clamped_log(v, n, eps, out);
+  for (size_t z = 0; z < n; ++z) out[z] = std::log(std::max(v[z], eps));
 }
+
+// The dot-product kernels route through the process-wide dispatch table
+// (kl_kernel_simd.h): resolved once from cpuid + INFLEX_FORCE_SCALAR, and
+// the AVX2 variant reproduces the scalar fixed-order reduction bit-for-bit,
+// so call sites keep the determinism guarantees they had when these were
+// plain scalar loops.
 
 double DotProduct(const double* a, const double* b, size_t n) {
   return ActiveKernelOps().dot(a, b, n);

@@ -34,15 +34,15 @@ namespace simplex {
 double NegativeEntropy(const double* p, size_t n);
 
 /// out[z] = log(max(v[z], eps)) — the per-query (or per-center) clamped log
-/// transform of the factorization. Dispatched (kl_kernel_simd.h): the clamp
-/// vectorizes, the log calls stay scalar libm for bit-identity.
+/// transform of the factorization. One scalar libm std::log per element on
+/// every host (vector-log libraries are not bit-compatible with it).
 void ClampedLog(const double* v, size_t n, double eps, double* out);
 
 /// Plain dot product ⟨a, b⟩ with four independent partial sums in a fixed
 /// summation order — deterministic across call sites AND across the
-/// scalar/AVX2/AVX-512 variants behind the runtime dispatch
-/// (kl_kernel_simd.h): every variant reproduces the same reduction
-/// bit-for-bit, so swapping ISAs never moves a cached answer.
+/// scalar/AVX2 variants behind the runtime dispatch (kl_kernel_simd.h):
+/// both reproduce the same reduction bit-for-bit, so swapping ISAs never
+/// moves a cached answer.
 double DotProduct(const double* a, const double* b, size_t n);
 
 /// The factorized kernel: max(p_neg_entropy − ⟨p, log_q⟩, 0).

@@ -1,5 +1,5 @@
 // Explicit-SIMD KL kernels with runtime ISA dispatch. Read the contract in
-// kl_kernel_simd.h before touching any loop here: every variant must
+// kl_kernel_simd.h before touching any loop here: the AVX2 variant must
 // reproduce the scalar fixed-order reduction bit-for-bit, which is enforced
 // by kernel_test.cc across dims, tails, eps-clamped zeros, and subnormal
 // mixture entries. This translation unit is compiled with -ffp-contract=off
@@ -8,7 +8,6 @@
 #include "simplex/kl_kernel_simd.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/cpu_features.h"
 
@@ -23,7 +22,7 @@ namespace {
 
 // ------------------------------------------------------------------ scalar --
 
-// The reference reduction every other variant must match bit-for-bit: four
+// The reference reduction the AVX2 variant must match bit-for-bit: four
 // independent partial sums (element z feeds sum z mod 4), scalar tail into
 // s0, horizontal reduction (s0+s1)+(s2+s3).
 double DotScalar(const double* a, const double* b, size_t n) {
@@ -58,14 +57,8 @@ void KlBatchTargetsScalar(const double* q, double q_neg_entropy,
   }
 }
 
-void ClampedLogScalar(const double* v, size_t n, double eps, double* out) {
-  for (size_t z = 0; z < n; ++z) {
-    out[z] = std::log(std::max(v[z], eps));
-  }
-}
-
 constexpr KlKernelOps kScalarOps = {
-    "scalar", DotScalar, KlBatchScalar, KlBatchTargetsScalar, ClampedLogScalar,
+    "scalar", DotScalar, KlBatchScalar, KlBatchTargetsScalar,
 };
 
 #ifdef INFLEX_KERNEL_X86
@@ -223,177 +216,9 @@ __attribute__((target("avx2"))) void KlBatchTargetsAvx2(
   }
 }
 
-// The clamp vectorizes; the log stays the identical scalar libm call per
-// element (vector-log is not bit-compatible with std::log). Writing the
-// clamped values first lets the log pass read one contiguous buffer.
-__attribute__((target("avx2"))) void ClampedLogAvx2(const double* v, size_t n,
-                                                    double eps, double* out) {
-  const __m256d veps = _mm256_set1_pd(eps);
-  size_t z = 0;
-  for (; z + 4 <= n; z += 4) {
-    _mm256_storeu_pd(out + z, _mm256_max_pd(_mm256_loadu_pd(v + z), veps));
-  }
-  for (; z < n; ++z) out[z] = std::max(v[z], eps);
-  for (size_t i = 0; i < n; ++i) out[i] = std::log(out[i]);
-}
-
 constexpr KlKernelOps kAvx2Ops = {
-    "avx2", DotAvx2, KlBatchAvx2, KlBatchTargetsAvx2, ClampedLogAvx2,
+    "avx2", DotAvx2, KlBatchAvx2, KlBatchTargetsAvx2,
 };
-
-// ------------------------------------------------------------------ AVX512 --
-
-// GCC's _mm512_extractf64x4_pd expands through _mm256_undefined_pd(), which
-// trips -Wmaybe-uninitialized as a false positive (GCC PR105593); the
-// undefined lanes are fully overwritten by the extract.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-// Only the multiply widens to 8 lanes (each product rounds independently);
-// both 256-bit halves fold into the SAME 4-lane accumulator in element
-// order, so lane j still receives a[z+j]·b[z+j] then a[z+4+j]·b[z+4+j] —
-// the scalar addition sequence, unchanged. See the header for why this
-// deterministic shape caps the AVX-512 win and makes the variant optional.
-__attribute__((target("avx512f,avx2"))) inline __m256d
-DotAccumulateAvx512(const double* a, const double* b, size_t n,
-                    size_t* z_out) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t z = 0;
-  for (; z + 8 <= n; z += 8) {
-    const __m512d prod =
-        _mm512_mul_pd(_mm512_loadu_pd(a + z), _mm512_loadu_pd(b + z));
-    acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(prod));
-    acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd(prod, 1));
-  }
-  for (; z + 4 <= n; z += 4) {
-    acc = _mm256_add_pd(acc,
-                        _mm256_mul_pd(_mm256_loadu_pd(a + z),
-                                      _mm256_loadu_pd(b + z)));
-  }
-  *z_out = z;
-  return acc;
-}
-
-__attribute__((target("avx512f,avx2"))) double DotAvx512(const double* a,
-                                                         const double* b,
-                                                         size_t n) {
-  size_t z = 0;
-  const __m256d acc = DotAccumulateAvx512(a, b, n, &z);
-  return DotReduceAvx2(acc, a, b, n, z);
-}
-
-// Same four-rows-in-flight structure as KlBatchAvx2 (see the comment there),
-// with each row stepping 8 elements at a time through the widened multiply +
-// ordered lo/hi fold of DotAccumulateAvx512. The two folds per row per step
-// are a dependent pair, but across four rows eight folds interleave, so the
-// chain latency the contract imposes is again hidden by row-level ILP.
-__attribute__((target("avx512f,avx2"))) void KlBatchAvx512(
-    const double* rows, const double* neg_entropies, size_t m, size_t n,
-    size_t row_stride, const double* log_q, double* out) {
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double* p0 = rows + i * row_stride;
-    const double* p1 = p0 + row_stride;
-    const double* p2 = p1 + row_stride;
-    const double* p3 = p2 + row_stride;
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
-    size_t z = 0;
-    for (; z + 8 <= n; z += 8) {
-      const __m512d lq = _mm512_loadu_pd(log_q + z);
-      const __m512d r0 = _mm512_mul_pd(_mm512_loadu_pd(p0 + z), lq);
-      const __m512d r1 = _mm512_mul_pd(_mm512_loadu_pd(p1 + z), lq);
-      const __m512d r2 = _mm512_mul_pd(_mm512_loadu_pd(p2 + z), lq);
-      const __m512d r3 = _mm512_mul_pd(_mm512_loadu_pd(p3 + z), lq);
-      a0 = _mm256_add_pd(a0, _mm512_castpd512_pd256(r0));
-      a1 = _mm256_add_pd(a1, _mm512_castpd512_pd256(r1));
-      a2 = _mm256_add_pd(a2, _mm512_castpd512_pd256(r2));
-      a3 = _mm256_add_pd(a3, _mm512_castpd512_pd256(r3));
-      a0 = _mm256_add_pd(a0, _mm512_extractf64x4_pd(r0, 1));
-      a1 = _mm256_add_pd(a1, _mm512_extractf64x4_pd(r1, 1));
-      a2 = _mm256_add_pd(a2, _mm512_extractf64x4_pd(r2, 1));
-      a3 = _mm256_add_pd(a3, _mm512_extractf64x4_pd(r3, 1));
-    }
-    for (; z + 4 <= n; z += 4) {
-      const __m256d lq = _mm256_loadu_pd(log_q + z);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(p0 + z), lq));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(p1 + z), lq));
-      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(p2 + z), lq));
-      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(p3 + z), lq));
-    }
-    const __m256d dots =
-        DotReduce4Avx2(a0, a1, a2, a3, p0, p1, p2, p3, log_q, n, z);
-    _mm256_storeu_pd(
-        out + i,
-        ClampNonNegAvx2(_mm256_sub_pd(_mm256_loadu_pd(neg_entropies + i),
-                                      dots)));
-  }
-  for (; i < m; ++i) {
-    const double* p = rows + i * row_stride;
-    size_t z = 0;
-    const __m256d acc = DotAccumulateAvx512(p, log_q, n, &z);
-    out[i] =
-        std::max(neg_entropies[i] - DotReduceAvx2(acc, p, log_q, n, z), 0.0);
-  }
-}
-
-__attribute__((target("avx512f,avx2"))) void KlBatchTargetsAvx512(
-    const double* q, double q_neg_entropy, const double* log_targets, size_t m,
-    size_t n, size_t row_stride, double* out) {
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double* t0 = log_targets + i * row_stride;
-    const double* t1 = t0 + row_stride;
-    const double* t2 = t1 + row_stride;
-    const double* t3 = t2 + row_stride;
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
-    size_t z = 0;
-    for (; z + 8 <= n; z += 8) {
-      const __m512d qv = _mm512_loadu_pd(q + z);
-      const __m512d r0 = _mm512_mul_pd(qv, _mm512_loadu_pd(t0 + z));
-      const __m512d r1 = _mm512_mul_pd(qv, _mm512_loadu_pd(t1 + z));
-      const __m512d r2 = _mm512_mul_pd(qv, _mm512_loadu_pd(t2 + z));
-      const __m512d r3 = _mm512_mul_pd(qv, _mm512_loadu_pd(t3 + z));
-      a0 = _mm256_add_pd(a0, _mm512_castpd512_pd256(r0));
-      a1 = _mm256_add_pd(a1, _mm512_castpd512_pd256(r1));
-      a2 = _mm256_add_pd(a2, _mm512_castpd512_pd256(r2));
-      a3 = _mm256_add_pd(a3, _mm512_castpd512_pd256(r3));
-      a0 = _mm256_add_pd(a0, _mm512_extractf64x4_pd(r0, 1));
-      a1 = _mm256_add_pd(a1, _mm512_extractf64x4_pd(r1, 1));
-      a2 = _mm256_add_pd(a2, _mm512_extractf64x4_pd(r2, 1));
-      a3 = _mm256_add_pd(a3, _mm512_extractf64x4_pd(r3, 1));
-    }
-    for (; z + 4 <= n; z += 4) {
-      const __m256d qv = _mm256_loadu_pd(q + z);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(qv, _mm256_loadu_pd(t0 + z)));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(qv, _mm256_loadu_pd(t1 + z)));
-      a2 = _mm256_add_pd(a2, _mm256_mul_pd(qv, _mm256_loadu_pd(t2 + z)));
-      a3 = _mm256_add_pd(a3, _mm256_mul_pd(qv, _mm256_loadu_pd(t3 + z)));
-    }
-    const __m256d dots =
-        DotReduce4Avx2(a0, a1, a2, a3, t0, t1, t2, t3, q, n, z);
-    _mm256_storeu_pd(
-        out + i,
-        ClampNonNegAvx2(_mm256_sub_pd(_mm256_set1_pd(q_neg_entropy), dots)));
-  }
-  for (; i < m; ++i) {
-    const double* t = log_targets + i * row_stride;
-    size_t z = 0;
-    const __m256d acc = DotAccumulateAvx512(q, t, n, &z);
-    out[i] = std::max(q_neg_entropy - DotReduceAvx2(acc, q, t, n, z), 0.0);
-  }
-}
-
-constexpr KlKernelOps kAvx512Ops = {
-    "avx512", DotAvx512, KlBatchAvx512, KlBatchTargetsAvx512, ClampedLogAvx2,
-};
-
-#pragma GCC diagnostic pop
 
 #endif  // INFLEX_KERNEL_X86
 
@@ -409,20 +234,11 @@ const KlKernelOps* Avx2KernelOps() {
 #endif
 }
 
-const KlKernelOps* Avx512KernelOps() {
-#ifdef INFLEX_KERNEL_X86
-  return &kAvx512Ops;
-#else
-  return nullptr;
-#endif
-}
-
 const KlKernelOps& ResolveKernelOps(bool force_scalar) {
-  if (force_scalar) return kScalarOps;
-  const util::CpuSimdFeatures cpu = util::DetectCpuSimd();
-  if (cpu.avx512f && Avx512KernelOps() != nullptr) return *Avx512KernelOps();
-  if (cpu.avx2 && Avx2KernelOps() != nullptr) return *Avx2KernelOps();
-  return kScalarOps;
+  if (force_scalar || !util::CpuHasAvx2() || Avx2KernelOps() == nullptr) {
+    return kScalarOps;
+  }
+  return *Avx2KernelOps();
 }
 
 namespace {

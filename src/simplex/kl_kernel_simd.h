@@ -6,35 +6,27 @@
 namespace inflex {
 namespace simplex {
 
-/// \brief Explicit-SIMD implementations of the KL kernel primitives with
-/// runtime ISA dispatch (DESIGN.md §10).
+/// \brief Explicit-SIMD implementation of the KL kernel primitives with
+/// runtime ISA dispatch (DESIGN.md §10): AVX2 when the CPU has it and
+/// INFLEX_FORCE_SCALAR is unset, else the scalar reference.
 ///
-/// The contract every variant must honor is *bit-determinism*: the public
+/// The contract the AVX2 variant must honor is *bit-determinism*: the public
 /// kernels (simplex/kl_kernel.h) promise the exact floating-point result of
 /// the fixed-order 4-accumulator scalar reduction, because cache keys,
 /// golden seed lists, and the per-generation bit-identical replay tests all
-/// compare doubles across code paths. So the SIMD variants are not free to
-/// reduce however is fastest; they must reproduce the scalar reduction
-/// bit-for-bit:
-///
-///  - AVX2 keeps ONE 4×f64 accumulator whose lane j is exactly the scalar
-///    partial sum s_j (lane→accumulator mapping: element z accumulates into
-///    lane z mod 4), multiplies and adds as separate rounded operations (no
-///    FMA — the scalar TU is pinned to -ffp-contract=off for the same
-///    reason), finishes the tail scalar into lane 0's sum, and reduces
-///    horizontally in the scalar's exact order (s0+s1)+(s2+s3).
-///  - AVX-512 may only widen the *multiply* (8 independent products per
-///    iteration — rounding of a product does not depend on neighbors); the
-///    two 256-bit halves of the product are folded into the same 4-lane
-///    accumulator in element order, so the per-lane addition sequence is
-///    unchanged. This is why AVX-512 is optional and its win is modest: the
-///    deterministic reduction shape caps it at halving the load/multiply
-///    work, never the addition chain.
+/// compare doubles across code paths. So the SIMD variant is not free to
+/// reduce however is fastest; it must reproduce the scalar reduction
+/// bit-for-bit. It keeps ONE 4×f64 accumulator whose lane j is exactly the
+/// scalar partial sum s_j (lane→accumulator mapping: element z accumulates
+/// into lane z mod 4), multiplies and adds as separate rounded operations
+/// (no FMA — the scalar TU is pinned to -ffp-contract=off for the same
+/// reason), finishes the tail scalar into lane 0's sum, and reduces
+/// horizontally in the scalar's exact order (s0+s1)+(s2+s3).
 ///
 /// Selection happens once per process (cpuid + the INFLEX_FORCE_SCALAR
 /// escape hatch) through ActiveKernelOps(); tests pin variants explicitly.
 struct KlKernelOps {
-  /// Variant name as recorded in bench artifacts: "scalar"|"avx2"|"avx512".
+  /// Variant name as recorded in bench artifacts: "scalar"|"avx2".
   const char* name;
   /// ⟨a, b⟩ with the fixed 4-accumulator reduction order.
   double (*dot)(const double* a, const double* b, size_t n);
@@ -48,26 +40,19 @@ struct KlKernelOps {
   void (*kl_batch_targets)(const double* q, double q_neg_entropy,
                            const double* log_targets, size_t m, size_t n,
                            size_t row_stride, double* out);
-  /// out[z] = log(max(v[z], eps)). The clamp vectorizes; the log calls are
-  /// the same scalar libm calls in the same order (vector-log libraries are
-  /// not bit-compatible with scalar std::log, so they are off the table).
-  void (*clamped_log)(const double* v, size_t n, double eps, double* out);
 };
 
 /// The portable fixed-order scalar kernels (always available; also the
-/// reference the bit-identity tests compare every SIMD variant against).
+/// reference the bit-identity tests compare the AVX2 variant against).
 const KlKernelOps& ScalarKernelOps();
 
 /// The AVX2 variant, or nullptr when the binary was compiled without x86
 /// target-attribute support. Callers must additionally check cpuid before
-/// invoking (tests use util::DetectCpuSimd()).
+/// invoking (tests use util::CpuHasAvx2()).
 const KlKernelOps* Avx2KernelOps();
 
-/// The AVX-512 variant, or nullptr when unavailable at compile time.
-const KlKernelOps* Avx512KernelOps();
-
-/// Picks the best variant the executing CPU supports (avx512 > avx2 >
-/// scalar), or the scalar kernels when `force_scalar` is set. Pure function
+/// Picks the AVX2 variant when the executing CPU supports it, else the
+/// scalar kernels; always scalar when `force_scalar` is set. Pure function
 /// of (cpuid, force_scalar): callable repeatedly from tests.
 const KlKernelOps& ResolveKernelOps(bool force_scalar);
 

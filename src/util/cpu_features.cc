@@ -6,14 +6,13 @@
 namespace inflex {
 namespace util {
 
-CpuSimdFeatures DetectCpuSimd() {
-  CpuSimdFeatures f;
+bool CpuHasAvx2() {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
   __builtin_cpu_init();
-  f.avx2 = __builtin_cpu_supports("avx2") != 0;
-  f.avx512f = __builtin_cpu_supports("avx512f") != 0;
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
 #endif
-  return f;
 }
 
 bool ForceScalarRequested(const char* value) {

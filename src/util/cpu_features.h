@@ -4,19 +4,15 @@
 namespace inflex {
 namespace util {
 
-/// \brief SIMD capabilities of the executing CPU relevant to the KL kernel
-/// layer (simplex/kl_kernel_simd.*). Detection goes through the compiler's
-/// cpuid support (__builtin_cpu_supports), which also checks OS state
-/// (OSXSAVE/XCR0) before reporting a vector extension as usable; on non-x86
-/// targets everything is false and the scalar kernels serve every call.
-struct CpuSimdFeatures {
-  bool avx2 = false;
-  bool avx512f = false;
-};
-
-/// Queries the executing CPU once per call (callers cache the result; the
-/// kernel dispatch does so behind a function-local static).
-CpuSimdFeatures DetectCpuSimd();
+/// \brief True when the executing CPU can run AVX2 code — the one
+/// explicit-SIMD tier of the KL kernels (simplex/kl_kernel_simd.*), the
+/// snapshot sampler and the vote-row kernel. Detection goes through the
+/// compiler's cpuid support (__builtin_cpu_supports), which also checks OS
+/// state (OSXSAVE/XCR0) before reporting a vector extension as usable; on
+/// non-x86 targets it is false and the scalar kernels serve every call.
+/// Queries the CPU on every call: callers cache the result (each dispatch
+/// does so behind a function-local static).
+bool CpuHasAvx2();
 
 /// True when `value` (the content of INFLEX_FORCE_SCALAR, or nullptr when
 /// the variable is unset) requests the scalar kernels. Any non-empty value

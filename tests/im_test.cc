@@ -448,7 +448,7 @@ TEST(SnapshotSamplerTest, LanesMatchScalar) {
 // A lane that would overrun its region falls back to the scalar loop: at
 // once (region below the out-degree bound) and part way through.
 TEST(SnapshotSamplerTest, LaneRegionOverflowFallsBackToScalar) {
-  if (!util::DetectCpuSimd().avx2) GTEST_SKIP() << "no AVX2";
+  if (!util::CpuHasAvx2()) GTEST_SKIP() << "no AVX2";
   const TopicGraph g = MakeRandomGraph(150, 900, 0.1, 0.5, 310);
   const ArcProbabilities probs = MixedProbs(g, 11);
   const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);

@@ -330,7 +330,7 @@ uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 TEST(VoteKernelTest, RowsMatchScalarAndTallyBitForBit) {
   std::vector<std::pair<const char*, internal::VoteRowKernel>> kernels = {
       {"scalar", internal::VoteRowsScalar}};
-  if (util::DetectCpuSimd().avx2 && internal::Avx2VoteRows() != nullptr) {
+  if (util::CpuHasAvx2() && internal::Avx2VoteRows() != nullptr) {
     kernels.emplace_back("avx2", internal::Avx2VoteRows());
   }
   Rng rng(20);
@@ -389,7 +389,7 @@ TEST(VoteKernelTest, RowsMatchScalarAndTallyBitForBit) {
 
 TEST(VoteKernelTest, ForceScalarResolvesTheReferenceLoop) {
   EXPECT_EQ(internal::ResolveVoteRowKernel(true), &internal::VoteRowsScalar);
-  if (util::DetectCpuSimd().avx2 && internal::Avx2VoteRows() != nullptr) {
+  if (util::CpuHasAvx2() && internal::Avx2VoteRows() != nullptr) {
     EXPECT_EQ(internal::ResolveVoteRowKernel(false), internal::Avx2VoteRows());
   }
 }
