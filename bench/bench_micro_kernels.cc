@@ -3,15 +3,20 @@
 // Eq. 1 instance materialization, cascade simulation, snapshot-oracle
 // marginal gains, the offline phase's layers (the dataset, snapshot
 // sampling, one index point's seed-list precompute and its CELF half,
-// index-point selection and its k-means), bb-tree searches, Kendall-τ, and
-// the aggregation kernels.
+// index-point selection and its k-means), bb-tree searches, Kendall-τ, the
+// aggregation kernels, and one index generation's publish.
 // After the google-benchmark suite, main() runs a self-timed reference-vs-
 // kernel comparison across topic counts and leaf-scan batch sizes and writes
 // it to BENCH_kernels.json (see RunKernelComparison below).
 #include <benchmark/benchmark.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -425,6 +430,42 @@ void BM_Aggregation(benchmark::State& state) {
 BENCHMARK(BM_Aggregation)
     ->ArgsProduct({{0, 1, 2}, {10, 20}})
     ->Unit(benchmark::kMicrosecond);
+
+const core::InflexIndex& TestbedIndex() {
+  static const std::shared_ptr<benchsupport::Testbed> tb = [] {
+    auto r = benchsupport::GetTestbed();
+    INFLEX_CHECK(r.ok());
+    return std::move(r).ValueOrDie();
+  }();
+  return *tb->index;
+}
+
+// The maintainer's publish layer: a new generation is a copy of the current
+// index plus one AddIndexPoint (h = 256 → 257 on the test-bed). The copy
+// shares every seed list with its base and copies the bb-tree;
+// `bytes_per_generation` is the heap one generation holds on top of its
+// base (glibc's mallinfo2, in-use plus mmapped bytes).
+void BM_PublishClone(benchmark::State& state) {
+  const core::InflexIndex& base = TestbedIndex();
+  const auto item = simplex::TopicDistribution::Uniform(base.num_topics());
+  const rank::RankedList& list = base.seed_list(0);
+  for (auto _ : state) {
+    core::InflexIndex next = base;
+    INFLEX_CHECK(next.AddIndexPoint(item, list).ok());
+    benchmark::DoNotOptimize(next.num_index_points());
+  }
+#if defined(__GLIBC__)
+  const auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+  };
+  const double before = heap_bytes();
+  auto next = std::make_unique<core::InflexIndex>(base);
+  INFLEX_CHECK(next->AddIndexPoint(item, list).ok());
+  state.counters["bytes_per_generation"] = heap_bytes() - before;
+#endif
+}
+BENCHMARK(BM_PublishClone)->Unit(benchmark::kMicrosecond);
 
 // One measured configuration of the reference-vs-kernel comparison.
 struct KernelRow {

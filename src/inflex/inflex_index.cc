@@ -157,7 +157,11 @@ Result<InflexIndex> InflexIndex::FromParts(
   InflexIndex index;
   index.graph_ = graph;
   index.seed_list_length_ = ell;
-  index.seed_lists_ = std::move(seed_lists);
+  index.seed_lists_.reserve(seed_lists.size());
+  for (rank::RankedList& list : seed_lists) {
+    index.seed_lists_.push_back(
+        std::make_shared<const rank::RankedList>(std::move(list)));
+  }
   INFLEX_ASSIGN_OR_RETURN(index.tree_,
                           bbtree::BbTree::Build(std::move(points),
                                                 tree_options));
@@ -241,9 +245,15 @@ Result<QueryResult> InflexIndex::Query(const simplex::TopicDistribution& item,
   }
 
   if (search.epsilon_exact) {
-    // ε-exact match: return the stored list directly, truncated to k.
-    const rank::RankedList list = FilterToSegment(
-        seed_lists_[search.neighbors[0].point_id], options.segment_mask);
+    // ε-exact match: return the stored list directly, truncated to k (it is
+    // copied whole only when a segment mask has to filter it).
+    const rank::RankedList& stored = seed_list(search.neighbors[0].point_id);
+    rank::RankedList filtered;
+    if (!options.segment_mask.empty()) {
+      filtered = FilterToSegment(stored, options.segment_mask);
+    }
+    const rank::RankedList& list =
+        options.segment_mask.empty() ? stored : filtered;
     if (list.empty()) {
       return Status::NotFound(
           "the matched seed list contains no segment member");
@@ -283,7 +293,7 @@ Result<QueryResult> InflexIndex::Query(const simplex::TopicDistribution& item,
   list_weights.reserve(keep);
   for (size_t i = 0; i < result.neighbors_used.size(); ++i) {
     rank::RankedList filtered = FilterToSegment(
-        seed_lists_[result.neighbors_used[i].point_id], options.segment_mask);
+        seed_list(result.neighbors_used[i].point_id), options.segment_mask);
     if (filtered.empty()) continue;
     lists.push_back(std::move(filtered));
     list_weights.push_back(weights[i]);
@@ -319,7 +329,8 @@ Status InflexIndex::AddIndexPoint(const simplex::TopicDistribution& item,
   INFLEX_ASSIGN_OR_RETURN(uint32_t id, tree_.Insert(item.probs()));
   INFLEX_CHECK_EQ(static_cast<size_t>(id), seed_lists_.size());
   seed_list_length_ = std::max(seed_list_length_, seed_list.size());
-  seed_lists_.push_back(std::move(seed_list));
+  seed_lists_.push_back(
+      std::make_shared<const rank::RankedList>(std::move(seed_list)));
   return Status::OK();
 }
 
@@ -355,7 +366,7 @@ Status InflexIndex::RemoveIndexPoints(std::span<const uint32_t> ids,
   for (uint32_t i = 0; i < n; ++i) {
     if (map[i] == kDroppedIndexPoint) continue;
     if (map[i] != i) seed_lists_[map[i]] = std::move(seed_lists_[i]);
-    ell = std::max(ell, seed_lists_[map[i]].size());
+    ell = std::max(ell, seed_lists_[map[i]]->size());
   }
   seed_lists_.resize(next);
   seed_list_length_ = ell;
@@ -386,7 +397,7 @@ Status InflexIndex::Save(const std::string& path) const {
   INFLEX_RETURN_NOT_OK(w.WritePod<uint64_t>(seed_list_length_));
   for (uint32_t i = 0; i < num_index_points(); ++i) {
     INFLEX_RETURN_NOT_OK(w.WriteVector(index_point(i)));
-    INFLEX_RETURN_NOT_OK(w.WriteVector(seed_lists_[i]));
+    INFLEX_RETURN_NOT_OK(w.WriteVector(seed_list(i)));
   }
   return w.Close();
 }

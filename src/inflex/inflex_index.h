@@ -106,7 +106,9 @@ struct InflexBuildOptions {
 /// points for similarity search. Holds a pointer to the social graph it was
 /// built for (the graph must outlive the index); the graph is not consulted
 /// at query time — queries touch only the index, which is what makes
-/// millisecond answers possible.
+/// millisecond answers possible. An index is a value: a copy shares the seed
+/// lists with its source (they are immutable) and copies the tree, so the
+/// two evolve independently.
 class InflexIndex {
  public:
   /// Builds the full index from a graph and an item catalog: index-point
@@ -136,7 +138,7 @@ class InflexIndex {
   size_t num_topics() const { return tree_.dim(); }
   const bbtree::BbTree& tree() const { return tree_; }
   const rank::RankedList& seed_list(uint32_t point_id) const {
-    return seed_lists_[point_id];
+    return *seed_lists_[point_id];
   }
   /// A copy of the index point (the tree stores points in a flat SoA buffer,
   /// so there is no long-lived TopicVector to reference).
@@ -197,7 +199,11 @@ class InflexIndex {
 
   const graph::TopicGraph* graph_ = nullptr;  // may be null after Load
   bbtree::BbTree tree_;
-  std::vector<rank::RankedList> seed_lists_;  // aligned with tree point ids
+  // Aligned with tree point ids. A list never changes once made, so a copy
+  // of the index (a new generation) shares every list with its source and
+  // copies only these pointers; AddIndexPoint and RemoveIndexPoints edit the
+  // pointer array alone.
+  std::vector<std::shared_ptr<const rank::RankedList>> seed_lists_;
   size_t seed_list_length_ = 0;
 };
 

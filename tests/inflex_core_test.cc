@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <fstream>
+#include <memory>
 #include <set>
+#include <sstream>
 
 #include "data/synthetic.h"
 #include "inflex/index_points.h"
@@ -407,6 +410,116 @@ TEST_F(InflexIndexTest, SaveLoadPreservesAnswers) {
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a.ValueOrDie().seeds, b.ValueOrDie().seeds) << "trial " << t;
   }
+}
+
+// ------------------------------------------- generations (index copies) ---
+
+std::vector<rank::RankedList> AllSeedLists(const InflexIndex& index) {
+  std::vector<rank::RankedList> out;
+  for (uint32_t i = 0; i < index.num_index_points(); ++i) {
+    out.push_back(index.seed_list(i));
+  }
+  return out;
+}
+
+// Answers to a fixed set of queries: random mixtures (aggregation) and the
+// first index points themselves (ε-exact).
+std::vector<rank::RankedList> FixedAnswers(const InflexIndex& index) {
+  std::vector<simplex::TopicVector> queries;
+  Rng rng(53);
+  for (int t = 0; t < 8; ++t) {
+    queries.push_back(simplex::SampleUniformSimplex(4, &rng));
+  }
+  for (uint32_t i = 0; i < 3; ++i) queries.push_back(index.index_point(i));
+  std::vector<rank::RankedList> out;
+  for (const auto& q : queries) {
+    auto r = index.Query(simplex::TopicDistribution::Create(q).ValueOrDie(), 8);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    out.push_back(r.ok() ? r.ValueOrDie().seeds : rank::RankedList{});
+  }
+  return out;
+}
+
+std::string SavedBytes(const InflexIndex& index, const std::string& name) {
+  const std::string path = testing::TempDir() + "/" + name;
+  EXPECT_TRUE(index.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST_F(InflexIndexTest, CloneSharesUnchangedSeedLists) {
+  const size_t h = index_->num_index_points();
+  const auto lists_before = AllSeedLists(*index_);
+  const std::string bytes_before = SavedBytes(*index_, "base_before.bin");
+
+  InflexIndex clone = *index_;
+  rank::RankedList added = index_->seed_list(0);
+  std::reverse(added.begin(), added.end());
+  ASSERT_TRUE(
+      clone.AddIndexPoint(simplex::TopicDistribution::Uniform(4), added).ok());
+
+  ASSERT_EQ(clone.num_index_points(), h + 1);
+  for (uint32_t i = 0; i < h; ++i) {
+    EXPECT_EQ(&clone.seed_list(i), &index_->seed_list(i)) << "list " << i;
+  }
+  EXPECT_EQ(clone.seed_list(static_cast<uint32_t>(h)), added);
+  EXPECT_EQ(index_->num_index_points(), h);
+  EXPECT_EQ(AllSeedLists(*index_), lists_before);
+  EXPECT_EQ(SavedBytes(*index_, "base_after.bin"), bytes_before);
+}
+
+TEST_F(InflexIndexTest, RemoveOnCloneLeavesBaseIntact) {
+  const auto lists_before = AllSeedLists(*index_);
+  const auto answers_before = FixedAnswers(*index_);
+
+  InflexIndex clone = *index_;
+  std::vector<uint32_t> old_to_new;
+  const std::vector<uint32_t> victims = {0, 7, 8, 29};
+  ASSERT_TRUE(clone.RemoveIndexPoints(victims, &old_to_new).ok());
+  bbtree::BbTreeOptions topts;
+  topts.max_leaf_size = 6;
+  ASSERT_TRUE(clone.Compact(topts).ok());
+
+  EXPECT_EQ(AllSeedLists(*index_), lists_before);
+  EXPECT_EQ(FixedAnswers(*index_), answers_before);
+  ASSERT_EQ(clone.num_index_points(),
+            index_->num_index_points() - victims.size());
+  for (uint32_t old_id = 0; old_id < old_to_new.size(); ++old_id) {
+    const uint32_t new_id = old_to_new[old_id];
+    if (new_id == kDroppedIndexPoint) continue;
+    EXPECT_EQ(clone.index_point(new_id), index_->index_point(old_id));
+    EXPECT_EQ(clone.seed_list(new_id), lists_before[old_id]);
+    EXPECT_EQ(&clone.seed_list(new_id), &index_->seed_list(old_id));
+  }
+}
+
+TEST_F(InflexIndexTest, CloneOutlivesBase) {
+  bbtree::BbTreeOptions topts;
+  topts.max_leaf_size = 6;
+  const auto from_fixture = [&] {
+    std::vector<simplex::TopicVector> points;
+    for (uint32_t i = 0; i < index_->num_index_points(); ++i) {
+      points.push_back(index_->index_point(i));
+    }
+    return InflexIndex::FromParts(&dataset_->graph, std::move(points),
+                                  AllSeedLists(*index_), topts)
+        .ValueOrDie();
+  };
+  const auto item =
+      simplex::TopicDistribution::Create({0.7, 0.1, 0.1, 0.1}).ValueOrDie();
+  const rank::RankedList added = index_->seed_list(5);
+
+  auto base = std::make_unique<InflexIndex>(from_fixture());
+  InflexIndex clone = *base;
+  ASSERT_TRUE(clone.AddIndexPoint(item, added).ok());
+  base.reset();
+
+  InflexIndex fresh = from_fixture();
+  ASSERT_TRUE(fresh.AddIndexPoint(item, added).ok());
+  EXPECT_EQ(AllSeedLists(clone), AllSeedLists(fresh));
+  EXPECT_EQ(FixedAnswers(clone), FixedAnswers(fresh));
 }
 
 TEST_F(InflexIndexTest, QueryValidatesInput) {

@@ -121,8 +121,10 @@ TEST_F(TenantTest, RegistryCreateLookupDropLifecycle) {
   topts.with_maintainer = false;
   topts.id = "";
   EXPECT_FALSE(registry.CreateTenant(topts, index_, &dataset_->graph).ok());
+  const tenant::TenantOptions no_index{
+      .id = "x", .budget = {}, .engine = {}, .maintainer = {}};
   EXPECT_FALSE(
-      registry.CreateTenant({.id = "x"}, nullptr, &dataset_->graph).ok());
+      registry.CreateTenant(no_index, nullptr, &dataset_->graph).ok());
 
   topts.id = tenant::kDefaultTenantId;
   ASSERT_TRUE(registry.CreateTenant(topts, index_, &dataset_->graph).ok());
