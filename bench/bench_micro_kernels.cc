@@ -431,22 +431,32 @@ BENCHMARK(BM_Aggregation)
     ->ArgsProduct({{0, 1, 2}, {10, 20}})
     ->Unit(benchmark::kMicrosecond);
 
-const core::InflexIndex& TestbedIndex() {
+const benchsupport::Testbed& SharedTestbed() {
   static const std::shared_ptr<benchsupport::Testbed> tb = [] {
     auto r = benchsupport::GetTestbed();
     INFLEX_CHECK(r.ok());
     return std::move(r).ValueOrDie();
   }();
-  return *tb->index;
+  return *tb;
 }
 
 // The maintainer's publish layer: a new generation is a copy of the current
 // index plus one AddIndexPoint (h = 256 → 257 on the test-bed). The copy
-// shares every seed list with its base and copies the bb-tree;
+// shares the seed lists and the bb-tree's storage with its base;
 // `bytes_per_generation` is the heap one generation holds on top of its
-// base (glibc's mallinfo2, in-use plus mmapped bytes).
+// base (glibc's mallinfo2, in-use plus mmapped bytes), averaged over
+// kGenerations copies of the test-bed index kept alive together. The chained
+// counters publish kGenerations generations the way the maintainer does
+// (copy the previous generation, AddIndexPoint of a catalog item, Compact
+// once degradation() reaches the default rebuild threshold 0.10), keep every
+// generation alive, and report the heap the chain holds: `chain_mb` in total
+// and `chain_bytes_per_generation` per generation. mallinfo2 counts chunks
+// parked in the thread's tcache as in use, so a single small generation can
+// read near 0; the averages bound that error by the tcache's few KB over
+// kGenerations.
 void BM_PublishClone(benchmark::State& state) {
-  const core::InflexIndex& base = TestbedIndex();
+  const benchsupport::Testbed& tb = SharedTestbed();
+  const core::InflexIndex& base = *tb.index;
   const auto item = simplex::TopicDistribution::Uniform(base.num_topics());
   const rank::RankedList& list = base.seed_list(0);
   for (auto _ : state) {
@@ -455,14 +465,42 @@ void BM_PublishClone(benchmark::State& state) {
     benchmark::DoNotOptimize(next.num_index_points());
   }
 #if defined(__GLIBC__)
+  constexpr size_t kGenerations = 145;
   const auto heap_bytes = [] {
     const struct mallinfo2 info = mallinfo2();
     return static_cast<double>(info.uordblks + info.hblkhd);
   };
-  const double before = heap_bytes();
-  auto next = std::make_unique<core::InflexIndex>(base);
-  INFLEX_CHECK(next->AddIndexPoint(item, list).ok());
-  state.counters["bytes_per_generation"] = heap_bytes() - before;
+  std::vector<std::unique_ptr<core::InflexIndex>> held;
+  held.reserve(kGenerations);
+  double before = heap_bytes();
+  for (size_t g = 0; g < kGenerations; ++g) {
+    held.push_back(std::make_unique<core::InflexIndex>(base));
+    INFLEX_CHECK(held.back()->AddIndexPoint(item, list).ok());
+  }
+  state.counters["bytes_per_generation"] =
+      (heap_bytes() - before) / static_cast<double>(kGenerations);
+  held.clear();
+
+  bbtree::BbTreeOptions tree_options;
+  tree_options.max_leaf_size = tb.config.tree_max_leaf_size;
+  before = heap_bytes();
+  const core::InflexIndex* current = &base;
+  for (size_t g = 0; g < kGenerations; ++g) {
+    auto gen = std::make_unique<core::InflexIndex>(*current);
+    const auto& added = tb.dataset->catalog[g % tb.dataset->catalog.size()];
+    INFLEX_CHECK(
+        gen->AddIndexPoint(added, base.seed_list(g % base.num_index_points()))
+            .ok());
+    if (gen->tree().degradation() >= 0.10) {
+      INFLEX_CHECK(gen->Compact(tree_options).ok());
+    }
+    current = gen.get();
+    held.push_back(std::move(gen));
+  }
+  const double chain_bytes = heap_bytes() - before;
+  state.counters["chain_mb"] = chain_bytes / 1e6;
+  state.counters["chain_bytes_per_generation"] =
+      chain_bytes / static_cast<double>(kGenerations);
 #endif
 }
 BENCHMARK(BM_PublishClone)->Unit(benchmark::kMicrosecond);

@@ -46,16 +46,16 @@ class BbTreeBuilder {
   Result<BbTree> Build() {
     std::vector<uint32_t> all_ids(input_.size());
     for (uint32_t i = 0; i < input_.size(); ++i) all_ids[i] = i;
-    tree_.nodes_.emplace_back();
+    nodes_.emplace_back();
     INFLEX_RETURN_NOT_OK(BuildNode(0, std::move(all_ids), 1));
-    tree_.FinalizeKernelData(input_);
+    tree_.Finalize(input_, std::move(nodes_));
     return std::move(tree_);
   }
 
  private:
   Status BuildNode(uint32_t node_id, std::vector<uint32_t> ids, size_t level) {
     tree_.depth_ = std::max(tree_.depth_, level);
-    tree_.nodes_[node_id].ball = CoveringBall(input_, ids);
+    nodes_[node_id].ball = CoveringBall(input_, ids);
     if (ids.size() <= options_.max_leaf_size) {
       return MakeLeaf(node_id, std::move(ids));
     }
@@ -98,9 +98,9 @@ class BbTreeBuilder {
     }
 
     for (auto& group : groups) {
-      const uint32_t child_id = static_cast<uint32_t>(tree_.nodes_.size());
-      tree_.nodes_.emplace_back();
-      tree_.nodes_[node_id].children.push_back(child_id);
+      const uint32_t child_id = static_cast<uint32_t>(nodes_.size());
+      nodes_.emplace_back();
+      nodes_[node_id].children.push_back(child_id);
       INFLEX_RETURN_NOT_OK(BuildNode(child_id, std::move(group), level + 1));
     }
     return Status::OK();
@@ -108,7 +108,7 @@ class BbTreeBuilder {
 
   Status MakeLeaf(uint32_t node_id, std::vector<uint32_t> ids) {
     tree_.largest_leaf_ = std::max(tree_.largest_leaf_, ids.size());
-    tree_.nodes_[node_id].point_ids = std::move(ids);
+    nodes_[node_id].point_ids = std::move(ids);
     ++tree_.num_leaves_;
     return Status::OK();
   }
@@ -116,53 +116,71 @@ class BbTreeBuilder {
   BbTreeOptions options_;
   Rng rng_;
   std::vector<simplex::TopicVector> input_;
+  std::vector<BbTree::Node> nodes_;  // built here, frozen by Finalize
   BbTree tree_;
 };
 
-void BbTree::FinalizeKernelData(
-    const std::vector<simplex::TopicVector>& input) {
+void BbTree::Finalize(const std::vector<simplex::TopicVector>& input,
+                      std::vector<Node> nodes) {
   const size_t n = input.size();
   // Cache-line padded rows in a 64B-aligned buffer: every row starts on a
   // line boundary, the zero-filled tail is never read by the kernels.
   row_stride_ = util::AlignedRowStride(dim_);
-  point_data_.assign(n * row_stride_, 0.0);
-  point_negent_.assign(n, 0.0);
-  row_of_id_.assign(n, 0);
-  id_of_row_.assign(n, 0);
+  RowBlock rows;
+  rows.data.assign(n * row_stride_, 0.0);
+  rows.negent.assign(n, 0.0);
+  rows.row_of_id.assign(n, 0);
+  rows.id_of_row.assign(n, 0);
   // Leaf-contiguous row layout: walking a leaf's points sweeps sequential
   // rows of the flat buffer.
   uint32_t next_row = 0;
-  for (const Node& node : nodes_) {
+  for (const Node& node : nodes) {
     if (!node.is_leaf()) continue;
     for (uint32_t id : node.point_ids) {
       const uint32_t row = next_row++;
       std::copy(input[id].begin(), input[id].end(),
-                point_data_.begin() + static_cast<size_t>(row) * row_stride_);
-      point_negent_[row] = simplex::NegativeEntropy(input[id].data(), dim_);
-      row_of_id_[id] = row;
-      id_of_row_[row] = id;
+                rows.data.begin() + static_cast<size_t>(row) * row_stride_);
+      rows.negent[row] = simplex::NegativeEntropy(input[id].data(), dim_);
+      rows.row_of_id[id] = row;
+      rows.id_of_row[row] = id;
     }
   }
   INFLEX_CHECK_EQ(static_cast<size_t>(next_row), n);
+  SetRows(std::move(rows));
   // Child-center matrices for the batched descent evaluation.
   max_children_ = 0;
-  for (Node& node : nodes_) {
+  for (Node& node : nodes) {
     if (node.is_leaf()) continue;
     const size_t m = node.children.size();
     max_children_ = std::max(max_children_, m);
     node.child_centers.assign(m * row_stride_, 0.0);
     node.child_center_negent.resize(m);
     for (size_t c = 0; c < m; ++c) {
-      const BregmanBall& ball = nodes_[node.children[c]].ball;
+      const BregmanBall& ball = nodes[node.children[c]].ball;
       std::copy(ball.center().begin(), ball.center().end(),
                 node.child_centers.begin() + c * row_stride_);
       node.child_center_negent[c] = ball.center_neg_entropy();
     }
   }
+  nodes_.clear();
+  nodes_.reserve(nodes.size());
+  for (Node& node : nodes) {
+    nodes_.push_back(std::make_shared<const Node>(std::move(node)));
+  }
   // The built shape is the degradation baseline: a degenerate split can
   // legitimately leave a leaf beyond max_leaf_size, and that must read as
   // degradation 0 until online churn makes it worse.
   built_largest_leaf_ = largest_leaf_;
+}
+
+void BbTree::SetRows(RowBlock block) {
+  rows_ = std::make_shared<const RowBlock>(std::move(block));
+  // Aliasing pointers: both views share ownership of the one block.
+  point_data_ = decltype(point_data_)(
+      std::shared_ptr<const util::AlignedVector<double>>(rows_, &rows_->data),
+      row_stride_);
+  point_negent_ = decltype(point_negent_)(
+      std::shared_ptr<const std::vector<double>>(rows_, &rows_->negent));
 }
 
 Result<BbTree> BbTree::Build(std::vector<simplex::TopicVector> points,
@@ -208,39 +226,47 @@ Result<uint32_t> BbTree::Insert(simplex::TopicVector point) {
   // Descend by the same closest-center rule the searches use, enlarging
   // every ball on the path so it keeps covering the new point (the ball is
   // {x : D_KL(x ‖ center) ≤ R}, so the required radius is the point's
-  // divergence from the center).
+  // divergence from the center). Path copy: a node is copied only when the
+  // insert changes it (its radius grows, or it is the leaf that takes the
+  // point); the copy replaces this tree's pointer and every other tree
+  // keeps the original.
   uint32_t current = 0;
   while (true) {
-    Node& node = nodes_[current];
+    const Node* node = nodes_[current].get();
     const double to_center =
-        kq.KlOfQueryAgainst(node.ball.log_center().data());
-    if (to_center > node.ball.radius()) {
-      node.ball.EnlargeRadius(to_center);
+        kq.KlOfQueryAgainst(node->ball.log_center().data());
+    if (node->is_leaf()) {
+      auto leaf = std::make_shared<Node>(*node);
+      if (to_center > leaf->ball.radius()) leaf->ball.EnlargeRadius(to_center);
+      const auto id = static_cast<uint32_t>(num_points());
+      leaf->point_ids.reserve(leaf->point_ids.size() + 1);
+      leaf->point_ids.push_back(id);
+      largest_leaf_ = std::max(largest_leaf_, leaf->point_ids.size());
+      nodes_[current] = std::move(leaf);
+      // Append one stride-padded row; appended rows coincide with appended
+      // ids until the next rebuild.
+      point_data_.Append(point);
+      point_negent_.push_back(simplex::NegativeEntropy(point.data(), dim_));
+      ++num_inserted_;
+      return id;
     }
-    if (node.is_leaf()) break;
-    const size_t m = node.children.size();
+    if (to_center > node->ball.radius()) {
+      auto enlarged = std::make_shared<Node>(*node);
+      enlarged->ball.EnlargeRadius(to_center);
+      node = enlarged.get();
+      nodes_[current] = std::move(enlarged);
+    }
+    const size_t m = node->children.size();
     child_divs.resize(m);
-    simplex::KlBatch(node.child_centers.data(),
-                     node.child_center_negent.data(), m, dim_, row_stride_,
+    simplex::KlBatch(node->child_centers.data(),
+                     node->child_center_negent.data(), m, dim_, row_stride_,
                      kq.log_query(), child_divs.data());
     size_t best = 0;
     for (size_t c = 1; c < m; ++c) {
       if (child_divs[c] < child_divs[best]) best = c;
     }
-    current = node.children[best];
+    current = node->children[best];
   }
-
-  const auto id = static_cast<uint32_t>(num_points());
-  // Append one stride-padded row (the resize zero-fills the padding tail).
-  point_data_.resize(point_data_.size() + row_stride_, 0.0);
-  std::copy(point.begin(), point.end(), point_data_.end() - row_stride_);
-  point_negent_.push_back(simplex::NegativeEntropy(point.data(), dim_));
-  row_of_id_.push_back(id);  // appended rows coincide with appended ids
-  id_of_row_.push_back(id);
-  nodes_[current].point_ids.push_back(id);
-  largest_leaf_ = std::max(largest_leaf_, nodes_[current].point_ids.size());
-  ++num_inserted_;
-  return id;
 }
 
 Status BbTree::RemovePoints(std::span<const uint32_t> ids) {
@@ -270,45 +296,47 @@ Status BbTree::RemovePoints(std::span<const uint32_t> ids) {
     if (!removed[id]) new_id[id] = next_id++;
   }
 
-  // Physically compact the SoA rows in row order: surviving leaf runs stay
-  // contiguous, so leaf scans remain sequential sweeps.
+  // Physically compact the SoA rows in row order into a fresh block:
+  // surviving leaf runs stay contiguous, so leaf scans remain sequential
+  // sweeps.
   const size_t survivors = n - r;
-  util::AlignedVector<double> data(survivors * row_stride_);
-  std::vector<double> negent(survivors);
-  std::vector<uint32_t> row_of(survivors);
-  std::vector<uint32_t> id_of(survivors);
+  RowBlock rows;
+  rows.data.resize(survivors * row_stride_);
+  rows.negent.resize(survivors);
+  rows.row_of_id.resize(survivors);
+  rows.id_of_row.resize(survivors);
   uint32_t next_row = 0;
   for (uint32_t row = 0; row < n; ++row) {
-    const uint32_t old_id = id_of_row_[row];
+    const uint32_t old_id = id_of(row);
     if (removed[old_id]) continue;
     // Full-stride copy: the zero padding travels with the row.
-    std::copy_n(point_data_.data() + static_cast<size_t>(row) * row_stride_,
-                row_stride_,
-                data.data() + static_cast<size_t>(next_row) * row_stride_);
-    negent[next_row] = point_negent_[row];
-    id_of[next_row] = new_id[old_id];
-    row_of[new_id[old_id]] = next_row;
+    std::copy_n(row_ptr(row), row_stride_,
+                rows.data.data() + static_cast<size_t>(next_row) * row_stride_);
+    rows.negent[next_row] = point_negent_[row];
+    rows.id_of_row[next_row] = new_id[old_id];
+    rows.row_of_id[new_id[old_id]] = next_row;
     ++next_row;
   }
   INFLEX_CHECK_EQ(static_cast<size_t>(next_row), survivors);
-  point_data_ = std::move(data);
-  point_negent_ = std::move(negent);
-  row_of_id_ = std::move(row_of);
-  id_of_row_ = std::move(id_of);
+  SetRows(std::move(rows));
 
-  // Drop the ids from their leaves and renumber the survivors in place.
+  // Drop the ids from their leaves and renumber the survivors; a leaf whose
+  // ids all stay put is kept shared, an edited one is replaced by a copy.
   // Leaves may become empty — searches tolerate that (an empty scan) until
   // the next Compact rebuilds the partition. Balls keep their radii: a ball
   // that is too large is conservative, never unsound.
   largest_leaf_ = 0;
-  for (Node& node : nodes_) {
-    if (!node.is_leaf()) continue;
-    size_t w = 0;
-    for (uint32_t pid : node.point_ids) {
-      if (!removed[pid]) node.point_ids[w++] = new_id[pid];
+  for (std::shared_ptr<const Node>& node : nodes_) {
+    if (!node->is_leaf()) continue;
+    std::vector<uint32_t> kept;
+    for (uint32_t pid : node->point_ids) {
+      if (!removed[pid]) kept.push_back(new_id[pid]);
     }
-    node.point_ids.resize(w);
-    largest_leaf_ = std::max(largest_leaf_, w);
+    largest_leaf_ = std::max(largest_leaf_, kept.size());
+    if (kept == node->point_ids) continue;
+    auto edited = std::make_shared<Node>(*node);
+    edited->point_ids = std::move(kept);
+    node = std::move(edited);
   }
   num_removed_ += r;
   return Status::OK();

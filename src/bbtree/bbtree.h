@@ -2,6 +2,7 @@
 #define INFLEX_BBTREE_BBTREE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "simplex/kl_kernel.h"
 #include "simplex/topic_distribution.h"
 #include "util/aligned.h"
+#include "util/shared_base_vector.h"
 #include "util/status.h"
 
 namespace inflex {
@@ -155,6 +157,16 @@ class SearchContext {
 /// stride. All searches evaluate D_KL through the factorized kernel
 /// (simplex/kl_kernel.h): one clamped log transform per query, one dot
 /// product per evaluation.
+///
+/// Copy-on-write (DESIGN.md §9): a copy shares its source's storage and
+/// allocates only what it then changes. The built rows (points, negative
+/// entropies, id↔row maps) are one immutable block every copy points at;
+/// Build and RemovePoints write a fresh block. Insert appends to a small
+/// tail of rows each tree owns, where row == id until the next rebuild.
+/// Nodes are immutable and shared too: Insert copies only the nodes whose
+/// radius it enlarges plus the leaf it appends to, RemovePoints only the
+/// leaves it edits. Nothing shared is ever written, so a copy may be
+/// mutated while other threads search its source.
 class BbTree {
  public:
   /// Creates an empty tree; usable only as a move-assignment target.
@@ -202,7 +214,7 @@ class BbTree {
   /// oversized leaf, the built shape is the baseline, not an overflow.
   double degradation() const;
 
-  size_t num_points() const { return row_of_id_.size(); }
+  size_t num_points() const { return point_negent_.size(); }
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_leaves() const { return num_leaves_; }
   size_t depth() const { return depth_; }
@@ -219,13 +231,12 @@ class BbTree {
   /// Copy-free view of the indexed point's row in the SoA buffer (the dim()
   /// real values; the row's alignment padding is not part of the span).
   std::span<const double> point_span(uint32_t id) const {
-    const size_t row = row_of_id_[id];
-    return {point_data_.data() + row * row_stride_, dim_};
+    return {row_ptr(row_of(id)), dim_};
   }
 
   /// Precomputed Σ p_z·log p_z (= −H(p)) of the indexed point.
   double point_neg_entropy(uint32_t id) const {
-    return point_negent_[row_of_id_[id]];
+    return point_negent_[row_of(id)];
   }
 
   /// Exact K nearest neighbors under D_KL(point ‖ query), ascending by
@@ -264,19 +275,40 @@ class BbTree {
     /// SoA mirror of the children's ball centers (children.size() rows of
     /// row_stride() doubles, 64B-aligned) with their negative entropies: the
     /// per-level descent evaluation is one contiguous batch-kernel sweep.
-    /// Filled by FinalizeKernelData; centers never change afterwards (Insert
-    /// only enlarges radii), so no maintenance is needed.
+    /// Filled by Finalize; centers never change afterwards (Insert only
+    /// enlarges radii), so no maintenance is needed.
     util::AlignedVector<double> child_centers;
     std::vector<double> child_center_negent;
     bool is_leaf() const { return children.empty(); }
   };
 
-  const Node& root() const { return nodes_[0]; }
+  /// The built rows: one immutable block shared by every copy of the tree.
+  struct RowBlock {
+    util::AlignedVector<double> data;  // rows × row_stride_
+    std::vector<double> negent;        // per row: Σ p_z·log p_z
+    std::vector<uint32_t> row_of_id;
+    std::vector<uint32_t> id_of_row;
+  };
 
-  /// Fills the SoA point buffer (leaf-contiguous rows + id↔row maps +
-  /// per-row negative entropies) and every node's child-center matrix.
-  /// Called once at the end of Build.
-  void FinalizeKernelData(const std::vector<simplex::TopicVector>& input);
+  const Node& node_at(uint32_t id) const { return *nodes_[id]; }
+
+  /// Fills every node's child-center matrix, writes the SoA row block
+  /// (leaf-contiguous rows + id↔row maps + per-row negative entropies) and
+  /// makes the nodes the tree's shared immutable nodes. Called once at the
+  /// end of Build.
+  void Finalize(const std::vector<simplex::TopicVector>& input,
+                std::vector<Node> nodes);
+
+  /// Makes `block` the shared built rows, with an empty tail.
+  void SetRows(RowBlock block);
+
+  /// Rows past the built block were appended by Insert, with row == id.
+  uint32_t row_of(uint32_t id) const {
+    return id < point_negent_.base_size() ? rows_->row_of_id[id] : id;
+  }
+  uint32_t id_of(uint32_t row) const {
+    return row < point_negent_.base_size() ? rows_->id_of_row[row] : row;
+  }
 
   /// Re-validates a (possibly long-lived thread_local) context against this
   /// tree before a search runs: see SearchContext::BindTo.
@@ -309,21 +341,21 @@ class BbTree {
   bool SimilarEnough(const std::vector<uint32_t>& leaf_ids, SearchContext& ctx,
                      double ad_alpha) const;
 
-  const double* row_ptr(uint32_t row) const {
-    return point_data_.data() + static_cast<size_t>(row) * row_stride_;
-  }
+  const double* row_ptr(uint32_t row) const { return point_data_.entry(row); }
 
   // Flat SoA point storage: rows are leaf-contiguous after Build (inserted
   // points append), ids are stable input positions. Rows are row_stride_
-  // doubles (cache-line padded, zero-filled tail) in a 64B-aligned buffer.
+  // doubles (cache-line padded, zero-filled tail), each 64B-aligned. The
+  // built rows are rows_, which point_data_ and point_negent_ alias as their
+  // shared base; each tree owns only the tail of rows Insert appended.
   size_t dim_ = 0;
   size_t row_stride_ = 0;  // util::AlignedRowStride(dim_), set by Finalize
-  util::AlignedVector<double> point_data_;  // num_points × row_stride_
-  std::vector<double> point_negent_;    // per row: Σ p_z·log p_z
-  std::vector<uint32_t> row_of_id_;
-  std::vector<uint32_t> id_of_row_;
+  std::shared_ptr<const RowBlock> rows_;
+  util::SharedBaseVector<double, util::AlignedAllocator<double>> point_data_;
+  util::SharedBaseVector<double> point_negent_;
 
-  std::vector<Node> nodes_;  // nodes_[0] is the root
+  // nodes_[0] is the root. Shared between copies, never written in place.
+  std::vector<std::shared_ptr<const Node>> nodes_;
   size_t num_leaves_ = 0;
   size_t depth_ = 0;
   size_t max_children_ = 0;  // widest node's branching (scratch sizing)

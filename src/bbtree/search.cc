@@ -80,7 +80,7 @@ bool BbTree::SimilarEnough(const std::vector<uint32_t>& leaf_ids,
   const double* query = ctx.kl_.query();
   ctx.mean_.assign(dim, 0.0);
   for (uint32_t id : leaf_ids) {
-    const double* p = row_ptr(row_of_id_[id]);
+    const double* p = row_ptr(row_of(id));
     for (size_t d = 0; d < dim; ++d) ctx.mean_[d] += p[d];
   }
   for (double& v : ctx.mean_) v /= static_cast<double>(leaf_ids.size());
@@ -97,7 +97,7 @@ bool BbTree::SimilarEnough(const std::vector<uint32_t>& leaf_ids,
   ctx.sample_.clear();
   for (uint32_t id : leaf_ids) {
     ctx.sample_.push_back(
-        simplex::DotProduct(row_ptr(row_of_id_[id]), ctx.direction_.data(),
+        simplex::DotProduct(row_ptr(row_of(id)), ctx.direction_.data(),
                             dim) *
         inv_norm);
   }
@@ -112,9 +112,9 @@ bool BbTree::SimilarEnough(const std::vector<uint32_t>& leaf_ids,
 uint32_t BbTree::DescendToLeaf(uint32_t node_id, SearchContext& ctx,
                                SearchStats* stats) const {
   uint32_t current = node_id;
-  while (!nodes_[current].is_leaf()) {
+  while (!node_at(current).is_leaf()) {
     ++stats->nodes_visited;
-    const Node& node = nodes_[current];
+    const Node& node = node_at(current);
     const size_t m = node.children.size();
     ctx.child_divs_.resize(m);
     Timer timer;
@@ -147,7 +147,7 @@ void BbTree::ScreenSiblings(SearchContext& ctx, SearchStats* stats) const {
   ctx.screen_rows_.resize(m * stride);
   for (size_t i = 0; i < m; ++i) {
     const std::vector<double>& lc =
-        nodes_[ctx.siblings_[i].node].ball.log_center();
+        node_at(ctx.siblings_[i].node).ball.log_center();
     std::copy(lc.begin(), lc.end(), ctx.screen_rows_.begin() + i * stride);
   }
   ctx.screen_divs_.resize(m);
@@ -166,7 +166,7 @@ void BbTree::ScanLeaf(const Node& leaf, SearchContext& ctx,
   ctx.leaf_divs_.resize(m);
   Timer timer;
   for (size_t i = 0; i < m; ++i) {
-    const uint32_t row = row_of_id_[leaf.point_ids[i]];
+    const uint32_t row = row_of(leaf.point_ids[i]);
     ctx.leaf_divs_[i] = ctx.kl_.Kl(row_ptr(row), point_negent_[row]);
   }
   stats->kl_ns += ElapsedNs(timer);
@@ -193,8 +193,8 @@ InflexSearchResult BbTree::InflexSearch(const simplex::TopicVector& query,
     // The root is popped while the solution set is still empty, so every
     // tested entry is a bypassed sibling carrying its enqueue-time screen.
     if (options.use_pruning && !result.neighbors.empty() &&
-        nodes_[top.node].ball.CanPruneScreened(ctx.kl_, top.screen, delta,
-                                               &ctx.bisect_, &stats)) {
+        node_at(top.node).ball.CanPruneScreened(ctx.kl_, top.screen, delta,
+                                                &ctx.bisect_, &stats)) {
       ++stats.subtrees_pruned;
       continue;
     }
@@ -208,7 +208,7 @@ InflexSearchResult BbTree::InflexSearch(const simplex::TopicVector& query,
     for (const auto& s : ctx.siblings_) pending.push(s);
 
     ++stats.leaves_visited;
-    const Node& leaf_node = nodes_[leaf];
+    const Node& leaf_node = node_at(leaf);
     const auto& leaf_ids = leaf_node.point_ids;
     ScanLeaf(leaf_node, ctx, &stats);
     for (size_t i = 0; i < leaf_ids.size(); ++i) {
@@ -257,10 +257,19 @@ std::vector<Neighbor> BbTree::ExactKnn(const simplex::TopicVector& query,
   const size_t n = num_points();
   std::vector<Neighbor> all(n);
   Timer timer;
-  // Sweep the flat buffer in physical row order (sequential memory).
-  for (uint32_t row = 0; row < n; ++row) {
-    all[row] =
-        Neighbor{id_of_row_[row], ctx.kl_.Kl(row_ptr(row), point_negent_[row])};
+  // Sweep the rows in physical row order (sequential memory): the shared
+  // built block, then the appended tail, where row == id.
+  const RowBlock& built = *rows_;
+  const double* data = built.data.data();
+  const double* negent = built.negent.data();
+  const uint32_t* ids = built.id_of_row.data();
+  const size_t stride = row_stride_;
+  const auto num_built = static_cast<uint32_t>(built.negent.size());
+  for (uint32_t row = 0; row < num_built; ++row) {
+    all[row] = Neighbor{ids[row], ctx.kl_.Kl(data + row * stride, negent[row])};
+  }
+  for (uint32_t row = num_built; row < n; ++row) {
+    all[row] = Neighbor{row, ctx.kl_.Kl(row_ptr(row), point_negent_[row])};
   }
   if (stats != nullptr) {
     stats->kl_evaluations += n;

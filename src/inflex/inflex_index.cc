@@ -157,11 +157,12 @@ Result<InflexIndex> InflexIndex::FromParts(
   InflexIndex index;
   index.graph_ = graph;
   index.seed_list_length_ = ell;
-  index.seed_lists_.reserve(seed_lists.size());
+  std::vector<std::shared_ptr<const rank::RankedList>> lists;
+  lists.reserve(seed_lists.size());
   for (rank::RankedList& list : seed_lists) {
-    index.seed_lists_.push_back(
-        std::make_shared<const rank::RankedList>(std::move(list)));
+    lists.push_back(std::make_shared<const rank::RankedList>(std::move(list)));
   }
+  index.seed_lists_ = decltype(index.seed_lists_)(std::move(lists));
   INFLEX_ASSIGN_OR_RETURN(index.tree_,
                           bbtree::BbTree::Build(std::move(points),
                                                 tree_options));
@@ -362,13 +363,15 @@ Status InflexIndex::RemoveIndexPoints(std::span<const uint32_t> ids,
   INFLEX_RETURN_NOT_OK(tree_.RemovePoints(ids));
   // Compact seed lists in id order so list i stays aligned with tree point i
   // under the same dense renumbering the tree applied.
+  std::vector<std::shared_ptr<const rank::RankedList>> kept;
+  kept.reserve(next);
   size_t ell = 0;
   for (uint32_t i = 0; i < n; ++i) {
     if (map[i] == kDroppedIndexPoint) continue;
-    if (map[i] != i) seed_lists_[map[i]] = std::move(seed_lists_[i]);
-    ell = std::max(ell, seed_lists_[map[i]]->size());
+    kept.push_back(seed_lists_[i]);
+    ell = std::max(ell, kept.back()->size());
   }
-  seed_lists_.resize(next);
+  seed_lists_ = decltype(seed_lists_)(std::move(kept));
   seed_list_length_ = ell;
   if (old_to_new != nullptr) *old_to_new = std::move(map);
   return Status::OK();
@@ -386,6 +389,9 @@ Status InflexIndex::Compact(const bbtree::BbTreeOptions& tree_options) {
   INFLEX_ASSIGN_OR_RETURN(tree_,
                           bbtree::BbTree::Build(std::move(points),
                                                 tree_options));
+  // Fold the appended list pointers into a fresh shared block too, so a
+  // copy's owned tail stays as short as the tree's.
+  seed_lists_.Fold();
   return Status::OK();
 }
 

@@ -12,6 +12,7 @@
 #include "inflex/index_points.h"
 #include "inflex/weighting.h"
 #include "rank/aggregators.h"
+#include "util/shared_base_vector.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -107,8 +108,8 @@ struct InflexBuildOptions {
 /// built for (the graph must outlive the index); the graph is not consulted
 /// at query time — queries touch only the index, which is what makes
 /// millisecond answers possible. An index is a value: a copy shares the seed
-/// lists with its source (they are immutable) and copies the tree, so the
-/// two evolve independently.
+/// lists and the tree's storage with its source (both are copy-on-write) and
+/// allocates only what it then changes, so the two evolve independently.
 class InflexIndex {
  public:
   /// Builds the full index from a graph and an item catalog: index-point
@@ -199,11 +200,11 @@ class InflexIndex {
 
   const graph::TopicGraph* graph_ = nullptr;  // may be null after Load
   bbtree::BbTree tree_;
-  // Aligned with tree point ids. A list never changes once made, so a copy
-  // of the index (a new generation) shares every list with its source and
-  // copies only these pointers; AddIndexPoint and RemoveIndexPoints edit the
-  // pointer array alone.
-  std::vector<std::shared_ptr<const rank::RankedList>> seed_lists_;
+  // Aligned with tree point ids. A list never changes once made, and the
+  // pointers to the built lists are one block shared by every copy of the
+  // index (a new generation), which copies only the pointers AddIndexPoint
+  // appended since. RemoveIndexPoints and Compact write a fresh block.
+  util::SharedBaseVector<std::shared_ptr<const rank::RankedList>> seed_lists_;
   size_t seed_list_length_ = 0;
 };
 

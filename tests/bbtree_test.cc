@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "bbtree/bbtree.h"
@@ -640,6 +642,136 @@ TEST(RemoveTest, DegradationIsZeroAfterBuildEvenWithOversizedLeaves) {
   auto rebuilt = BbTree::Build(std::move(all), bopts);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_DOUBLE_EQ(rebuilt.ValueOrDie().degradation(), 0.0);
+}
+
+// ------------------------------------------------------- copy-on-write ---
+
+// Every answer a search gives over a fixed query set, divergences as bits,
+// plus the work InflexSearch did (a ball's radius moves its pruning).
+struct SearchAnswers {
+  std::vector<std::pair<uint32_t, uint64_t>> exact;
+  std::vector<std::pair<uint32_t, uint64_t>> inflex;
+  std::vector<size_t> inflex_work;
+  bool operator==(const SearchAnswers&) const = default;
+};
+
+SearchAnswers AnswersOf(const BbTree& tree, size_t dim) {
+  constexpr int kQueries = 200;
+  Rng rng(501);
+  SearchAnswers out;
+  const auto add = [](const std::vector<Neighbor>& found, auto* into) {
+    into->emplace_back(UINT32_MAX, found.size());  // query separator
+    for (const Neighbor& n : found) {
+      into->emplace_back(n.point_id, std::bit_cast<uint64_t>(n.divergence));
+    }
+  };
+  for (int t = 0; t < kQueries; ++t) {
+    const TopicVector q = simplex::SampleUniformSimplex(dim, &rng);
+    add(tree.ExactKnn(q, 10), &out.exact);
+    const InflexSearchResult r = tree.InflexSearch(q, {});
+    add(r.neighbors, &out.inflex);
+    out.inflex_work.insert(out.inflex_work.end(),
+                           {r.stats.kl_evaluations, r.stats.leaves_visited,
+                            r.stats.subtrees_pruned});
+  }
+  return out;
+}
+
+// Points far from the clustered population: each insert enlarges balls on
+// its path and lands in some leaf.
+std::vector<TopicVector> OutlierPoints(size_t n, size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<TopicVector> points;
+  for (size_t i = 0; i < n; ++i) {
+    points.push_back(simplex::SampleUniformSimplex(dim, &rng));
+  }
+  return points;
+}
+
+TEST(CopyOnWriteTest, CloneSharesBuiltRowsAndNeverWritesThem) {
+  auto tree_r = BbTree::Build(ClusteredPoints(200, 5, 511), {});
+  ASSERT_TRUE(tree_r.ok());
+  const BbTree& base = tree_r.ValueOrDie();
+  std::vector<const double*> rows;
+  std::vector<TopicVector> values;
+  for (uint32_t id = 0; id < base.num_points(); ++id) {
+    rows.push_back(base.point_span(id).data());
+    values.push_back(base.point(id));
+  }
+
+  BbTree clone = base;
+  for (uint32_t id = 0; id < base.num_points(); ++id) {
+    EXPECT_EQ(clone.point_span(id).data(), rows[id]) << "id " << id;
+  }
+  for (const TopicVector& p : OutlierPoints(12, 5, 512)) {
+    ASSERT_TRUE(clone.Insert(p).ok());
+  }
+  ASSERT_TRUE(clone.RemovePoints(std::vector<uint32_t>{0, 9, 150, 205}).ok());
+
+  // The clone compacted its rows into a block of its own; the base's rows
+  // are where and what they were.
+  EXPECT_NE(clone.point_span(0).data(), rows[1]);
+  for (uint32_t id = 0; id < base.num_points(); ++id) {
+    EXPECT_EQ(base.point_span(id).data(), rows[id]) << "id " << id;
+    EXPECT_EQ(base.point(id), values[id]) << "id " << id;
+  }
+}
+
+TEST(CopyOnWriteTest, EditsOnACloneLeaveTheBaseAnswersUnchanged) {
+  BbTreeOptions bopts;
+  bopts.max_leaf_size = 8;
+  auto tree_r = BbTree::Build(ClusteredPoints(240, 5, 521), bopts);
+  ASSERT_TRUE(tree_r.ok());
+  BbTree& base = tree_r.ValueOrDie();
+  // The base holds appended rows and copied nodes of its own as well.
+  for (const TopicVector& p : OutlierPoints(6, 5, 522)) {
+    ASSERT_TRUE(base.Insert(p).ok());
+  }
+  const SearchAnswers before = AnswersOf(base, 5);
+
+  BbTree clone = base;
+  for (const TopicVector& p : OutlierPoints(30, 5, 523)) {
+    ASSERT_TRUE(clone.Insert(p).ok());
+  }
+  EXPECT_EQ(AnswersOf(base, 5), before) << "after Insert";
+  std::vector<uint32_t> victims;
+  for (uint32_t id = 3; id < clone.num_points(); id += 11) {
+    victims.push_back(id);
+  }
+  ASSERT_TRUE(clone.RemovePoints(victims).ok());
+  EXPECT_EQ(AnswersOf(base, 5), before) << "after RemovePoints";
+  std::vector<TopicVector> survivors;
+  for (uint32_t id = 0; id < clone.num_points(); ++id) {
+    survivors.push_back(clone.point(id));
+  }
+  auto rebuilt = BbTree::Build(std::move(survivors), bopts);
+  ASSERT_TRUE(rebuilt.ok());
+  clone = std::move(rebuilt).ValueOrDie();  // what a Compact does
+  EXPECT_EQ(AnswersOf(base, 5), before) << "after the rebuild";
+}
+
+TEST(CopyOnWriteTest, CloneOutlivesItsBase) {
+  const auto points = ClusteredPoints(160, 4, 531);
+  const auto extra = OutlierPoints(2, 4, 532);
+  const auto built = [&] { return BbTree::Build(points, {}).ValueOrDie(); };
+
+  auto base = std::make_unique<BbTree>(built());
+  BbTree first = *base;
+  base.reset();
+  ASSERT_TRUE(first.Insert(extra[0]).ok());
+  BbTree second = first;
+  ASSERT_TRUE(second.Insert(extra[1]).ok());
+  ASSERT_TRUE(second.RemovePoints(std::vector<uint32_t>{3}).ok());
+
+  // Independent trees that took the same edits (Build is deterministic).
+  BbTree first_ref = built();
+  ASSERT_TRUE(first_ref.Insert(extra[0]).ok());
+  BbTree second_ref = built();
+  ASSERT_TRUE(second_ref.Insert(extra[0]).ok());
+  ASSERT_TRUE(second_ref.Insert(extra[1]).ok());
+  ASSERT_TRUE(second_ref.RemovePoints(std::vector<uint32_t>{3}).ok());
+  EXPECT_EQ(AnswersOf(first, 4), AnswersOf(first_ref, 4));
+  EXPECT_EQ(AnswersOf(second, 4), AnswersOf(second_ref, 4));
 }
 
 // ------------------------------------------------- search context lifetime ---

@@ -468,6 +468,32 @@ TEST_F(InflexIndexTest, CloneSharesUnchangedSeedLists) {
   EXPECT_EQ(index_->num_index_points(), h);
   EXPECT_EQ(AllSeedLists(*index_), lists_before);
   EXPECT_EQ(SavedBytes(*index_, "base_after.bin"), bytes_before);
+
+  // The appended list sits in the clone's own tail. A copy of the clone
+  // shares it as well, and an append to that copy (the same item, so it
+  // reaches the same leaf) leaves the clone intact.
+  const auto uniform = simplex::TopicDistribution::Uniform(4);
+  const auto leaf_of_item = [&](const InflexIndex& index) {
+    std::vector<std::pair<uint32_t, double>> out;
+    for (const auto& n : index.tree().LeafBoundedKnn(uniform.probs(), h + 2,
+                                                     /*max_leaves=*/1)) {
+      out.emplace_back(n.point_id, n.divergence);
+    }
+    return out;
+  };
+  const auto clone_leaf = leaf_of_item(clone);
+  const auto clone_lists = AllSeedLists(clone);
+  const auto clone_fixed = FixedAnswers(clone);
+  InflexIndex grandchild = clone;
+  for (uint32_t i = 0; i <= h; ++i) {
+    EXPECT_EQ(&grandchild.seed_list(i), &clone.seed_list(i)) << "list " << i;
+  }
+  ASSERT_TRUE(grandchild.AddIndexPoint(uniform, index_->seed_list(1)).ok());
+  EXPECT_EQ(leaf_of_item(grandchild).size(), clone_leaf.size() + 1);
+  EXPECT_EQ(leaf_of_item(clone), clone_leaf);
+  EXPECT_EQ(clone.num_index_points(), h + 1);
+  EXPECT_EQ(AllSeedLists(clone), clone_lists);
+  EXPECT_EQ(FixedAnswers(clone), clone_fixed);
 }
 
 TEST_F(InflexIndexTest, RemoveOnCloneLeavesBaseIntact) {

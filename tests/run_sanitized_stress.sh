@@ -7,8 +7,8 @@
 # phase runs cluster_test, data_test and im_test, whose k-means passes,
 # dataset arc probabilities and CELF++ first round fan out over the pool.
 # A second phase builds kernel_test, im_test, rank_test, extensions_test,
-# cluster_test, data_test, tic_test, inflex_core_test and maintenance_test
-# under ASan+UBSan (-DINFLEX_SANITIZE=address):
+# cluster_test, data_test, tic_test, bbtree_test, inflex_core_test and
+# maintenance_test under ASan+UBSan (-DINFLEX_SANITIZE=address):
 # the KL kernel layer works on raw pointers into flat SoA buffers that
 # Insert() reallocates, the seed selectors reuse per-thread oracle workspaces
 # across graphs of different sizes, snapshot sampling appends through a raw
@@ -18,8 +18,9 @@
 # scratch, and the pooled
 # k-means and arc-probability passes write per-point slots, and the
 # propagation log compacts its records in place behind a read cursor, and
-# index generations share seed lists that must outlive every generation
-# still holding them — exactly the kind of code ASan exists for.
+# index generations share seed lists, bb-tree rows and bb-tree nodes that
+# must outlive every generation still holding them — exactly the kind of
+# code ASan exists for.
 #
 # Usage: tests/run_sanitized_stress.sh [source-dir] [build-dir] [asan-dir]
 # (defaults: the repo root containing this script, <source>/build-tsan,
@@ -109,10 +110,10 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test tic_test inflex_core_test maintenance_test)"
+echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test tic_test bbtree_test inflex_core_test maintenance_test)"
 cmake --build "$BUILD_ASAN" --target kernel_test im_test rank_test \
-  extensions_test cluster_test data_test tic_test inflex_core_test \
-  maintenance_test -j "$(nproc)" > /dev/null
+  extensions_test cluster_test data_test tic_test bbtree_test \
+  inflex_core_test maintenance_test -j "$(nproc)" > /dev/null
 
 echo "== run KL kernel + SoA search tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
@@ -159,12 +160,16 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/tic_test"
 
 echo "== run index-generation tests under ASan+UBSan"
-# Copies of an index share its seed lists; adding, removing and compacting
-# on a copy, dropping the base first, and the maintainer's publish, sweep
-# and replay pipeline must never read a list after its last owner let go.
+# Copies of a bb-tree share its row block and nodes, and copies of an index
+# its seed lists; adding, removing and compacting on a copy, dropping the
+# base first, and the maintainer's publish, sweep and replay pipeline must
+# never read a row, node or list after its last owner let go, nor past the
+# end of a copy's own tail.
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/bbtree_test"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/inflex_core_test"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/maintenance_test"
 
-echo "ASan tests: OK (kernel, im and rank dispatched + forced-scalar, extensions, cluster, data, tic, inflex_core, maintenance)"
+echo "ASan tests: OK (kernel, im and rank dispatched + forced-scalar, extensions, cluster, data, tic, bbtree, inflex_core, maintenance)"
