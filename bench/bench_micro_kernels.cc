@@ -225,6 +225,29 @@ void BM_SyntheticDataset(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticDataset)->Unit(benchmark::kMillisecond);
 
+// One index point's transients in bytes, from the capacities of the arrays
+// SnapshotSpreadOracle::Create holds for the test-bed's first item at W =
+// 100 and the given seed (exact, not an allocator's count): `transient_bytes` is Create's
+// high-water mark (probabilities with draws, or the sampler's peak),
+// `draws_bytes` the draws alone (12 per drawn arc, 4 per node) and
+// `arrays_bytes` the snapshot arrays the oracle keeps.
+void SetTransientCounters(benchmark::State& state, uint64_t seed) {
+  const auto& ds = TestbedDataset();
+  const auto probs = ds.graph.ItemArcProbabilities(ds.catalog[0]);
+  const auto draws = im::internal::PrepareDraws(ds.graph, probs);
+  const size_t draws_bytes = draws.bytes();
+  const auto arrays = im::internal::ActiveSnapshotSampler()(draws, 100, seed);
+  im::SnapshotSpreadOracle::Options oopts;
+  oopts.num_snapshots = 100;
+  oopts.seed = seed;
+  auto created = im::SnapshotSpreadOracle::Create(ds.graph, probs, oopts);
+  INFLEX_CHECK(created.ok());
+  state.counters["transient_bytes"] =
+      static_cast<double>(created.ValueOrDie().create_peak_bytes());
+  state.counters["draws_bytes"] = static_cast<double>(draws_bytes);
+  state.counters["arrays_bytes"] = static_cast<double>(arrays.bytes());
+}
+
 // Sampling the W = 100 live-edge snapshots of one item's IC instance, as
 // SnapshotSpreadOracle::Create does: Arg(0) pins the scalar reference
 // sampler, Arg(1) runs the process's active variant (the four-lane AVX2
@@ -240,6 +263,7 @@ void BM_SnapshotCreate(benchmark::State& state) {
         sample(im::internal::PrepareDraws(ds.graph, probs), 100, 7);
     benchmark::DoNotOptimize(arrays.targets.data());
   }
+  SetTransientCounters(state, 7);
 }
 BENCHMARK(BM_SnapshotCreate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -254,6 +278,7 @@ void BM_OfflineTicSeeds(benchmark::State& state) {
     auto seeds = oracle::OfflineTicSeeds(ds.graph, ds.catalog[0], 50, opts);
     benchmark::DoNotOptimize(seeds.ok());
   }
+  SetTransientCounters(state, opts.seed);
 }
 BENCHMARK(BM_OfflineTicSeeds)->Unit(benchmark::kMillisecond);
 

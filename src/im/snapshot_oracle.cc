@@ -21,6 +21,8 @@ Result<SnapshotSpreadOracle> SnapshotSpreadOracle::Create(
   INFLEX_RETURN_NOT_OK(internal::CheckSnapshotShape(n, g.num_arcs(), w));
 
   internal::SnapshotDraws draws = internal::PrepareDraws(g, arc_probs);
+  const size_t prepare_bytes =
+      internal::CapacityBytes(arc_probs) + draws.bytes();
   graph::ArcProbabilities().swap(arc_probs);
   internal::SnapshotArrays arrays =
       internal::ActiveSnapshotSampler()(std::move(draws), w, options.seed);
@@ -31,8 +33,7 @@ Result<SnapshotSpreadOracle> SnapshotSpreadOracle::Create(
   oracle.word_ranks_ = std::move(arrays.word_ranks);
   oracle.pair_offsets_ = std::move(arrays.pair_offsets);
   oracle.targets_ = std::move(arrays.targets);
-  oracle.active_offsets_ = std::move(arrays.active_offsets);
-  oracle.active_snapshots_ = std::move(arrays.active_snapshots);
+  oracle.create_peak_bytes_ = std::max(prepare_bytes, arrays.peak_bytes);
   oracle.covered_.assign((w * n + 63) / 64, 0);
   oracle.covered_count_.assign(n, 0);
   oracle.total_covered_ = 0;
@@ -94,9 +95,24 @@ uint64_t SnapshotSpreadOracle::CountReach(graph::NodeId v, size_t s,
 
 uint64_t SnapshotSpreadOracle::ReachSum(graph::NodeId v, Workspace* ws) const {
   uint64_t sum = num_snapshots_ - covered_count_[v];
-  for (const uint32_t s : ActiveSnapshots(v)) {
-    const size_t bit = s * num_nodes_ + v;
-    if (!Covered(bit)) sum += CountReach(v, s, PairOf(bit), ws) - 1;
+  const uint64_t* active = active_bits_.data();
+  const uint64_t* covered = covered_.data();
+  for (size_t s0 = 0; s0 < num_snapshots_; s0 += 64) {
+    // v's active, uncovered snapshots in [s0, s0 + 64), gathered into one
+    // mask without a branch (v's bits lie n apart, so most would
+    // mispredict), then visited in ascending order.
+    const size_t s1 = std::min(num_snapshots_, s0 + 64);
+    uint64_t open = 0;
+    for (size_t s = s0, bit = s0 * num_nodes_ + v; s < s1;
+         ++s, bit += num_nodes_) {
+      const uint64_t word = active[bit >> 6] & ~covered[bit >> 6];
+      open |= ((word >> (bit & 63)) & 1) << (s - s0);
+    }
+    for (; open != 0; open &= open - 1) {
+      const size_t s = s0 + std::countr_zero(open);
+      const size_t bit = s * num_nodes_ + v;
+      sum += CountReach(v, s, PairOf(bit), ws) - 1;
+    }
   }
   return sum;
 }

@@ -48,6 +48,12 @@ class SnapshotSpreadOracle {
   size_t num_nodes() const { return num_nodes_; }
   size_t num_snapshots() const { return num_snapshots_; }
 
+  /// Create's high-water mark in bytes, from the capacities of the arrays
+  /// that coexist there (one index point's transients in the offline
+  /// phase): the larger of the arc probabilities with the draws, and the
+  /// sampler's peak (internal::SnapshotArrays::peak_bytes).
+  size_t create_peak_bytes() const { return create_peak_bytes_; }
+
   /// \brief Per-caller scratch (BFS stamps + a frontier of active pairs);
   /// one per thread when evaluating marginal gains concurrently.
   class Workspace {
@@ -86,12 +92,6 @@ class SnapshotSpreadOracle {
   void SingletonGains(graph::NodeId begin, graph::NodeId end, Workspace* ws,
                       std::span<double> gains) const;
 
-  /// The snapshots where v keeps at least one out-arc, ascending.
-  std::span<const uint32_t> ActiveSnapshots(graph::NodeId v) const {
-    return {active_snapshots_.data() + active_offsets_[v],
-            active_offsets_[v + 1] - active_offsets_[v]};
-  }
-
   /// Commits `v` as a seed: its incremental reach becomes covered in every
   /// snapshot. Returns the realized marginal gain. Not thread-safe.
   double CommitSeed(graph::NodeId v, Workspace* ws);
@@ -120,7 +120,8 @@ class SnapshotSpreadOracle {
 
   // W · MarginalGain(v): W − covered_count_[v] snapshots where v is
   // uncovered, each reaching v itself, plus what v reaches beyond itself
-  // in those of its active snapshots where it is uncovered.
+  // in those of its active snapshots (its bits, one per row) where it is
+  // uncovered.
   uint64_t ReachSum(graph::NodeId v, Workspace* ws) const;
 
   // Sparse snapshot adjacency (internal::SnapshotArrays): bit g · n + u of
@@ -137,10 +138,7 @@ class SnapshotSpreadOracle {
     return (active_bits_[bit >> 6] >> (bit & 63)) & 1;
   }
   uint32_t PairOf(size_t bit) const;
-  // Node-major: v's active snapshots are active_snapshots_[active_offsets_[v]
-  // .. active_offsets_[v + 1]).
-  std::vector<uint32_t> active_offsets_;
-  std::vector<uint32_t> active_snapshots_;
+  size_t create_peak_bytes_ = 0;
 
   // Bit g · n + v of covered_ is set iff v is reached by committed seeds in
   // snapshot g; covered_count_[v] counts the snapshots where it is.

@@ -71,12 +71,15 @@ void SampleRange(const SnapshotDraws& d, size_t s_begin, size_t s_end,
 // every draw is taken. A snapshot's indices ascend, so its sources ascend
 // and each source's kept arcs are adjacent: a pair starts wherever the
 // source changes. After releasing the thresholds, the first pass sets each
-// pair's bit and counts the pairs and each source's active snapshots; the
-// second writes the pair offsets and the active lists, and each index's
-// target, with its sink flag, over the index; the word ranks are a prefix
-// sum of the bitmap's word counts.
+// pair's bit; the word ranks, a prefix sum of the bitmap's word counts, give
+// the pair count. The second writes the pair offsets, and each index's
+// target, with its sink flag, over the index. Both passes are branch-free:
+// SourceOf is a rank, and a pair offset is written at every index but
+// kept only where a pair starts.
 SnapshotArrays BuildArrays(SnapshotDraws d, std::vector<uint32_t> bounds,
                            std::vector<graph::NodeId> kept, uint32_t len) {
+  const size_t drawing_bytes =
+      d.bytes() + CapacityBytes(bounds) + CapacityBytes(kept);
   std::vector<uint64_t>().swap(d.threshold);
   const size_t n = d.num_nodes;
   const size_t num_snapshots = bounds.size() - 1;
@@ -84,53 +87,45 @@ SnapshotArrays BuildArrays(SnapshotDraws d, std::vector<uint32_t> bounds,
   kept.resize(len);
   SnapshotArrays out;
   out.active_bits.assign((num_snapshots * n + 63) / 64, 0);
-  out.active_offsets.assign(n + 1, 0);
   uint64_t* bits = out.active_bits.data();
-  uint32_t num_pairs = 0;
   for (size_t s = 0; s < num_snapshots; ++s) {
-    // Branch-free: setting a pair's bit again is harmless.
-    size_t prev = n;
     for (uint32_t k = bounds[s]; k < bounds[s + 1]; ++k) {
-      const graph::NodeId u = d.source[kept[k]];
-      const uint32_t fresh = u != prev;
-      prev = u;
-      const size_t bit = s * n + u;
+      // Setting a pair's bit again is harmless.
+      const size_t bit = s * n + SourceOf(d, kept[k]);
       bits[bit >> 6] |= uint64_t{1} << (bit & 63);
-      out.active_offsets[u + 1] += fresh;
-      num_pairs += fresh;
     }
   }
-  uint32_t sum = 0;
-  for (uint32_t& o : out.active_offsets) o = sum += o;
-
+  out.word_ranks.resize(out.active_bits.size());
+  uint32_t num_pairs = 0;
+  for (size_t i = 0; i < out.active_bits.size(); ++i) {
+    out.word_ranks[i] = num_pairs;
+    num_pairs += PopCount64(bits[i]);
+  }
   out.pair_offsets.resize(num_pairs + 1);
-  out.active_snapshots.resize(out.active_offsets[n]);
-  std::vector<uint32_t> cursor(out.active_offsets.begin(),
-                               out.active_offsets.end() - 1);
+  out.peak_bytes = std::max(drawing_bytes, d.bytes() + CapacityBytes(bounds) +
+                                               CapacityBytes(kept) +
+                                               out.bytes());
+
+  uint32_t* pair_offsets = out.pair_offsets.data();
   uint32_t pair = 0;
   for (size_t s = 0; s < num_snapshots; ++s) {
     const size_t row = s * n;
     size_t prev = n;
     for (uint32_t k = bounds[s]; k < bounds[s + 1]; ++k) {
-      const graph::NodeId u = d.source[kept[k]];
-      if (u != prev) {
-        out.pair_offsets[pair++] = k;
-        out.active_snapshots[cursor[u]++] = static_cast<uint32_t>(s);
-        prev = u;
-      }
-      const graph::NodeId t = d.target[kept[k]];
+      const uint32_t j = kept[k];
+      const graph::NodeId u = SourceOf(d, j);
+      // A later index overwrites this slot until the next pair starts; the
+      // last pair's stray writes land on the end entry, set below.
+      pair_offsets[pair] = k;
+      pair += u != prev;
+      prev = u;
+      const graph::NodeId t = d.target[j];
       const size_t bit = row + t;
       const bool sink = ((bits[bit >> 6] >> (bit & 63)) & 1) == 0;
       kept[k] = t | (sink ? kSinkFlag : 0);
     }
   }
-  out.pair_offsets[num_pairs] = len;
-  out.word_ranks.resize(out.active_bits.size());
-  sum = 0;
-  for (size_t i = 0; i < out.active_bits.size(); ++i) {
-    out.word_ranks[i] = sum;
-    sum += PopCount64(bits[i]);
-  }
+  pair_offsets[num_pairs] = len;
   out.targets = std::move(kept);
   return out;
 }
@@ -244,16 +239,30 @@ Status CheckSnapshotShape(size_t num_nodes, size_t num_arcs,
 SnapshotDraws PrepareDraws(const graph::TopicGraph& g,
                            const graph::ArcProbabilities& arc_probs) {
   constexpr uint64_t kAlwaysKeep = uint64_t{1} << 53;
+  const size_t n = g.num_nodes();
+  // Count first, so every array is allocated at its final size.
+  size_t num_drawn = 0;
+  size_t num_sources = 0;
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const size_t before = num_drawn;
+    const double* p = arc_probs.data() + g.OutArcBegin(u);
+    const size_t degree = g.OutNeighbors(u).size();
+    for (size_t j = 0; j < degree; ++j) num_drawn += p[j] > 0.0;
+    num_sources += num_drawn > before;
+  }
   SnapshotDraws d;
-  d.num_nodes = g.num_nodes();
-  d.threshold.resize(g.num_arcs());
-  d.source.resize(g.num_arcs());
-  d.target.resize(g.num_arcs());
+  d.num_nodes = n;
+  d.threshold.resize(num_drawn);
+  d.target.resize(num_drawn);
+  d.last_bits.assign((num_drawn + 63) / 64, 0);
+  d.last_ranks.resize(d.last_bits.size());
+  d.sources.resize(num_sources);
   uint64_t* thr = d.threshold.data();
-  graph::NodeId* source = d.source.data();
   graph::NodeId* target = d.target.data();
   size_t i = 0;
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+  size_t src = 0;
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const size_t first = i;
     const std::span<const graph::NodeId> out = g.OutNeighbors(u);
     const double* p = arc_probs.data() + g.OutArcBegin(u);
     for (size_t j = 0; j < out.size(); ++j) {
@@ -266,14 +275,18 @@ SnapshotDraws PrepareDraws(const graph::TopicGraph& g,
         thr[i] = static_cast<uint64_t>(std::ceil(p[j] * 0x1p53));
         d.expected_kept += p[j];
       }
-      source[i] = u;
       target[i] = out[j];
       ++i;
     }
+    if (i == first) continue;
+    d.last_bits[(i - 1) >> 6] |= uint64_t{1} << ((i - 1) & 63);
+    d.sources[src++] = u;
   }
-  d.threshold.resize(i);
-  d.source.resize(i);
-  d.target.resize(i);
+  uint32_t rank = 0;
+  for (size_t w = 0; w < d.last_bits.size(); ++w) {
+    d.last_ranks[w] = rank;
+    rank += PopCount64(d.last_bits[w]);
+  }
   return d;
 }
 
@@ -319,8 +332,14 @@ SnapshotArrays SampleSnapshotsLanes(SnapshotDraws draws,
   size_t lens[4];
   if (!SampleLanesAvx2(draws, b, states, region, bounds.data(), kept.data(),
                        lens)) {
+    const size_t lanes_bytes =
+        draws.bytes() + CapacityBytes(bounds) + CapacityBytes(kept);
+    std::vector<uint32_t>().swap(bounds);
     std::vector<graph::NodeId>().swap(kept);
-    return SampleSnapshotsScalar(std::move(draws), num_snapshots, seed);
+    SnapshotArrays out =
+        SampleSnapshotsScalar(std::move(draws), num_snapshots, seed);
+    out.peak_bytes = std::max(out.peak_bytes, lanes_bytes);
+    return out;
   }
   uint32_t len = 0;
   for (size_t l = 0; l < 4; ++l) {

@@ -15,23 +15,43 @@ namespace inflex {
 namespace im {
 namespace internal {
 
+/// Bytes a vector holds: its capacity, not its size.
+template <typename T>
+size_t CapacityBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
 /// What a sampler draws against: the arcs that take a draw, compacted in arc
 /// order (so grouped by ascending source). Rng::Bernoulli(p) is Uniform() <
 /// p with Uniform() = (Next() >> 11) · 2⁻⁵³; scaling by 2⁵³ is exact, so for
 /// u = Next() >> 11 the test is u < ceil(p · 2⁵³). p >= 1 (+inf included)
 /// keeps at threshold 2⁵³; p <= 0 and NaN take no draw and are left out.
-/// Snapshot s starts at draw s · num_drawn() of the stream.
+/// Snapshot s starts at draw s · num_drawn() of the stream. No draw stores
+/// its source: bit j of last_bits is set iff draw j is its source's last,
+/// last_ranks[i] counts the set bits of the words before word i, and the
+/// nodes that have a draw are `sources`, ascending, so draw j's source is
+/// sources[PairIndex(last_bits, last_ranks, j)] (SourceOf).
 struct SnapshotDraws {
   size_t num_nodes = 0;
   std::vector<uint64_t> threshold;
-  std::vector<graph::NodeId> source;
   std::vector<graph::NodeId> target;
+  std::vector<uint64_t> last_bits;
+  std::vector<uint32_t> last_ranks;
+  std::vector<graph::NodeId> sources;
   /// Expected kept arcs in one snapshot.
   double expected_kept = 0.0;
 
   size_t num_drawn() const { return threshold.size(); }
+  /// 12 bytes per drawn arc, 12 per 64 of them (rounded up) and 4 per
+  /// source.
+  size_t bytes() const {
+    return CapacityBytes(threshold) + CapacityBytes(target) +
+           CapacityBytes(last_bits) + CapacityBytes(last_ranks) +
+           CapacityBytes(sources);
+  }
 };
 
+/// Lays out the drawn arcs, each array sized to them exactly.
 SnapshotDraws PrepareDraws(const graph::TopicGraph& g,
                            const graph::ArcProbabilities& arc_probs);
 
@@ -50,15 +70,25 @@ inline constexpr size_t kMaxSnapshotNodes = size_t{kSinkFlag};
 /// targets[pair_offsets[p] .. pair_offsets[p + 1]), in arc order, each with
 /// kSinkFlag set when the target is a sink in that snapshot. word_ranks[i]
 /// counts the set bits of active_bits' words before word i (PairIndex).
-/// Node-major beside them, the snapshots where node u keeps an out-arc,
-/// ascending: active_snapshots[active_offsets[u] .. active_offsets[u + 1]).
+/// The targets keep the capacity of the sampler's kept-index buffer, which
+/// is sized from the expected kept arcs.
 struct SnapshotArrays {
   std::vector<uint64_t> active_bits;
   std::vector<uint32_t> word_ranks;
   std::vector<uint32_t> pair_offsets;
   std::vector<graph::NodeId> targets;
-  std::vector<uint32_t> active_offsets;
-  std::vector<uint32_t> active_snapshots;
+  /// The sampler's high-water mark in bytes: the larger of the draws, the
+  /// kept-index buffer and the snapshot bounds while drawing, and the same
+  /// without the thresholds plus the bitmap, word ranks and pair offsets
+  /// while building.
+  size_t peak_bytes = 0;
+
+  /// 12 bytes per bitmap word, 4 per active pair (plus 4) and 4 per entry
+  /// of the targets' capacity.
+  size_t bytes() const {
+    return CapacityBytes(active_bits) + CapacityBytes(word_ranks) +
+           CapacityBytes(pair_offsets) + CapacityBytes(targets);
+  }
 };
 
 /// Set bits of x, inline: the default build has no -mpopcnt, where
@@ -70,12 +100,19 @@ inline uint32_t PopCount64(uint64_t x) {
   return static_cast<uint32_t>((x * 0x0101010101010101) >> 56);
 }
 
-/// The pair number of set bit `bit` of SnapshotArrays::active_bits: its
-/// word's rank plus the set bits below it in the word.
-inline uint32_t PairIndex(const uint64_t* active_bits,
-                          const uint32_t* word_ranks, size_t bit) {
+/// The set bits below `bit` of a bitmap with per-word ranks: its word's
+/// rank plus the set bits below it in the word. For a set bit of
+/// SnapshotArrays::active_bits this is its pair number.
+inline uint32_t PairIndex(const uint64_t* bits, const uint32_t* word_ranks,
+                          size_t bit) {
   const uint64_t below = (uint64_t{1} << (bit & 63)) - 1;
-  return word_ranks[bit >> 6] + PopCount64(active_bits[bit >> 6] & below);
+  return word_ranks[bit >> 6] + PopCount64(bits[bit >> 6] & below);
+}
+
+/// The source of draw j (SnapshotDraws): the sources whose last draw lies
+/// below j come before it.
+inline graph::NodeId SourceOf(const SnapshotDraws& d, size_t j) {
+  return d.sources[PairIndex(d.last_bits.data(), d.last_ranks.data(), j)];
 }
 
 /// Checks the shape (n nodes, m arcs, W snapshots) against what the arrays
@@ -87,7 +124,7 @@ Status CheckSnapshotShape(size_t num_nodes, size_t num_arcs,
 /// Every sampler returns the same arrays: those of one Rng(seed) stream
 /// consumed in snapshot and draw order. A sampler consumes its draws: it
 /// releases the thresholds once every draw is taken, before it allocates
-/// the bitmap, the pair offsets and the active lists.
+/// the bitmap, the word ranks and the pair offsets.
 using SnapshotSampler = SnapshotArrays (*)(SnapshotDraws draws,
                                            size_t num_snapshots,
                                            uint64_t seed);

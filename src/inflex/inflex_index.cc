@@ -4,13 +4,10 @@
 #include <atomic>
 #include <numeric>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "oracle/celfpp_oracle.h"
 #include "simplex/topic_distribution.h"
 #include "util/check.h"
+#include "util/heap.h"
 #include "util/logging.h"
 #include "util/serialize.h"
 #include "util/timer.h"
@@ -50,13 +47,16 @@ Result<InflexIndex> BuildParts(
   // Phase 1 (§3.1): select the h index points.
   INFLEX_ASSIGN_OR_RETURN(IndexPointSelection selection,
                           SelectIndexPoints(catalog, options.index_points));
-  // Only the points are read from here on; the Dirichlet sample they were
-  // clustered from is freed before the seed-list stage.
+  // Only the points are read from here on. The Dirichlet sample they were
+  // clustered from is freed, and it goes back to the system with the
+  // k-means transients below, before the seed lists allocate in the pool
+  // threads' arenas, where it could not be reused.
   std::vector<simplex::TopicVector>().swap(selection.samples);
   const size_t h = selection.points.size();
   INFLEX_LOG(Info) << "INFLEX build: " << h << " index points selected, "
                    << "precomputing seed lists (l=" << options.seed_list_length
                    << ", " << options.oracle_snapshots << " snapshots each)";
+  util::ReleaseFreedHeap("INFLEX build, before the seed lists");
 
   // Phase 2: one CELF run per index point — the heavy offline stage, so
   // it is parallelized across points (each task owns its oracle).
@@ -113,18 +113,15 @@ Result<InflexIndex> InflexIndex::Build(
     return Status::InvalidArgument("seed_list_length exceeds node count");
   }
 
+  // Freed memory stays resident under glibc (its dynamic mmap threshold
+  // sends large buffers to the arenas after the first one is freed), so
+  // each stage boundary hands it back before the next stage allocates
+  // (DESIGN.md "Offline-phase memory"): here the caller's dataset or loader
+  // staging, in BuildParts the index-point stage's, and at the end the
+  // seed lists' and the bb-tree's, before serving.
+  util::ReleaseFreedHeap("INFLEX build, before the index points");
   Result<InflexIndex> index = BuildParts(graph, catalog, options);
-#if defined(__GLIBC__)
-  // The offline phase's transients are freed, but glibc keeps them resident:
-  // its dynamic mmap threshold sends large buffers to the arenas after the
-  // first one is freed, and each pool thread holds an arena. One trim, here
-  // and only here, hands those pages back before serving (DESIGN.md
-  // "Offline-phase memory").
-  Timer trim_timer;
-  malloc_trim(0);
-  INFLEX_LOG(Info) << "INFLEX build: freed heap returned in "
-                   << trim_timer.ElapsedMillis() << " ms";
-#endif
+  util::ReleaseFreedHeap("INFLEX build, after the bb-tree");
   return index;
 }
 

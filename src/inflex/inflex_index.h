@@ -115,9 +115,9 @@ class InflexIndex {
   /// Builds the full index from a graph and an item catalog: index-point
   /// selection (§3.1), per-point seed precompute (oracle::OfflineTicSeeds),
   /// bb-tree (§3.2).
-  /// This is the paper's heavy offline phase. On glibc it ends with one
-  /// `malloc_trim(0)`, which returns the phase's freed heap to the system
-  /// before serving.
+  /// This is the paper's heavy offline phase. It returns the freed heap to
+  /// the system (util::ReleaseFreedHeap) where it starts, between index
+  /// points and seed lists, and where it ends, before serving.
   static Result<InflexIndex> Build(const graph::TopicGraph& graph,
                                    const std::vector<simplex::TopicDistribution>& catalog,
                                    const InflexBuildOptions& options = {});

@@ -301,14 +301,19 @@ TEST(SnapshotOracleTest, ShapeCheckBoundsNodesArcsAndSnapshots) {
   }
 }
 
-// W live-edge snapshots in the dense layout the oracle's arrays stand for:
-// snapshot s's kept arcs of node u are targets[offsets[s · (n + 1) + u] ..
-// offsets[s · (n + 1) + u + 1]), and the node-major active lists.
+// W live-edge snapshots of n nodes in the dense layout the oracle's arrays
+// stand for: snapshot s's kept arcs of node u are targets[offsets[s · (n +
+// 1) + u] .. offsets[s · (n + 1) + u + 1]).
 struct DenseSnapshots {
+  size_t num_nodes = 0;
   std::vector<uint32_t> offsets;
   std::vector<NodeId> targets;
-  std::vector<uint32_t> active_offsets;
-  std::vector<uint32_t> active_snapshots;
+
+  // Whether u keeps an out-arc in snapshot s.
+  bool Active(size_t s, size_t u) const {
+    const uint32_t* off = offsets.data() + s * (num_nodes + 1);
+    return off[u + 1] > off[u];
+  }
 };
 
 // Expands the active bits, word ranks and pair offsets of W snapshots into
@@ -318,12 +323,10 @@ struct DenseSnapshots {
 // number, every active pair non-empty, and each target's sink flag against
 // the target's dense range in its snapshot. The flags are cleared in the
 // returned targets.
-DenseSnapshots ExpandSnapshots(const internal::SnapshotArrays& a, size_t w,
-                               const std::string& what) {
-  const size_t n = a.active_offsets.size() - 1;
+DenseSnapshots ExpandSnapshots(const internal::SnapshotArrays& a, size_t n,
+                               size_t w, const std::string& what) {
   DenseSnapshots d;
-  d.active_offsets = a.active_offsets;
-  d.active_snapshots = a.active_snapshots;
+  d.num_nodes = n;
   EXPECT_EQ(a.active_bits.size(), (w * n + 63) / 64) << what;
   EXPECT_EQ(a.word_ranks.size(), a.active_bits.size()) << what;
   if (a.active_bits.size() != (w * n + 63) / 64 ||
@@ -376,26 +379,33 @@ DenseSnapshots ExpandSnapshots(const internal::SnapshotArrays& a, size_t w,
   return d;
 }
 
+// Also compares the bitmap with one recounted from the reference's offsets.
 void ExpectSameSnapshots(const internal::SnapshotArrays& got,
                          const DenseSnapshots& want, size_t w,
                          const std::string& what) {
-  const DenseSnapshots d = ExpandSnapshots(got, w, what);
+  const size_t n = want.num_nodes;
+  std::vector<uint64_t> bits((w * n + 63) / 64, 0);
+  for (size_t s = 0; s < w; ++s) {
+    for (size_t u = 0; u < n; ++u) {
+      if (!want.Active(s, u)) continue;
+      bits[(s * n + u) / 64] |= uint64_t{1} << ((s * n + u) % 64);
+    }
+  }
+  EXPECT_EQ(got.active_bits, bits) << what;
+  const DenseSnapshots d = ExpandSnapshots(got, n, w, what);
   EXPECT_EQ(d.offsets, want.offsets) << what;
   EXPECT_EQ(d.targets, want.targets) << what;
-  EXPECT_EQ(d.active_offsets, want.active_offsets) << what;
-  EXPECT_EQ(d.active_snapshots, want.active_snapshots) << what;
 }
 
 // The snapshot arrays straight from their definition: one Rng(seed) stream
 // consumed in snapshot, node and arc order, one Bernoulli draw per arc with
-// p > 0 (none for p <= 0 or NaN); v's active snapshots are those where it
-// kept an out-arc.
+// p > 0 (none for p <= 0 or NaN).
 DenseSnapshots ReferenceSnapshots(const TopicGraph& g,
                                   const ArcProbabilities& probs, size_t w,
                                   uint64_t seed) {
   const size_t n = g.num_nodes();
   DenseSnapshots ref;
-  std::vector<std::vector<uint32_t>> active(n);
+  ref.num_nodes = n;
   Rng rng(seed);
   for (size_t s = 0; s < w; ++s) {
     for (NodeId u = 0; u < n; ++u) {
@@ -405,18 +415,8 @@ DenseSnapshots ReferenceSnapshots(const TopicGraph& g,
         const double p = probs[g.OutArcBegin(u) + j];
         if (p > 0.0 && rng.Bernoulli(p)) ref.targets.push_back(out[j]);
       }
-      if (ref.targets.size() > ref.offsets.back()) {
-        active[u].push_back(static_cast<uint32_t>(s));
-      }
     }
     ref.offsets.push_back(static_cast<uint32_t>(ref.targets.size()));
-  }
-  ref.active_offsets.push_back(0);
-  for (NodeId u = 0; u < n; ++u) {
-    ref.active_snapshots.insert(ref.active_snapshots.end(), active[u].begin(),
-                                active[u].end());
-    ref.active_offsets.push_back(
-        static_cast<uint32_t>(ref.active_snapshots.size()));
   }
   return ref;
 }
@@ -501,7 +501,9 @@ TEST(SnapshotSamplerTest, DrawFreeArcsAndSinksKeepTheStreamOrder) {
           "W " + std::to_string(w) + " seed " + std::to_string(seed);
       const DenseSnapshots want = ReferenceSnapshots(g, probs, w, seed);
       const auto num_active = [&](NodeId u) {
-        return want.active_offsets[u + 1] - want.active_offsets[u];
+        size_t count = 0;
+        for (size_t s = 0; s < w; ++s) count += want.Active(s, u);
+        return count;
       };
       for (const NodeId sink : {0, 33, 69}) ASSERT_EQ(num_active(sink), 0u);
       ASSERT_EQ(num_active(34), w);
@@ -652,7 +654,7 @@ TopicGraph MakeGraphWithSinks(size_t n, size_t degree, double p_lo,
 // snapshot.
 long long ReferenceReach(const DenseSnapshots& ref, size_t w,
                          const std::vector<NodeId>& seeds) {
-  const size_t n = ref.active_offsets.size() - 1;
+  const size_t n = ref.num_nodes;
   long long total = 0;
   for (size_t s = 0; s < w; ++s) {
     const uint32_t* off = ref.offsets.data() + s * (n + 1);
@@ -685,18 +687,20 @@ long long ReferenceReach(const DenseSnapshots& ref, size_t w,
 // every node, CommitSeed returns the same difference, and CurrentSpread and
 // SpreadOf equal reach(S); SingletonGains over blocks off the 256-node grid
 // returns MarginalGain's doubles. Checked from no seeds, after each of
-// several commits and after ResetSeeds, on a sparse and a dense graph (p up
-// to 1) with cycles and sinks. The sampler's arrays expand to the
-// reference, and the oracle's active lists equal a recount from its
-// offsets.
+// several commits and after ResetSeeds, on sparse and dense graphs (p up
+// to 1) with cycles and sinks, at W below and above 64. The sampler's
+// arrays, its bitmap included, expand to the reference.
 TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
   struct Case {
     size_t n, degree;
     double p_lo, p_hi;
     size_t w;
   };
-  const Case cases[] = {{300, 2, 0.05, 0.3, 37}, {120, 8, 0.3, 1.0, 23}};
-  for (size_t c = 0; c < 2; ++c) {
+  // The third case's W = 130 spans three of ReachSum's 64-snapshot masks,
+  // the last one partial.
+  const Case cases[] = {
+      {300, 2, 0.05, 0.3, 37}, {120, 8, 0.3, 1.0, 23}, {90, 3, 0.1, 0.5, 130}};
+  for (size_t c = 0; c < 3; ++c) {
     const Case& k = cases[c];
     ArcProbabilities probs;
     const TopicGraph g =
@@ -715,17 +719,6 @@ TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
     ExpectSameSnapshots(internal::ActiveSnapshotSampler()(
                             internal::PrepareDraws(g, probs), k.w, opts.seed),
                         ref, k.w, "case " + std::to_string(c));
-    for (NodeId v = 0; v < k.n; ++v) {
-      std::vector<uint32_t> recount;
-      for (uint32_t s = 0; s < k.w; ++s) {
-        const uint32_t* off = ref.offsets.data() + s * (k.n + 1);
-        if (off[v + 1] > off[v]) recount.push_back(s);
-      }
-      const auto active = o.ActiveSnapshots(v);
-      EXPECT_EQ(std::vector<uint32_t>(active.begin(), active.end()), recount)
-          << "case " << c << " v " << v;
-    }
-
     std::vector<NodeId> committed;
     const auto check_gains = [&](const std::string& what) {
       const long long base = ReferenceReach(ref, k.w, committed);
@@ -767,6 +760,82 @@ TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
       committed.clear();
     }
     check_gains("case " + std::to_string(c) + " after reset");
+  }
+}
+
+// One index point's transients, pinned in bytes against the shape: n
+// nodes (n_s of them with a drawn arc), m arcs, m_d drawn arcs, W
+// snapshots, P active pairs and a kept-index buffer of K entries (K >= the
+// kept targets; the targets keep its capacity). The draws hold 12 bytes per
+// drawn arc, 12 per 64 of them and 4 per node with one; the arrays 12 per
+// bitmap word of W · n bits, 4 per active pair plus 4 and 4 per buffer
+// entry. Create's high-water mark is the largest of three stages:
+// the probabilities (8 per arc) with the draws; the draws, the buffer and
+// the W + 1 snapshot bounds while drawing; and those without the thresholds
+// plus the bitmap, word ranks and pair offsets while building. Both structs
+// are pinned to their members, so a per-arc or per-pair array added back to
+// either fails here even if bytes() does not count it.
+TEST(SnapshotOracleTest, TransientBytesPinnedToTheShape) {
+  EXPECT_EQ(sizeof(internal::SnapshotDraws),
+            5 * sizeof(std::vector<uint32_t>) + sizeof(size_t) +
+                sizeof(double));
+  EXPECT_EQ(sizeof(internal::SnapshotArrays),
+            4 * sizeof(std::vector<uint32_t>) + sizeof(size_t));
+  struct Case {
+    size_t n, degree;
+    double p_lo, p_hi;
+    size_t w;
+  };
+  const Case cases[] = {{300, 2, 0.05, 0.3, 37},
+                        {120, 8, 0.3, 1.0, 5},
+                        {70, 4, 0.1, 0.6, 1},
+                        {250, 6, 0.05, 0.5, 100}};
+  const internal::SnapshotSampler samplers[] = {
+      internal::ResolveSnapshotSampler(true),
+      internal::ActiveSnapshotSampler()};
+  for (size_t c = 0; c < 4; ++c) {
+    const Case& k = cases[c];
+    ArcProbabilities probs;
+    const TopicGraph g =
+        MakeGraphWithSinks(k.n, k.degree, k.p_lo, k.p_hi, 80 + c, &probs);
+    // Every fifth arc takes no draw.
+    for (size_t a = 0; a < probs.size(); a += 5) probs[a] = 0.0;
+    const size_t m = probs.size();
+    const size_t m_d = m - (m + 4) / 5;
+    size_t n_s = 0;
+    for (NodeId u = 0; u < k.n; ++u) {
+      const size_t begin = g.OutArcBegin(u);
+      n_s += std::any_of(probs.begin() + begin,
+                         probs.begin() + begin + g.OutNeighbors(u).size(),
+                         [](double p) { return p > 0.0; });
+    }
+    const size_t words = (k.w * k.n + 63) / 64;
+    const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);
+    ASSERT_EQ(draws.num_drawn(), m_d);
+    const size_t draws_bytes = 12 * m_d + 12 * ((m_d + 63) / 64) + 4 * n_s;
+    EXPECT_EQ(draws.bytes(), draws_bytes) << "case " << c;
+    for (const internal::SnapshotSampler sample : samplers) {
+      const internal::SnapshotArrays a = sample(draws, k.w, 5);
+      const size_t pairs = a.pair_offsets.size() - 1;
+      const size_t buffer = a.targets.capacity();
+      ASSERT_GE(buffer, a.targets.size());
+      EXPECT_EQ(a.bytes(), 12 * words + 4 * (pairs + 1) + 4 * buffer)
+          << "case " << c;
+      const size_t drawing = draws_bytes + 4 * (k.w + 1) + 4 * buffer;
+      const size_t building =
+          drawing - 8 * m_d + 12 * words + 4 * (pairs + 1);
+      EXPECT_EQ(a.peak_bytes, std::max(drawing, building)) << "case " << c;
+      if (sample != internal::ActiveSnapshotSampler()) continue;
+      SnapshotSpreadOracle::Options opts;
+      opts.num_snapshots = k.w;
+      opts.seed = 5;
+      auto created =
+          SnapshotSpreadOracle::Create(g, ArcProbabilities(probs), opts);
+      ASSERT_TRUE(created.ok());
+      EXPECT_EQ(created.ValueOrDie().create_peak_bytes(),
+                std::max({8 * m + draws_bytes, drawing, building}))
+          << "case " << c;
+    }
   }
 }
 

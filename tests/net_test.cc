@@ -787,6 +787,17 @@ TEST_F(NetServingTest, GracefulShutdownAnswersInFlightRequests) {
   ASSERT_TRUE(idle.Connect(port));
 
   std::thread stopper([&server] { server.Stop(); });
+  // A failed assertion below returns early: open the gate (Stop waits for
+  // the parked request) and join the stopper on the way out, so it fails
+  // this test instead of terminating the binary on a joinable thread.
+  struct JoinOnExit {
+    WorkerGate* gate;
+    std::thread* thread;
+    ~JoinOnExit() {
+      gate->Open();
+      if (thread->joinable()) thread->join();
+    }
+  } join_on_exit{&gate, &stopper};
 
   // Draining: new connections are refused...
   ASSERT_TRUE(WaitFor([&] {
