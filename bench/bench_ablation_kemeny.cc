@@ -4,6 +4,7 @@
 // never measures the gap. The exact Held-Karp solver makes the measurement
 // possible on small unions.
 #include <cstdio>
+#include <iterator>
 #include <numeric>
 
 #include "common/evaluation.h"
@@ -53,19 +54,17 @@ int main() {
       {"Borda+LK", rank::AggregationMethod::kBorda, true},
       {"Copeland", rank::AggregationMethod::kCopeland, false},
       {"Copeland+LK", rank::AggregationMethod::kCopeland, true},
-      {"MC4", rank::AggregationMethod::kMarkovChainMc4, false},
-      {"MC4+LK", rank::AggregationMethod::kMarkovChainMc4, true},
   };
 
   TablePrinter table({"m", "voters", "noise", "Borda", "Borda+LK", "Copeland",
-                      "Copeland+LK", "MC4", "MC4+LK", "optimal hit rate"});
+                      "Copeland+LK", "optimal hit rate"});
   Rng rng(20140324);
   struct Shape {
     size_t m, voters, noise;
   };
   for (const Shape shape : {Shape{8, 5, 4}, Shape{10, 5, 8},
                             Shape{12, 7, 12}, Shape{12, 3, 20}}) {
-    std::vector<std::vector<double>> ratios(6);
+    std::vector<std::vector<double>> ratios(std::size(configs));
     size_t optimal_hits = 0, scored = 0;
     for (int inst = 0; inst < 500; ++inst) {
       const auto lists =
@@ -78,7 +77,7 @@ int main() {
       if (optimum <= 0.0) continue;  // unanimous instance: ratio undefined
       ++scored;
       bool any_hit = false;
-      for (size_t c = 0; c < 6; ++c) {
+      for (size_t c = 0; c < std::size(configs); ++c) {
         rank::AggregationOptions opts;
         opts.method = configs[c].method;
         opts.local_kemenization = configs[c].local_kemenization;
@@ -94,7 +93,7 @@ int main() {
     std::vector<std::string> row = {std::to_string(shape.m),
                                     std::to_string(shape.voters),
                                     std::to_string(shape.noise)};
-    for (size_t c = 0; c < 6; ++c) {
+    for (size_t c = 0; c < std::size(configs); ++c) {
       row.push_back(TablePrinter::Fmt(stats::Mean(ratios[c]), 3));
     }
     row.push_back(TablePrinter::Fmt(

@@ -449,11 +449,11 @@ void BM_Aggregation(benchmark::State& state) {
   state.counters["union"] =
       static_cast<double>(rank::UnionOfLists(lists).size());
 }
-// Args: method (0 Borda, 1 Copeland, 2 MC4, each followed by Local
-// Kemenization) and L weighted top-50 lists over 30·L items: L = 10 gives a
-// union of ~290, L = 20 one of ~490, the vote kernel's worst case.
+// Args: method (0 Borda, 1 Copeland, each followed by Local Kemenization)
+// and L weighted top-50 lists over 30·L items: L = 10 gives a union of ~290,
+// L = 20 one of ~490, the vote kernel's worst case.
 BENCHMARK(BM_Aggregation)
-    ->ArgsProduct({{0, 1, 2}, {10, 20}})
+    ->ArgsProduct({{0, 1}, {10, 20}})
     ->Unit(benchmark::kMicrosecond);
 
 const benchsupport::Testbed& SharedTestbed() {

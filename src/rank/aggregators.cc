@@ -5,7 +5,6 @@
 
 #include "rank/kendall_tau.h"
 #include "rank/local_kemenization.h"
-#include "rank/markov_chain.h"
 #include "rank/vote_kernel.h"
 #include "util/bound_capacity.h"
 
@@ -143,10 +142,6 @@ Result<RankedList> AggregateRankings(const std::vector<RankedList>& lists,
     case AggregationMethod::kCopeland:
       CopelandScores(pm, &c.scores_, &c.votes_for_, &c.votes_against_);
       break;
-    case AggregationMethod::kMarkovChainMc4: {
-      INFLEX_ASSIGN_OR_RETURN(c.scores_, Mc4StationaryDistribution(pm));
-      break;
-    }
   }
   return TopK(pm.items(), c.scores_,
               options.local_kemenization ? &pm : nullptr, k, &c.order_);

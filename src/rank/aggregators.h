@@ -15,9 +15,6 @@ enum class AggregationMethod {
   kBorda,
   /// Pairwise majority tournament (Copeland 1951); Algorithm 2 when weighted.
   kCopeland,
-  /// MC4 Markov-chain aggregation (Dwork et al. 2001) — the generalization
-  /// of Copeland the paper cites; items ranked by stationary probability.
-  kMarkovChainMc4,
 };
 
 /// \brief Options for AggregateRankings.
@@ -51,9 +48,8 @@ class AggregationContext;
 /// the top-k. Every stage that reads pairwise preferences shares one
 /// PreferenceMatrix. `k` may exceed |U|, in which case all of U is returned
 /// — the paper's mechanism for answering k > ℓ queries. Scratch comes from
-/// `ctx`, or from a thread_local context when it is null, so steady-state
-/// Borda and Copeland calls allocate only their result (MC4 allocates its
-/// transition).
+/// `ctx`, or from a thread_local context when it is null, so a steady-state
+/// call allocates only its result.
 Result<RankedList> AggregateRankings(const std::vector<RankedList>& lists,
                                      const std::vector<double>& weights,
                                      size_t k,

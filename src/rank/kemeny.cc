@@ -1,10 +1,8 @@
 #include "rank/kemeny.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 
 namespace inflex {
 namespace rank {
@@ -86,32 +84,6 @@ Result<RankedList> ExactKemenyAggregate(const PreferenceMatrix& pm,
     mask &= ~(size_t{1} << v);
   }
   return result;
-}
-
-Result<double> FootruleDistance(const RankedList& a, const RankedList& b,
-                                bool normalized) {
-  INFLEX_RETURN_NOT_OK(ValidateRankedList(a));
-  INFLEX_RETURN_NOT_OK(ValidateRankedList(b));
-  if (a.size() != b.size()) {
-    return Status::InvalidArgument("footrule requires equal-length rankings");
-  }
-  const size_t m = a.size();
-  if (m < 2) return 0.0;
-  std::unordered_map<Item, size_t> pos_b;
-  pos_b.reserve(m * 2);
-  for (size_t i = 0; i < m; ++i) pos_b[b[i]] = i;
-  double total = 0.0;
-  for (size_t i = 0; i < m; ++i) {
-    auto it = pos_b.find(a[i]);
-    if (it == pos_b.end()) {
-      return Status::InvalidArgument("rankings must cover the same item set");
-    }
-    total += std::fabs(static_cast<double>(i) -
-                       static_cast<double>(it->second));
-  }
-  if (!normalized) return total;
-  const double max_f = std::floor(static_cast<double>(m * m) / 2.0);
-  return total / max_f;
 }
 
 }  // namespace rank

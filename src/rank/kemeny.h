@@ -12,7 +12,7 @@ namespace rank {
 /// Pairwise Kemeny cost of a candidate ranking against the (weighted) input
 /// lists tallied in `pm`: for every ordered pair (x before y) in `ranking`,
 /// the total weight of lists preferring y over x. This is the objective that
-/// Kemeny-optimal aggregation minimizes and that Borda / Copeland / MC4
+/// Kemeny-optimal aggregation minimizes and that Borda and Copeland
 /// approximate. `ranking` must cover exactly the union `pm.items()`.
 Result<double> PairwiseKemenyCost(const RankedList& ranking,
                                   const PreferenceMatrix& pm);
@@ -25,14 +25,6 @@ Result<double> PairwiseKemenyCost(const RankedList& ranking,
 /// Fails when the union exceeds `max_union_size`.
 Result<RankedList> ExactKemenyAggregate(const PreferenceMatrix& pm,
                                         size_t max_union_size = 18);
-
-/// Spearman footrule distance between two full rankings of the same items:
-/// F(σ, τ) = Σ_i |pos_σ(i) − pos_τ(i)|. When `normalized`, divided by the
-/// maximum ⌊m²/2⌋. Satisfies the Diaconis-Graham inequality
-/// K ≤ F ≤ 2·K against the (unnormalized) Kendall distance — asserted by
-/// property tests.
-Result<double> FootruleDistance(const RankedList& a, const RankedList& b,
-                                bool normalized = true);
 
 }  // namespace rank
 }  // namespace inflex

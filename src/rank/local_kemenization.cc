@@ -1,6 +1,5 @@
 #include "rank/local_kemenization.h"
 
-#include <optional>
 #include <utility>
 
 namespace inflex {
@@ -16,29 +15,6 @@ void LocalKemenization(const PreferenceMatrix& pm,
       std::swap(tau[j - 1], tau[j]);
     }
   }
-}
-
-Status LocalKemenization(const std::vector<RankedList>& lists,
-                         const std::vector<double>& weights,
-                         RankedList* aggregated) {
-  INFLEX_RETURN_NOT_OK(ValidateRankedList(*aggregated));
-  INFLEX_ASSIGN_OR_RETURN(const PreferenceMatrix pm,
-                          PreferenceMatrix::Build(lists, weights));
-
-  // Items outside U split τ into runs; each run is Kemenized on its own.
-  RankedList& tau = *aggregated;
-  std::vector<size_t> run;
-  for (size_t begin = 0, end = 0; begin < tau.size(); begin = end + 1) {
-    run.clear();
-    for (end = begin; end < tau.size(); ++end) {
-      const std::optional<size_t> slot = pm.SlotOf(tau[end]);
-      if (!slot) break;
-      run.push_back(*slot);
-    }
-    LocalKemenization(pm, &run);
-    for (size_t i = 0; i < run.size(); ++i) tau[begin + i] = pm.items()[run[i]];
-  }
-  return Status::OK();
 }
 
 }  // namespace rank

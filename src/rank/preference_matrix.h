@@ -18,9 +18,8 @@ class AggregationContext;
 /// The one place that knows the top-ℓ pairwise rule (matching the Copeland
 /// formulation in Algorithm 2 and the Local Kemenization majority test):
 /// within a list, a present item is preferred to an absent one; two absent
-/// items yield no vote. Copeland, MC4, Local Kemenization and the Kemeny
-/// functions all read this one relation, addressed by slot: slot x is
-/// items()[x].
+/// items yield no vote. Copeland, Local Kemenization and the Kemeny functions
+/// all read this one relation, addressed by slot: slot x is items()[x].
 ///
 /// No m×m table is stored. Each list with a nonzero weight keeps one row of
 /// ranks over the slots (internal::kAbsentRank where it omits the slot), in

@@ -1,11 +1,8 @@
-// Tests for the extension features beyond the paper's core: MC4 rank
-// aggregation, segment-targeted TIM queries, seed-candidate restriction in
-// the IM algorithms, RIS influence maximization, and the automatic
-// index-size suggestion.
+// Tests for the extension features beyond the paper's core: segment-targeted
+// TIM queries, seed-candidate restriction in the IM algorithms, RIS influence
+// maximization, and the automatic index-size suggestion.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
 #include <set>
 
 #include "data/synthetic.h"
@@ -16,91 +13,11 @@
 #include "simplex/sampling.h"
 #include "inflex/inflex_index.h"
 #include "inflex/query_cache.h"
-#include "rank/aggregators.h"
-#include "rank/kendall_tau.h"
-#include "rank/markov_chain.h"
+#include "rank/ranked_list.h"
 #include "util/random.h"
 
 namespace inflex {
 namespace {
-
-// ---------------------------------------------------------------------- MC4 ---
-
-// MC4 alone: no Local Kemenization, every item of the union returned.
-Result<rank::RankedList> Mc4Only(const std::vector<rank::RankedList>& lists,
-                                 const std::vector<double>& weights) {
-  rank::AggregationOptions opts;
-  opts.method = rank::AggregationMethod::kMarkovChainMc4;
-  opts.local_kemenization = false;
-  return rank::AggregateRankings(
-      lists, weights, std::max<size_t>(1, rank::UnionOfLists(lists).size()),
-      opts);
-}
-
-TEST(Mc4Test, RecoversPerfectConsensus) {
-  const rank::RankedList consensus = {4, 1, 9, 2};
-  auto r = Mc4Only({consensus, consensus, consensus}, {});
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.ValueOrDie(), consensus);
-}
-
-TEST(Mc4Test, CondorcetWinnerRanksFirst) {
-  // Item 1 beats everyone pairwise in a majority of the lists.
-  auto r = Mc4Only({{1, 2, 3}, {1, 3, 2}, {2, 1, 3}}, {});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie().front(), 1u);
-}
-
-TEST(Mc4Test, StationaryDistributionIsProbability) {
-  Rng rng(5);
-  std::vector<rank::RankedList> lists;
-  for (int j = 0; j < 4; ++j) {
-    rank::RankedList l(8);
-    std::iota(l.begin(), l.end(), 0u);
-    rng.Shuffle(&l);
-    l.resize(5);
-    lists.push_back(l);
-  }
-  auto pi = rank::Mc4StationaryDistribution(
-      rank::PreferenceMatrix::Build(lists, {}).ValueOrDie());
-  ASSERT_TRUE(pi.ok());
-  double sum = 0.0;
-  for (double p : pi.ValueOrDie()) {
-    EXPECT_GE(p, 0.0);
-    sum += p;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
-TEST(Mc4Test, WeightsShiftTheOutcome) {
-  const std::vector<rank::RankedList> lists = {{1, 2}, {2, 1}, {2, 1}};
-  auto unweighted = Mc4Only(lists, {});
-  ASSERT_TRUE(unweighted.ok());
-  EXPECT_EQ(unweighted.ValueOrDie().front(), 2u);  // majority
-  auto weighted = Mc4Only(lists, {10.0, 1.0, 1.0});
-  ASSERT_TRUE(weighted.ok());
-  EXPECT_EQ(weighted.ValueOrDie().front(), 1u);  // dominant first list
-}
-
-TEST(Mc4Test, RejectsBadInput) {
-  EXPECT_FALSE(Mc4Only({}, {}).ok());
-  EXPECT_FALSE(Mc4Only({{1, 2}, {}}, {}).ok());
-  rank::Mc4Options bad;
-  bad.damping = 0.0;
-  EXPECT_FALSE(rank::Mc4StationaryDistribution(
-                   rank::PreferenceMatrix::Build({{1, 2}}, {}).ValueOrDie(),
-                   bad)
-                   .ok());
-}
-
-TEST(Mc4Test, WorksAsAggregationMethodInPipeline) {
-  rank::AggregationOptions opts;
-  opts.method = rank::AggregationMethod::kMarkovChainMc4;
-  auto r = rank::AggregateRankings({{1, 2, 3}, {1, 3, 2}}, {}, 3, opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie().size(), 3u);
-  EXPECT_EQ(r.ValueOrDie().front(), 1u);
-}
 
 // --------------------------------------------------------- candidate masks ---
 

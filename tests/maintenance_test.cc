@@ -857,6 +857,24 @@ TEST_F(MaintenanceTest, SweepProtectsLastCoverOfAdmittedItems) {
 
 // ------------------------------------------------- maintenance under storm ---
 
+// Joins every storming thread when it leaves scope. A failed ASSERT while
+// the threads run returns early; without the join it would end the whole
+// binary on a joinable std::thread instead of failing its test.
+class JoinOnExit {
+ public:
+  explicit JoinOnExit(std::vector<std::thread>* threads) : threads_(threads) {}
+  JoinOnExit(const JoinOnExit&) = delete;
+  JoinOnExit& operator=(const JoinOnExit&) = delete;
+  ~JoinOnExit() {
+    for (auto& th : *threads_) {
+      if (th.joinable()) th.join();
+    }
+  }
+
+ private:
+  std::vector<std::thread>* threads_;
+};
+
 // The tentpole invariant: 8 threads storm the engine while the maintenance
 // plane admits deltas and swaps generations underneath them. No answer may be
 // torn — every recorded answer must be bit-identical to a serial replay
@@ -896,6 +914,7 @@ TEST_F(MaintenanceTest, ConcurrentMaintenanceStress) {
   std::atomic<bool> storming{true};
 
   std::vector<std::thread> threads;
+  JoinOnExit join_on_exit(&threads);
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -1006,6 +1025,7 @@ TEST_F(MaintenanceTest, EvictionCoalescingStormKeepsAnswersBitIdentical) {
   constexpr int kRounds = 4;
   std::vector<std::vector<Recorded>> recorded(kThreads);
   std::vector<std::thread> threads;
+  JoinOnExit join_on_exit(&threads);
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {

@@ -318,6 +318,25 @@ TEST_F(OracleTest, DefaultMaintainerOptionsReproduceRisPath) {
 
 // ------------------------------------------------- concurrent admission ---
 
+// Stops and joins a storm's querier thread when it leaves scope. A failed
+// ASSERT while the querier runs returns early; without the join it would end
+// the whole binary on a joinable std::thread instead of failing its test.
+class StopOnExit {
+ public:
+  StopOnExit(std::atomic<bool>* stop, std::thread* querier)
+      : stop_(stop), querier_(querier) {}
+  StopOnExit(const StopOnExit&) = delete;
+  StopOnExit& operator=(const StopOnExit&) = delete;
+  ~StopOnExit() {
+    stop_->store(true);
+    if (querier_->joinable()) querier_->join();
+  }
+
+ private:
+  std::atomic<bool>* stop_;
+  std::thread* querier_;
+};
+
 // Per backend: a serving storm hammers the engine while corner deltas are
 // admitted and precomputed on a multi-worker maintenance pool. Afterwards,
 // every published seed list must be bit-identical to a serial replay of the
@@ -361,6 +380,7 @@ TEST_F(OracleTest, ConcurrentStormMatchesSerialReplayPerBackend) {
         (void)engine.Query(r);
       }
     });
+    StopOnExit stop_on_exit(&stop, &querier);
     for (const auto& d : deltas) {
       auto receipt = m.SubmitDelta(d);
       ASSERT_TRUE(receipt.ok());

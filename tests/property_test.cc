@@ -131,8 +131,7 @@ TEST(AggregationPropertyTest, UnanimousPrefixIsPreserved) {
   // any aggregation method must keep them on top in that order.
   Rng rng(79);
   for (auto method :
-       {rank::AggregationMethod::kBorda, rank::AggregationMethod::kCopeland,
-        rank::AggregationMethod::kMarkovChainMc4}) {
+       {rank::AggregationMethod::kBorda, rank::AggregationMethod::kCopeland}) {
     for (int t = 0; t < 10; ++t) {
       std::vector<rank::RankedList> lists;
       for (int j = 0; j < 4; ++j) {
@@ -156,8 +155,7 @@ TEST(AggregationPropertyTest, UnanimousPrefixIsPreserved) {
 TEST(AggregationPropertyTest, SingleListIsReturnedVerbatim) {
   const rank::RankedList l = {9, 4, 6, 2, 8};
   for (auto method :
-       {rank::AggregationMethod::kBorda, rank::AggregationMethod::kCopeland,
-        rank::AggregationMethod::kMarkovChainMc4}) {
+       {rank::AggregationMethod::kBorda, rank::AggregationMethod::kCopeland}) {
     rank::AggregationOptions opts;
     opts.method = method;
     auto r = rank::AggregateRankings({l}, {}, 5, opts);

@@ -226,11 +226,9 @@ TEST(PreferenceMatrixTest, RejectsBadInput) {
         << bad;
   }
   // An empty list is rejected here, and so by every consumer of the matrix
-  // (Copeland, MC4, Local Kemenization, the Kemeny functions) and by Borda.
+  // (Copeland, Local Kemenization, the Kemeny functions) and by Borda.
   EXPECT_FALSE(PreferenceMatrix::Build({{1, 2}, {}}, {}).ok());
   EXPECT_FALSE(WeightedBordaScores({{1, 2}, {}}, {}).ok());
-  RankedList tau = {2, 1};
-  EXPECT_FALSE(LocalKemenization({{1, 2}, {}}, {}, &tau).ok());
 }
 
 // --------------------------------------------------------------- vote rows ---
@@ -447,20 +445,20 @@ TEST(CopelandTest, WeightedMajorityFlips) {
 
 // ------------------------------------------------------ local kemenization ---
 
-TEST(LocalKemenizationTest, FixesObviousInversion) {
-  const std::vector<RankedList> lists = {{1, 2, 3}, {1, 2, 3}, {1, 2, 3}};
-  RankedList tau = {3, 2, 1};
-  ASSERT_TRUE(LocalKemenization(lists, {}, &tau).ok());
-  EXPECT_EQ(tau, (RankedList{1, 2, 3}));
+// Local-Kemenizes `tau`, a ranking of items of `pm`'s union, through the
+// slot form AggregateRankings runs.
+RankedList Kemenize(const PreferenceMatrix& pm, const RankedList& tau) {
+  std::vector<size_t> slots(tau.size());
+  for (size_t i = 0; i < tau.size(); ++i) slots[i] = SlotOf(pm, tau[i]);
+  LocalKemenization(pm, &slots);
+  RankedList out(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) out[i] = pm.items()[slots[i]];
+  return out;
 }
 
-TEST(LocalKemenizationTest, ItemsOutsideUnionStayPut) {
-  // 99 and 77 appear in no list: they keep their positions, and no item
-  // crosses them, so 3 stays on top although both lists rank it last.
-  const std::vector<RankedList> lists = {{1, 2, 3}, {1, 2, 3}};
-  RankedList tau = {3, 99, 2, 1, 77};
-  ASSERT_TRUE(LocalKemenization(lists, {}, &tau).ok());
-  EXPECT_EQ(tau, (RankedList{3, 99, 1, 2, 77}));
+TEST(LocalKemenizationTest, FixesObviousInversion) {
+  const PreferenceMatrix pm = Pm({{1, 2, 3}, {1, 2, 3}, {1, 2, 3}});
+  EXPECT_EQ(Kemenize(pm, {3, 2, 1}), (RankedList{1, 2, 3}));
 }
 
 TEST(LocalKemenizationTest, NeverWorsensKemenyObjective) {
@@ -477,8 +475,7 @@ TEST(LocalKemenizationTest, NeverWorsensKemenyObjective) {
     RankedList tau = UnionOfLists(lists);
     rng.Shuffle(&tau);
     const double before = KemenyObjective(tau, lists, {}).ValueOrDie();
-    RankedList improved = tau;
-    ASSERT_TRUE(LocalKemenization(lists, {}, &improved).ok());
+    const RankedList improved = Kemenize(Pm(lists), tau);
     const double after = KemenyObjective(improved, lists, {}).ValueOrDie();
     EXPECT_LE(after, before + 1e-9) << "trial " << t;
   }
@@ -497,9 +494,9 @@ TEST(LocalKemenizationTest, ResultIsLocallyOptimal) {
     RankedList tau(6);
     std::iota(tau.begin(), tau.end(), 0u);
     rng.Shuffle(&tau);
-    ASSERT_TRUE(LocalKemenization(lists, {}, &tau).ok());
-    // No adjacent pair should be majority-inverted.
     const PreferenceMatrix pm = Pm(lists);
+    tau = Kemenize(pm, tau);
+    // No adjacent pair should be majority-inverted.
     for (size_t i = 0; i + 1 < tau.size(); ++i) {
       EXPECT_FALSE(pm.Beats(SlotOf(pm, tau[i + 1]), SlotOf(pm, tau[i])))
           << "trial " << t << " position " << i;
@@ -602,8 +599,8 @@ TEST(AggregateRankingsTest, AggregationApproximatesKemeny) {
 // QUALITY_report.json; a refactor of the rank layer must reproduce them.
 TEST(AggregateRankingsTest, AllConfigurationsMatchPinnedDigests) {
 #ifdef __FMA__
-  // -march=native lets the compiler fuse MC4's power-iteration multiply-adds,
-  // which changes the weighted MC4 floats the constants were recorded from.
+  // -march=native lets the compiler fuse weighted Borda's multiply-adds,
+  // which can change the scores the constants were recorded from.
   GTEST_SKIP() << "digests are pinned for builds without FMA contraction";
 #endif
   struct Pinned {
@@ -621,10 +618,6 @@ TEST(AggregateRankingsTest, AllConfigurationsMatchPinnedDigests) {
       {AggregationMethod::kCopeland, false, true, 0x4145a8e9762b8593ULL},
       {AggregationMethod::kCopeland, true, false, 0x1e78fa6995a61d25ULL},
       {AggregationMethod::kCopeland, true, true, 0xc3b15249adc05f21ULL},
-      {AggregationMethod::kMarkovChainMc4, false, false, 0x97e9c3e053eeb148ULL},
-      {AggregationMethod::kMarkovChainMc4, false, true, 0xb34a51456a2130c3ULL},
-      {AggregationMethod::kMarkovChainMc4, true, false, 0x0e2b3a756c9aa39fULL},
-      {AggregationMethod::kMarkovChainMc4, true, true, 0x4a99a5078c9bf7d1ULL},
   };
   for (const Pinned& config : pinned) {
     AggregationOptions opts;
@@ -669,8 +662,7 @@ TEST(AggregateRankingsTest, RejectsBadInput) {
   EXPECT_FALSE(AggregateRankings({{1, 2}}, {}, 0, {}).ok());
   EXPECT_FALSE(AggregateRankings({{1, 1}}, {}, 2, {}).ok());
   EXPECT_FALSE(AggregateRankings({{1, 2}}, {1.0, 2.0}, 2, {}).ok());
-  for (auto method : {AggregationMethod::kBorda, AggregationMethod::kCopeland,
-                      AggregationMethod::kMarkovChainMc4}) {
+  for (auto method : {AggregationMethod::kBorda, AggregationMethod::kCopeland}) {
     for (bool lk : {false, true}) {
       AggregationOptions opts;
       opts.method = method;
@@ -693,8 +685,7 @@ TEST(AggregationContextTest, RetainedCapacityFollowsTheInput) {
   Rng rng(31);
   const VoteCase large = RandomVoteCase(20, 600, 0, &rng);
   const VoteCase small = RandomVoteCase(3, 8, 0, &rng);
-  for (auto method : {AggregationMethod::kBorda, AggregationMethod::kCopeland,
-                      AggregationMethod::kMarkovChainMc4}) {
+  for (auto method : {AggregationMethod::kBorda, AggregationMethod::kCopeland}) {
     AggregationOptions opts;
     opts.method = method;
     AggregationContext ctx;
@@ -781,8 +772,8 @@ TEST(ExactKemenyTest, NeverWorseThanHeuristicAggregators) {
     ASSERT_TRUE(exact.ok());
     const double optimum =
         PairwiseKemenyCost(exact.ValueOrDie(), pm).ValueOrDie();
-    for (auto method : {AggregationMethod::kBorda, AggregationMethod::kCopeland,
-                        AggregationMethod::kMarkovChainMc4}) {
+    for (auto method :
+         {AggregationMethod::kBorda, AggregationMethod::kCopeland}) {
       AggregationOptions opts;
       opts.method = method;
       auto heur = AggregateRankings(lists, {}, 9, opts);
@@ -824,44 +815,6 @@ TEST(PairwiseKemenyCostTest, Validation) {
   EXPECT_FALSE(PairwiseKemenyCost({1, 2}, pm).ok());  // subset
   EXPECT_FALSE(PairwiseKemenyCost({1, 2, 9}, pm).ok());
   EXPECT_FALSE(PairwiseKemenyCost({1, 2, 2}, pm).ok());
-}
-
-// ---------------------------------------------------------------- footrule ---
-
-TEST(FootruleTest, KnownValues) {
-  EXPECT_DOUBLE_EQ(
-      FootruleDistance({1, 2, 3}, {1, 2, 3}).ValueOrDie(), 0.0);
-  // Reversal of 3 items: |0−2| + |1−1| + |2−0| = 4; max = ⌊9/2⌋ = 4.
-  EXPECT_DOUBLE_EQ(
-      FootruleDistance({1, 2, 3}, {3, 2, 1}).ValueOrDie(), 1.0);
-  EXPECT_DOUBLE_EQ(FootruleDistance({1, 2, 3}, {3, 2, 1},
-                                    /*normalized=*/false)
-                       .ValueOrDie(),
-                   4.0);
-}
-
-TEST(FootruleTest, DiaconisGrahamInequality) {
-  // For permutations: Kendall ≤ Footrule ≤ 2 · Kendall (unnormalized).
-  Rng rng(11);
-  for (int trial = 0; trial < 40; ++trial) {
-    RankedList a(12), b(12);
-    std::iota(a.begin(), a.end(), 0u);
-    b = a;
-    rng.Shuffle(&a);
-    rng.Shuffle(&b);
-    const double kendall =
-        KendallTauFull(a, b, /*normalized=*/false).ValueOrDie();
-    const double footrule =
-        FootruleDistance(a, b, /*normalized=*/false).ValueOrDie();
-    EXPECT_LE(kendall, footrule + 1e-9);
-    EXPECT_LE(footrule, 2.0 * kendall + 1e-9);
-  }
-}
-
-TEST(FootruleTest, Validation) {
-  EXPECT_FALSE(FootruleDistance({1, 2}, {1, 2, 3}).ok());
-  EXPECT_FALSE(FootruleDistance({1, 2}, {1, 3}).ok());
-  EXPECT_FALSE(FootruleDistance({1, 1}, {1, 2}).ok());
 }
 
 }  // namespace

@@ -137,11 +137,11 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
   "$BUILD_ASAN/tests/im_test"
 
 echo "== run rank-aggregation tests under ASan+UBSan"
-# Copeland, MC4, Local Kemenization and the Kemeny functions all index the
+# Copeland, Local Kemenization and the Kemeny functions all index the
 # PreferenceMatrix's padded rank rows by slot, through the AVX2 vote-row
 # kernel and the scalar loop, and reuse one AggregationContext's scratch;
-# extensions_test holds the MC4 cases. The forced-scalar pass walks the
-# reference loop's own indexing.
+# extensions_test runs aggregation through segment-query InflexIndex::Query.
+# The forced-scalar pass walks the reference loop's own indexing.
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/rank_test"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
