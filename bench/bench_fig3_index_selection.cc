@@ -75,7 +75,13 @@ int main() {
     catalog_raw.push_back(item.probs());
   }
   const IlrSummary a = SummarizeIlr(catalog_raw);
-  const IlrSummary b = SummarizeIlr(sel.samples);
+  const size_t z_count = sel.dirichlet_alpha.size();
+  std::vector<simplex::TopicVector> samples;
+  for (size_t i = 0; i < sel.samples.size(); i += z_count) {
+    samples.emplace_back(sel.samples.begin() + i,
+                         sel.samples.begin() + i + z_count);
+  }
+  const IlrSummary b = SummarizeIlr(samples);
   const IlrSummary c = SummarizeIlr(sel.points);
 
   TablePrinter table({"ILR dim", "(a) catalog mean±sd", "(b) samples mean±sd",

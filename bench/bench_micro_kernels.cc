@@ -215,13 +215,18 @@ const data::SyntheticDataset& TestbedDataset() {
 // The dataset layer: graph, catalog and the propagation log's TIC cascades
 // (the small scale is inflexbench's world: 2,500 users, Z = 8, 3,000 items,
 // degree 12).
+// The dataset stage; `log_bytes` is the generated log's heap bytes, from
+// its arrays' capacities (exact, not an allocator's count).
 void BM_SyntheticDataset(benchmark::State& state) {
   const data::SyntheticDatasetOptions opts = TestbedDatasetOptions();
+  size_t log_bytes = 0;
   for (auto _ : state) {
     auto r = data::GenerateSyntheticDataset(opts);
     INFLEX_CHECK(r.ok());
+    log_bytes = r.ValueOrDie().log.bytes();
     benchmark::DoNotOptimize(r.ValueOrDie().log.size());
   }
+  state.counters["log_bytes"] = static_cast<double>(log_bytes);
 }
 BENCHMARK(BM_SyntheticDataset)->Unit(benchmark::kMillisecond);
 
@@ -319,15 +324,21 @@ BENCHMARK(BM_CelfSeeds)->Unit(benchmark::kMillisecond);
 
 // §3.1 index-point selection: Dirichlet fit, 30k samples, h = 256 Bregman
 // K-means++ centroids (seeding and Lloyd's assignment across the pool).
+// `samples_bytes` is the sample matrix's heap bytes, from its capacity.
 void BM_SelectIndexPoints(benchmark::State& state) {
   const auto& ds = TestbedDataset();
   core::IndexPointOptions opts;
   opts.num_index_points = 256;
   opts.num_dirichlet_samples = 30000;
+  size_t samples_bytes = 0;
   for (auto _ : state) {
     auto selection = core::SelectIndexPoints(ds.catalog, opts);
-    benchmark::DoNotOptimize(selection.ok());
+    INFLEX_CHECK(selection.ok());
+    benchmark::DoNotOptimize(selection.ValueOrDie().points.data());
+    samples_bytes =
+        selection.ValueOrDie().samples.capacity() * sizeof(double);
   }
+  state.counters["samples_bytes"] = static_cast<double>(samples_bytes);
 }
 BENCHMARK(BM_SelectIndexPoints)->Unit(benchmark::kMillisecond);
 
@@ -342,18 +353,20 @@ void BM_KMeansIndexPoints(benchmark::State& state) {
   auto fitted = stats::FitDirichletMle(raw);
   INFLEX_CHECK(fitted.ok());
   Rng rng(5);
-  const auto samples = fitted.ValueOrDie().SampleMany(30000, &rng);
+  const std::vector<double> samples =
+      fitted.ValueOrDie().SampleRows(30000, &rng);
+  const size_t dim = fitted.ValueOrDie().dim();
   cluster::KMeansOptions opts;
   opts.num_clusters = 256;
   opts.max_iterations = core::IndexPointOptions{}.kmeans_max_iterations;
   opts.seed = rng.Next();
   double share = 0.0;
   for (auto _ : state) {
-    auto r = cluster::KMeansPlusPlus(samples, opts);
+    auto r = cluster::KMeansPlusPlus(samples, dim, opts);
     INFLEX_CHECK(r.ok());
     const cluster::KMeansResult& result = r.ValueOrDie();
     share = static_cast<double>(result.kl_reference_evaluations) /
-            (static_cast<double>(samples.size() * opts.num_clusters) *
+            (static_cast<double>(samples.size() / dim * opts.num_clusters) *
              (1.0 + result.iterations));
   }
   state.counters["reference_share"] = share;

@@ -57,37 +57,47 @@ void ForEachBlock(size_t n, size_t k,
   }
 }
 
+// The points of a run: n rows of dim coordinates, row-major.
+struct Rows {
+  const double* data;
+  size_t n;
+  size_t dim;
+
+  const double* operator[](size_t i) const { return data + i * dim; }
+  simplex::TopicVector Copy(size_t i) const {
+    return simplex::TopicVector((*this)[i], (*this)[i] + dim);
+  }
+};
+
 // The KL screen (DESIGN.md §10, "Screened k-means"). Every D_KL(p ‖ c) is
 // first evaluated with the factorized kernel; the reference KlDivergence
 // runs only where the kernel value, widened by its error bound δ, cannot
 // rule the pair out. Only reference values are ever stored or compared, so
 // the result is bit-identical to evaluating the reference everywhere.
 struct KlScreen {
-  KlScreen(const std::vector<simplex::TopicVector>& points, size_t k)
-      : dim(points.front().size()),
-        neg_entropy(points.size()),
-        delta(points.size()) {
+  KlScreen(const Rows& points, size_t k)
+      : neg_entropy(points.n), delta(points.n) {
     // Every center of the run is a point or a mean of points, so its
     // coordinates lie in [0, max] (the mean's rounding is inside the
     // bound's headroom): one cover serves every center, and δ is computed
     // once per point.
+    const size_t dim = points.dim;
     double max = 0.0;
-    for (const auto& p : points) {
-      for (double x : p) max = std::max(max, x);
+    for (size_t i = 0; i < points.n * dim; ++i) {
+      max = std::max(max, points.data[i]);
     }
     const double cover[2] = {0.0, max};
     double cover_logs[2];
     simplex::ClampedLog(cover, 2, simplex::kKlSmoothingEps, cover_logs);
-    ForEachBlock(points.size(), k, [&](size_t begin, size_t end) {
+    ForEachBlock(points.n, k, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        const double* p = points[i].data();
+        const double* p = points[i];
         neg_entropy[i] = simplex::NegativeEntropy(p, dim);
         delta[i] = simplex::KlErrorBound(p, dim).Against(cover, cover_logs, 2);
       }
     });
   }
 
-  size_t dim;
   std::vector<double> neg_entropy;
   std::vector<double> delta;  // |factorized − reference| ≤ delta[i]
   std::atomic<uint64_t> reference_evaluations{0};
@@ -111,42 +121,33 @@ double MinOf(const double* v, size_t n) {
 // skipped when f > min_div + δ: then the reference is > min_div and
 // std::min would keep min_div. An unset min_div is +inf, so the first
 // center evaluates every reference.
-void UpdateMinDivergence(const std::vector<simplex::TopicVector>& points,
-                         const simplex::TopicVector& center, bool first,
-                         size_t k, KlScreen* screen,
+void UpdateMinDivergence(const Rows& points, const simplex::TopicVector& center,
+                         bool first, size_t k, KlScreen* screen,
                          std::vector<double>* min_div) {
-  const size_t n = points.size();
+  const size_t dim = points.dim;
   const auto update = [&](size_t i, double d) {
     (*min_div)[i] = first ? d : std::min((*min_div)[i], d);
   };
   if (screen == nullptr) {
-    ForEachBlock(n, k, [&](size_t begin, size_t end) {
+    ForEachBlock(points.n, k, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        update(i, simplex::SquaredEuclidean(points[i], center));
+        update(i, simplex::SquaredEuclidean(points[i], center.data(), dim));
       }
     });
     return;
   }
-  const size_t dim = screen->dim;
   std::vector<double> log_c(dim);
   simplex::ClampedLog(center.data(), dim, simplex::kKlSmoothingEps,
                       log_c.data());
-  ForEachBlock(n, k, [&](size_t begin, size_t end) {
-    // The block's points packed into rows for one KlBatch. Packing per
-    // block rather than once per call keeps an n×Z copy off the offline
-    // phase's peak RSS.
-    std::vector<double> rows((end - begin) * dim);
-    for (size_t i = begin; i < end; ++i) {
-      std::copy_n(points[i].data(), dim, rows.begin() + (i - begin) * dim);
-    }
+  ForEachBlock(points.n, k, [&](size_t begin, size_t end) {
     double f[kBlock];
-    simplex::KlBatch(rows.data(), screen->neg_entropy.data() + begin,
+    simplex::KlBatch(points[begin], screen->neg_entropy.data() + begin,
                      end - begin, dim, log_c.data(), f);
     uint64_t references = 0;
     for (size_t i = begin; i < end; ++i) {
       if (f[i - begin] > (*min_div)[i] + screen->delta[i]) continue;
       ++references;
-      update(i, simplex::KlDivergence(points[i], center));
+      update(i, simplex::KlDivergence(points[i], center.data(), dim));
     }
     screen->reference_evaluations += references;
   });
@@ -154,13 +155,12 @@ void UpdateMinDivergence(const std::vector<simplex::TopicVector>& points,
 
 // K-means++ seeding: first center uniform, then proportional to the current
 // divergence to the closest chosen center.
-std::vector<simplex::TopicVector> SeedCenters(
-    const std::vector<simplex::TopicVector>& points, size_t k,
-    KlScreen* screen, Rng* rng) {
-  const size_t n = points.size();
+std::vector<simplex::TopicVector> SeedCenters(const Rows& points, size_t k,
+                                              KlScreen* screen, Rng* rng) {
+  const size_t n = points.n;
   std::vector<simplex::TopicVector> centers;
   centers.reserve(k);
-  centers.push_back(points[rng->UniformInt(n)]);
+  centers.push_back(points.Copy(rng->UniformInt(n)));
 
   std::vector<double> min_div(n, kInf);
   UpdateMinDivergence(points, centers.back(), /*first=*/true, k, screen,
@@ -183,7 +183,7 @@ std::vector<simplex::TopicVector> SeedCenters(
         }
       }
     }
-    centers.push_back(points[chosen]);
+    centers.push_back(points.Copy(chosen));
     UpdateMinDivergence(points, centers.back(), /*first=*/false, k, screen,
                         &min_div);
   }
@@ -195,19 +195,20 @@ std::vector<simplex::TopicVector> SeedCenters(
 // with the reference, in index order with the same strict `<`; every
 // centroid the reference scan could pick is among them (DESIGN.md §10), so
 // the argmin and its divergence are the reference scan's.
-void AssignPoints(const std::vector<simplex::TopicVector>& points,
+void AssignPoints(const Rows& points,
                   const std::vector<simplex::TopicVector>& centroids,
                   KlScreen* screen, std::vector<uint32_t>* assignment,
                   std::vector<double>* best_div) {
-  const size_t n = points.size();
+  const size_t dim = points.dim;
   const size_t k = centroids.size();
   if (screen == nullptr) {
-    ForEachBlock(n, k, [&](size_t begin, size_t end) {
+    ForEachBlock(points.n, k, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         double best = kInf;
         uint32_t best_c = 0;
         for (size_t c = 0; c < k; ++c) {
-          const double d = simplex::SquaredEuclidean(points[i], centroids[c]);
+          const double d =
+              simplex::SquaredEuclidean(points[i], centroids[c].data(), dim);
           if (d < best) {
             best = d;
             best_c = static_cast<uint32_t>(c);
@@ -219,25 +220,25 @@ void AssignPoints(const std::vector<simplex::TopicVector>& points,
     });
     return;
   }
-  const size_t dim = screen->dim;
   std::vector<double> logs(k * dim);
   for (size_t c = 0; c < k; ++c) {
     simplex::ClampedLog(centroids[c].data(), dim, simplex::kKlSmoothingEps,
                         logs.data() + c * dim);
   }
-  ForEachBlock(n, k, [&](size_t begin, size_t end) {
+  ForEachBlock(points.n, k, [&](size_t begin, size_t end) {
     std::vector<double> f(k);
     uint64_t references = 0;
     for (size_t i = begin; i < end; ++i) {
-      simplex::KlBatchTargets(points[i].data(), screen->neg_entropy[i],
-                              logs.data(), k, dim, dim, f.data());
+      simplex::KlBatchTargets(points[i], screen->neg_entropy[i], logs.data(),
+                              k, dim, dim, f.data());
       const double limit = MinOf(f.data(), k) + 2.0 * screen->delta[i];
       double best = kInf;
       uint32_t best_c = 0;
       for (size_t c = 0; c < k; ++c) {
         if (f[c] > limit) continue;
         ++references;
-        const double d = simplex::KlDivergence(points[i], centroids[c]);
+        const double d =
+            simplex::KlDivergence(points[i], centroids[c].data(), dim);
         if (d < best) {
           best = d;
           best_c = static_cast<uint32_t>(c);
@@ -252,32 +253,30 @@ void AssignPoints(const std::vector<simplex::TopicVector>& points,
 
 }  // namespace
 
-Result<KMeansResult> KMeansPlusPlus(
-    const std::vector<simplex::TopicVector>& points,
-    const KMeansOptions& options) {
-  if (points.empty()) {
+Result<KMeansResult> KMeansPlusPlus(std::span<const double> rows, size_t dim,
+                                    const KMeansOptions& options) {
+  if (rows.empty() || dim == 0) {
     return Status::InvalidArgument("k-means requires at least one point");
+  }
+  if (rows.size() % dim != 0) {
+    return Status::InvalidArgument(
+        "k-means rows are not a whole number of points");
   }
   if (options.num_clusters == 0) {
     return Status::InvalidArgument("k-means requires num_clusters >= 1");
   }
-  const size_t dim = points.front().size();
   const bool kl = options.divergence == BregmanDivergenceKind::kKl;
-  for (const auto& p : points) {
-    if (p.size() != dim) {
-      return Status::InvalidArgument("k-means points disagree on dimension");
+  for (double x : rows) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument("k-means point has a NaN or Inf");
     }
-    for (double x : p) {
-      if (!std::isfinite(x)) {
-        return Status::InvalidArgument("k-means point has a NaN or Inf");
-      }
-      if (kl && x < 0.0) {
-        return Status::InvalidArgument(
-            "KL k-means point has a negative coordinate");
-      }
+    if (kl && x < 0.0) {
+      return Status::InvalidArgument(
+          "KL k-means point has a negative coordinate");
     }
   }
-  const size_t n = points.size();
+  const Rows points{rows.data(), rows.size() / dim, dim};
+  const size_t n = points.n;
   const size_t k = std::min(options.num_clusters, n);
 
   std::unique_ptr<KlScreen> screen;
@@ -309,12 +308,13 @@ Result<KMeansResult> KMeansPlusPlus(
     for (size_t i = 0; i < n; ++i) {
       const uint32_t c = result.assignment[i];
       ++counts[c];
-      for (size_t d = 0; d < dim; ++d) sums[c * dim + d] += points[i][d];
+      const double* p = points[i];
+      for (size_t d = 0; d < dim; ++d) sums[c * dim + d] += p[d];
     }
     for (size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
         // Re-seed an empty cluster at a random point.
-        result.centroids[c] = points[rng.UniformInt(n)];
+        result.centroids[c] = points.Copy(rng.UniformInt(n));
         continue;
       }
       for (size_t d = 0; d < dim; ++d) {
@@ -333,6 +333,24 @@ Result<KMeansResult> KMeansPlusPlus(
     result.kl_reference_evaluations = screen->reference_evaluations.load();
   }
   return result;
+}
+
+Result<KMeansResult> KMeansPlusPlus(
+    const std::vector<simplex::TopicVector>& points,
+    const KMeansOptions& options) {
+  if (points.empty()) {
+    return Status::InvalidArgument("k-means requires at least one point");
+  }
+  const size_t dim = points.front().size();
+  std::vector<double> rows;
+  rows.reserve(points.size() * dim);
+  for (const auto& p : points) {
+    if (p.size() != dim) {
+      return Status::InvalidArgument("k-means points disagree on dimension");
+    }
+    rows.insert(rows.end(), p.begin(), p.end());
+  }
+  return KMeansPlusPlus(rows, dim, options);
 }
 
 }  // namespace cluster

@@ -2,6 +2,7 @@
 #define INFLEX_CLUSTER_KMEANS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "simplex/topic_distribution.h"
@@ -55,12 +56,19 @@ struct KMeansResult {
 /// Runs K-means++ seeding (Arthur & Vassilvitskii 2007, with the divergence
 /// replacing squared distance — "Bregman K-means++" as used by the paper for
 /// index-point selection and bb-tree construction) followed by Lloyd
-/// iterations. Fails when `points` is empty, dimensions disagree, a
-/// coordinate is NaN or ±Inf (or negative, for KL), or num_clusters is 0.
-/// When num_clusters >= points.size(), every point becomes its own centroid.
-/// KL divergences are screened with the factorized kernel and confirmed with
-/// the reference, so the result equals a reference-only run bit for bit
-/// (DESIGN.md §10).
+/// iterations over `rows`: n = rows.size() / dim points of `dim`
+/// coordinates each, row-major. Fails when `rows` is empty, dim is 0 or
+/// does not divide rows.size(), a coordinate is NaN or ±Inf (or negative,
+/// for KL), or num_clusters is 0. When num_clusters >= n, every point
+/// becomes its own centroid. KL divergences are screened with the
+/// factorized kernel and confirmed with the reference, so the result equals
+/// a reference-only run bit for bit (DESIGN.md §10).
+Result<KMeansResult> KMeansPlusPlus(std::span<const double> rows, size_t dim,
+                                    const KMeansOptions& options);
+
+/// The same run over points held one vector each: packs them into rows and
+/// runs the overload above. Also fails when `points` is empty or the points
+/// disagree on dimension.
 Result<KMeansResult> KMeansPlusPlus(
     const std::vector<simplex::TopicVector>& points,
     const KMeansOptions& options);

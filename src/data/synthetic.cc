@@ -5,12 +5,17 @@
 #include <utility>
 
 #include "im/cascade.h"
+#include "util/heap.h"
 #include "util/random.h"
 
 namespace inflex {
 namespace data {
 
 namespace {
+
+// Cascade c's activations are stamped c·10⁶, c·10⁶ + 1, …; longer cascades
+// would interleave with the next one.
+constexpr size_t kCascadeTimestampSpan = 1000000;
 
 Status ValidateOptions(const SyntheticDatasetOptions& o) {
   if (o.num_users < 10) return Status::InvalidArgument("need >= 10 users");
@@ -60,6 +65,10 @@ size_t SampleByCumulative(const std::vector<double>& cumulative, Rng* rng) {
 Result<SyntheticDataset> GenerateSyntheticDataset(
     const SyntheticDatasetOptions& options) {
   INFLEX_RETURN_NOT_OK(ValidateOptions(options));
+  // A process that tore down an earlier dataset or index holds its freed
+  // heap resident; hand it back before this one allocates (DESIGN.md
+  // "Offline-phase memory").
+  util::ReleaseFreedHeap("synthetic dataset, before generation");
   Rng rng(options.seed);
 
   const size_t n = options.num_users;
@@ -145,6 +154,7 @@ Result<SyntheticDataset> GenerateSyntheticDataset(
       is_generalist[u] = rng.Uniform() < options.generalist_fraction ? 1 : 0;
     }
     graph::TopicGraphBuilder builder(n, z_count);
+    builder.Reserve(arcs.size());
     std::vector<double> probs(z_count);
     for (const auto& [u, v] : arcs) {
       const uint32_t cu = ds.user_community[u];
@@ -165,6 +175,7 @@ Result<SyntheticDataset> GenerateSyntheticDataset(
       }
       INFLEX_RETURN_NOT_OK(builder.AddArc(u, v, probs));
     }
+    std::vector<std::pair<graph::NodeId, graph::NodeId>>().swap(arcs);
     INFLEX_ASSIGN_OR_RETURN(ds.graph, builder.Build());
   }
 
@@ -215,11 +226,15 @@ Result<tic::PropagationLog> SimulatePropagationLog(
   // The activation order is the timestamp (the learner only needs the
   // temporal order of adoptions). A cascade tests only the out-arcs of the
   // nodes it activates, so each arc's item probability is computed when it
-  // is tested, not for all arcs.
-  tic::PropagationLog log(n, catalog.size());
+  // is tested, not for all arcs. The cascades are staged as their activated
+  // users (4 bytes per activation) and where each one ends; the log is
+  // written from them once, at its deduplicated size.
   im::CascadeWorkspace ws(n);
   std::vector<graph::NodeId> activated;
   std::vector<graph::NodeId> seeds(seeds_per_cascade);
+  std::vector<graph::NodeId> users;
+  std::vector<size_t> cascade_ends;  // item-major, cascades_per_item each
+  cascade_ends.reserve(catalog.size() * cascades_per_item);
   for (uint32_t i = 0; i < catalog.size(); ++i) {
     if (catalog[i].num_topics() != g.num_topics()) {
       return Status::InvalidArgument("item dimension does not match the graph");
@@ -236,13 +251,49 @@ Result<tic::PropagationLog> SimulatePropagationLog(
     for (size_t c = 0; c < cascades_per_item; ++c) {
       for (auto& s : seeds) s = members[rng->UniformInt(members.size())];
       im::SimulateItemCascadeNodes(g, catalog[i], seeds, rng, &ws, &activated);
-      double t = 0.0;
-      for (graph::NodeId u : activated) {
-        INFLEX_RETURN_NOT_OK(log.Add(u, i, static_cast<double>(c) * 1e6 + t));
-        t += 1.0;
+      if (activated.size() > kCascadeTimestampSpan) {
+        return Status::OutOfRange(
+            "a cascade of more than 10^6 activations would overlap the next "
+            "cascade's timestamps");
       }
+      users.insert(users.end(), activated.begin(), activated.end());
+      cascade_ends.push_back(users.size());
     }
   }
+
+  // Cascade c's timestamps c·10⁶ + t all precede cascade c + 1's, so within
+  // an item the staged order is the log's (timestamp, user) order, and a
+  // user's first sighting is its earliest, the record Finalize keeps. One
+  // pass counts those records, the next writes them.
+  std::vector<char> seen(n, 0);
+  const auto for_each_first_sighting = [&](const auto& emit) {
+    size_t cascade = 0;
+    size_t begin = 0;
+    for (uint32_t i = 0; i < catalog.size(); ++i) {
+      const size_t item_begin = begin;
+      for (size_t c = 0; c < cascades_per_item; ++c, ++cascade) {
+        const size_t end = cascade_ends[cascade];
+        for (size_t a = begin; a < end; ++a) {
+          const graph::NodeId u = users[a];
+          if (seen[u]) continue;
+          seen[u] = 1;
+          emit(u, i,
+               static_cast<double>(c) * 1e6 + static_cast<double>(a - begin));
+        }
+        begin = end;
+      }
+      for (size_t a = item_begin; a < begin; ++a) seen[users[a]] = 0;
+    }
+  };
+  size_t records = 0;
+  for_each_first_sighting([&](graph::NodeId, uint32_t, double) { ++records; });
+  tic::PropagationLog log(n, catalog.size());
+  log.Reserve(records);
+  Status added;
+  for_each_first_sighting([&](graph::NodeId u, uint32_t i, double t) {
+    if (added.ok()) added = log.Add(u, i, t);
+  });
+  INFLEX_RETURN_NOT_OK(added);
   INFLEX_RETURN_NOT_OK(log.Finalize());
   return log;
 }

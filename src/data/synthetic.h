@@ -94,10 +94,12 @@ Result<SyntheticDataset> GenerateSyntheticDataset(
 /// cascades on the item's Eq. 1 instance, each from `seeds_per_cascade`
 /// seeds drawn uniformly (with repeats) from the community of the item's
 /// largest topic. Cascade c's activations get timestamps c·10⁶, c·10⁶ + 1, …
-/// in activation order. The log is finalized. Fails when `user_community`
+/// in activation order. The log is finalized, and its record array is
+/// allocated once at the deduplicated size. Fails when `user_community`
 /// does not give every node a community below num_topics(), when an item's
-/// dimension differs from the graph's, or when an item's primary community
-/// is empty.
+/// dimension differs from the graph's, when an item's primary community
+/// is empty, or (OutOfRange) when a cascade activates more than 10⁶ users,
+/// whose timestamps would run into the next cascade's.
 Result<tic::PropagationLog> SimulatePropagationLog(
     const graph::TopicGraph& g,
     const std::vector<simplex::TopicDistribution>& catalog,

@@ -89,10 +89,17 @@ Status TopicGraphBuilder::AddArc(NodeId u, NodeId v,
   return Status::OK();
 }
 
+void TopicGraphBuilder::Reserve(size_t num_arcs) {
+  sources_.reserve(num_arcs);
+  targets_.reserve(num_arcs);
+  probs_.reserve(num_arcs * num_topics_);
+}
+
 Result<TopicGraph> TopicGraphBuilder::Build() {
   const size_t m = sources_.size();
 
-  // Sort arcs by (source, target) via an index permutation.
+  // Sort arcs by (source, target) via an index permutation: position i of
+  // the forward arrays takes staged arc order[i].
   std::vector<uint32_t> order(m);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
@@ -112,21 +119,40 @@ Result<TopicGraph> TopicGraphBuilder::Build() {
   g.num_nodes_ = num_nodes_;
   g.num_topics_ = num_topics_;
   g.out_offsets_.assign(num_nodes_ + 1, 0);
-  g.out_targets_.resize(m);
-  g.arc_topic_probs_.resize(m * num_topics_);
-
-  for (size_t i = 0; i < m; ++i) {
-    g.out_offsets_[sources_[order[i]] + 1]++;
-  }
+  for (const NodeId u : sources_) g.out_offsets_[u + 1]++;
   for (size_t u = 0; u < num_nodes_; ++u) {
     g.out_offsets_[u + 1] += g.out_offsets_[u];
   }
-  for (size_t i = 0; i < m; ++i) {
-    const uint32_t src_idx = order[i];
-    g.out_targets_[i] = targets_[src_idx];
-    std::copy_n(probs_.begin() + static_cast<size_t>(src_idx) * num_topics_,
-                num_topics_, g.arc_topic_probs_.begin() + i * num_topics_);
+  std::vector<NodeId>().swap(sources_);
+
+  // Permute the staged targets and probability rows in place, one cycle of
+  // the permutation at a time: the cycle's first arc is held aside, every
+  // other position takes the arc it maps to, and order[i] = i marks
+  // position i as placed. Arcs added in order are all fixed points.
+  const size_t z_count = num_topics_;
+  std::vector<double> held(z_count);
+  for (size_t first = 0; first < m; ++first) {
+    if (order[first] == first) continue;
+    const NodeId held_target = targets_[first];
+    std::copy_n(probs_.begin() + first * z_count, z_count, held.begin());
+    size_t i = first;
+    while (order[i] != first) {
+      const size_t from = order[i];
+      targets_[i] = targets_[from];
+      std::copy_n(probs_.begin() + from * z_count, z_count,
+                  probs_.begin() + i * z_count);
+      order[i] = static_cast<uint32_t>(i);
+      i = from;
+    }
+    targets_[i] = held_target;
+    std::copy(held.begin(), held.end(), probs_.begin() + i * z_count);
+    order[i] = static_cast<uint32_t>(i);
   }
+  std::vector<uint32_t>().swap(order);
+  g.out_targets_ = std::move(targets_);
+  g.arc_topic_probs_ = std::move(probs_);
+  targets_.clear();
+  probs_.clear();
 
   // Reverse CSR.
   g.in_offsets_.assign(num_nodes_ + 1, 0);

@@ -136,9 +136,16 @@ class TopicGraphBuilder {
   /// [0, 1].
   Status AddArc(NodeId u, NodeId v, const std::vector<double>& topic_probs);
 
+  /// Sizes the staging for `num_arcs` arcs, so adding that many allocates
+  /// each array once.
+  void Reserve(size_t num_arcs);
+
   size_t num_arcs_added() const { return sources_.size(); }
 
-  /// Sorts arcs, rejects duplicates, and builds both CSR directions.
+  /// Sorts arcs, rejects duplicates, and builds both CSR directions. The
+  /// staged targets and probability rows become the graph's forward arrays:
+  /// they are permuted into (source, target) order in place and moved,
+  /// never copied. The builder is empty afterwards.
   Result<TopicGraph> Build();
 
  private:

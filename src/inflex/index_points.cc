@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "cluster/kmeans.h"
 #include "simplex/divergence.h"
@@ -9,6 +10,19 @@
 
 namespace inflex {
 namespace core {
+
+namespace {
+
+// The catalog's fitted Dirichlet, read in place from the items' own
+// probability vectors.
+Result<stats::Dirichlet> FitCatalog(
+    const std::vector<simplex::TopicDistribution>& catalog) {
+  return stats::FitDirichletMle(catalog.size(), [&catalog](size_t i) {
+    return std::span<const double>(catalog[i].probs());
+  });
+}
+
+}  // namespace
 
 Result<IndexPointSelection> SelectIndexPoints(
     const std::vector<simplex::TopicDistribution>& catalog,
@@ -24,26 +38,22 @@ Result<IndexPointSelection> SelectIndexPoints(
         "need at least as many Dirichlet samples as index points");
   }
 
-  std::vector<simplex::TopicVector> raw;
-  raw.reserve(catalog.size());
   const size_t z_count = catalog.front().num_topics();
   for (const auto& item : catalog) {
     if (item.num_topics() != z_count) {
       return Status::InvalidArgument("catalog items disagree on dimension");
     }
-    raw.push_back(item.probs());
   }
 
   IndexPointSelection selection;
 
   // Phase 1: maximum-likelihood Dirichlet (Minka 2000).
-  INFLEX_ASSIGN_OR_RETURN(stats::Dirichlet fitted,
-                          stats::FitDirichletMle(raw));
+  INFLEX_ASSIGN_OR_RETURN(stats::Dirichlet fitted, FitCatalog(catalog));
   selection.dirichlet_alpha = fitted.alpha();
 
   // Phase 2: sample the item space the catalog induces.
   Rng rng(options.seed);
-  selection.samples = fitted.SampleMany(options.num_dirichlet_samples, &rng);
+  selection.samples = fitted.SampleRows(options.num_dirichlet_samples, &rng);
 
   // Phase 3: Bregman K-means++ — centroids become the index points.
   cluster::KMeansOptions kopts;
@@ -52,7 +62,8 @@ Result<IndexPointSelection> SelectIndexPoints(
   kopts.divergence = cluster::BregmanDivergenceKind::kKl;
   kopts.seed = rng.Next();
   INFLEX_ASSIGN_OR_RETURN(cluster::KMeansResult clustering,
-                          cluster::KMeansPlusPlus(selection.samples, kopts));
+                          cluster::KMeansPlusPlus(selection.samples, z_count,
+                                                  kopts));
   selection.points = std::move(clustering.centroids);
   return selection;
 }
@@ -77,39 +88,40 @@ Result<size_t> SuggestIndexPointCount(
     return Status::InvalidArgument("validation_samples must be positive");
   }
 
-  std::vector<simplex::TopicVector> raw;
-  raw.reserve(catalog.size());
-  for (const auto& item : catalog) raw.push_back(item.probs());
-  INFLEX_ASSIGN_OR_RETURN(stats::Dirichlet fitted,
-                          stats::FitDirichletMle(raw));
+  INFLEX_ASSIGN_OR_RETURN(stats::Dirichlet fitted, FitCatalog(catalog));
+  const size_t z_count = fitted.dim();
 
   Rng rng(criterion.seed);
-  const std::vector<simplex::TopicVector> validation =
-      fitted.SampleMany(criterion.validation_samples, &rng);
+  const size_t num_validation = criterion.validation_samples;
+  const std::vector<double> validation =
+      fitted.SampleRows(num_validation, &rng);
   // The quantile index of the NN-divergence order statistic to test.
   const size_t q_index = std::min(
-      validation.size() - 1,
-      static_cast<size_t>(criterion.quantile * (validation.size() - 1)));
+      num_validation - 1,
+      static_cast<size_t>(criterion.quantile * (num_validation - 1)));
 
   for (size_t h = criterion.min_points;; h *= 2) {
     h = std::min(h, criterion.max_points);
     const size_t train_n =
         std::min<size_t>(criterion.training_samples, 20 * h);
-    const std::vector<simplex::TopicVector> training =
-        fitted.SampleMany(std::max(train_n, h), &rng);
+    const std::vector<double> training =
+        fitted.SampleRows(std::max(train_n, h), &rng);
     cluster::KMeansOptions kopts;
     kopts.num_clusters = h;
     kopts.max_iterations = 15;
     kopts.divergence = cluster::BregmanDivergenceKind::kKl;
     kopts.seed = rng.Next();
     INFLEX_ASSIGN_OR_RETURN(cluster::KMeansResult clustering,
-                            cluster::KMeansPlusPlus(training, kopts));
+                            cluster::KMeansPlusPlus(training, z_count, kopts));
 
-    std::vector<double> nn(validation.size());
-    for (size_t i = 0; i < validation.size(); ++i) {
+    std::vector<double> nn(num_validation);
+    for (size_t i = 0; i < num_validation; ++i) {
       double best = std::numeric_limits<double>::infinity();
       for (const auto& c : clustering.centroids) {
-        best = std::min(best, simplex::KlDivergence(c, validation[i]));
+        best = std::min(best,
+                        simplex::KlDivergence(c.data(),
+                                              validation.data() + i * z_count,
+                                              z_count));
       }
       nn[i] = best;
     }

@@ -28,8 +28,9 @@ struct IndexPointSelection {
   /// Hyper-parameters α of the maximum-likelihood Dirichlet fitted to the
   /// catalog (Minka's generalized Newton iteration).
   std::vector<double> dirichlet_alpha;
-  /// The Dirichlet sample the centroids were clustered from.
-  std::vector<simplex::TopicVector> samples;
+  /// The Dirichlet sample the centroids were clustered from:
+  /// num_dirichlet_samples points of Z coordinates, row-major in one array.
+  std::vector<double> samples;
   /// The h selected index points (K-means++ centroids).
   std::vector<simplex::TopicVector> points;
 };

@@ -51,7 +51,7 @@ Result<InflexIndex> BuildParts(
   // clustered from is freed, and it goes back to the system with the
   // k-means transients below, before the seed lists allocate in the pool
   // threads' arenas, where it could not be reused.
-  std::vector<simplex::TopicVector>().swap(selection.samples);
+  std::vector<double>().swap(selection.samples);
   const size_t h = selection.points.size();
   INFLEX_LOG(Info) << "INFLEX build: " << h << " index points selected, "
                    << "precomputing seed lists (l=" << options.seed_list_length

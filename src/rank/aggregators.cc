@@ -129,6 +129,10 @@ Result<RankedList> AggregateRankings(const std::vector<RankedList>& lists,
                                      const AggregationOptions& options,
                                      AggregationContext* ctx) {
   if (k == 0) return Status::InvalidArgument("k must be positive");
+  if (options.method != AggregationMethod::kBorda &&
+      options.method != AggregationMethod::kCopeland) {
+    return Status::InvalidArgument("unknown aggregation method");
+  }
   thread_local AggregationContext tls;
   AggregationContext& c = ctx != nullptr ? *ctx : tls;
   const std::vector<double> unweighted;

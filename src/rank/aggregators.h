@@ -49,7 +49,9 @@ class AggregationContext;
 /// PreferenceMatrix. `k` may exceed |U|, in which case all of U is returned
 /// — the paper's mechanism for answering k > ℓ queries. Scratch comes from
 /// `ctx`, or from a thread_local context when it is null, so a steady-state
-/// call allocates only its result.
+/// call allocates only its result. Fails on k = 0 or a method outside
+/// AggregationMethod before it touches the context, and on invalid lists or
+/// weights.
 Result<RankedList> AggregateRankings(const std::vector<RankedList>& lists,
                                      const std::vector<double>& weights,
                                      size_t k,

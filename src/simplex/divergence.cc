@@ -10,8 +10,12 @@ namespace simplex {
 
 double KlDivergence(const TopicVector& p, const TopicVector& q, double eps) {
   INFLEX_CHECK_EQ(p.size(), q.size());
+  return KlDivergence(p.data(), q.data(), p.size(), eps);
+}
+
+double KlDivergence(const double* p, const double* q, size_t n, double eps) {
   double kl = 0.0;
-  for (size_t z = 0; z < p.size(); ++z) {
+  for (size_t z = 0; z < n; ++z) {
     if (p[z] > 0.0) {
       kl += p[z] * std::log(p[z] / std::max(q[z], eps));
     }
@@ -46,8 +50,12 @@ double Entropy(const TopicVector& p) {
 
 double SquaredEuclidean(const TopicVector& p, const TopicVector& q) {
   INFLEX_CHECK_EQ(p.size(), q.size());
+  return SquaredEuclidean(p.data(), q.data(), p.size());
+}
+
+double SquaredEuclidean(const double* p, const double* q, size_t n) {
   double s = 0.0;
-  for (size_t z = 0; z < p.size(); ++z) {
+  for (size_t z = 0; z < n; ++z) {
     const double d = p[z] - q[z];
     s += d * d;
   }

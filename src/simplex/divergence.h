@@ -18,6 +18,11 @@ inline constexpr double kKlSmoothingEps = 1e-12;
 double KlDivergence(const TopicVector& p, const TopicVector& q,
                     double eps = kKlSmoothingEps);
 
+/// The same divergence over two arrays of n entries (rows of a row-major
+/// point matrix); the vector overload runs this loop.
+double KlDivergence(const double* p, const double* q, size_t n,
+                    double eps = kKlSmoothingEps);
+
 /// Convenience overload on validated distributions.
 double KlDivergence(const TopicDistribution& p, const TopicDistribution& q,
                     double eps = kKlSmoothingEps);
@@ -37,6 +42,9 @@ double Entropy(const TopicVector& p);
 /// Squared Euclidean distance between two equal-length vectors — the other
 /// Bregman divergence the clustering layer supports.
 double SquaredEuclidean(const TopicVector& p, const TopicVector& q);
+
+/// The same distance over two arrays of n entries.
+double SquaredEuclidean(const double* p, const double* q, size_t n);
 
 }  // namespace simplex
 }  // namespace inflex

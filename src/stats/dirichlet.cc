@@ -36,20 +36,25 @@ double Dirichlet::LogPdf(const std::vector<double>& gamma) const {
   return lp;
 }
 
-std::vector<double> Dirichlet::Sample(Rng* rng) const {
-  std::vector<double> g(alpha_.size());
+void Dirichlet::SampleInto(Rng* rng, double* out) const {
+  const size_t dim = alpha_.size();
   double sum = 0.0;
-  for (size_t k = 0; k < alpha_.size(); ++k) {
-    g[k] = rng->Gamma(alpha_[k]);
-    sum += g[k];
+  for (size_t k = 0; k < dim; ++k) {
+    out[k] = rng->Gamma(alpha_[k]);
+    sum += out[k];
   }
   if (sum <= 0.0) {
     // All Gamma draws underflowed (possible for very small α); return the
     // uniform center as a safe fallback.
-    std::fill(g.begin(), g.end(), 1.0 / static_cast<double>(g.size()));
-    return g;
+    std::fill(out, out + dim, 1.0 / static_cast<double>(dim));
+    return;
   }
-  for (double& v : g) v /= sum;
+  for (size_t k = 0; k < dim; ++k) out[k] /= sum;
+}
+
+std::vector<double> Dirichlet::Sample(Rng* rng) const {
+  std::vector<double> g(alpha_.size());
+  SampleInto(rng, g.data());
   return g;
 }
 
@@ -61,30 +66,36 @@ std::vector<std::vector<double>> Dirichlet::SampleMany(size_t n,
   return out;
 }
 
+std::vector<double> Dirichlet::SampleRows(size_t n, Rng* rng) const {
+  const size_t dim = alpha_.size();
+  std::vector<double> rows(n * dim);
+  for (size_t i = 0; i < n; ++i) SampleInto(rng, rows.data() + i * dim);
+  return rows;
+}
+
 namespace {
 
 // Sufficient statistics: log p̄_k = (1/N) Σ_i log x_{ik}, with ε clamping.
-std::vector<double> MeanLog(const std::vector<std::vector<double>>& data,
+std::vector<double> MeanLog(size_t n, const DataRow& data, size_t dim,
                             double eps) {
-  const size_t dim = data.front().size();
   std::vector<double> mean_log(dim, 0.0);
-  for (const auto& row : data) {
+  for (size_t i = 0; i < n; ++i) {
+    const std::span<const double> row = data(i);
     for (size_t k = 0; k < dim; ++k) {
       mean_log[k] += std::log(std::max(row[k], eps));
     }
   }
-  const double inv_n = 1.0 / static_cast<double>(data.size());
+  const double inv_n = 1.0 / static_cast<double>(n);
   for (double& v : mean_log) v *= inv_n;
   return mean_log;
 }
 
 // Moment-matching initialization (Minka 2000, Eq. 23): estimate the precision
 // from the first two moments of the first usable component.
-std::vector<double> MomentInit(const std::vector<std::vector<double>>& data) {
-  const size_t dim = data.front().size();
-  const size_t n = data.size();
+std::vector<double> MomentInit(size_t n, const DataRow& data, size_t dim) {
   std::vector<double> mean(dim, 0.0), mean_sq(dim, 0.0);
-  for (const auto& row : data) {
+  for (size_t i = 0; i < n; ++i) {
+    const std::span<const double> row = data(i);
     for (size_t k = 0; k < dim; ++k) {
       mean[k] += row[k];
       mean_sq[k] += row[k] * row[k];
@@ -157,16 +168,17 @@ bool NewtonStep(const std::vector<double>& mean_log, size_t n,
 
 }  // namespace
 
-Result<Dirichlet> FitDirichletMle(const std::vector<std::vector<double>>& data,
+Result<Dirichlet> FitDirichletMle(size_t num_rows, const DataRow& data,
                                   const DirichletMleOptions& options) {
-  if (data.empty()) {
+  if (num_rows == 0) {
     return Status::InvalidArgument("Dirichlet MLE requires at least one point");
   }
-  const size_t dim = data.front().size();
+  const size_t dim = data(0).size();
   if (dim < 2) {
     return Status::InvalidArgument("Dirichlet MLE requires dimension >= 2");
   }
-  for (const auto& row : data) {
+  for (size_t i = 0; i < num_rows; ++i) {
+    const std::span<const double> row = data(i);
     if (row.size() != dim) {
       return Status::InvalidArgument("inconsistent dimensions in MLE data");
     }
@@ -177,14 +189,15 @@ Result<Dirichlet> FitDirichletMle(const std::vector<std::vector<double>>& data,
     }
   }
 
-  const std::vector<double> mean_log = MeanLog(data, options.smoothing_eps);
-  std::vector<double> alpha = MomentInit(data);
+  const std::vector<double> mean_log =
+      MeanLog(num_rows, data, dim, options.smoothing_eps);
+  std::vector<double> alpha = MomentInit(num_rows, data, dim);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     std::vector<double> prev = alpha;
     bool stepped = false;
     if (options.use_newton) {
-      stepped = NewtonStep(mean_log, data.size(), &alpha);
+      stepped = NewtonStep(mean_log, num_rows, &alpha);
     }
     if (!stepped) {
       FixedPointSweep(mean_log, &alpha);
@@ -202,6 +215,14 @@ Result<Dirichlet> FitDirichletMle(const std::vector<std::vector<double>>& data,
     }
   }
   return Dirichlet(std::move(alpha));
+}
+
+Result<Dirichlet> FitDirichletMle(const std::vector<std::vector<double>>& data,
+                                  const DirichletMleOptions& options) {
+  return FitDirichletMle(
+      data.size(),
+      [&data](size_t i) { return std::span<const double>(data[i]); },
+      options);
 }
 
 }  // namespace stats

@@ -2,6 +2,8 @@
 #define INFLEX_STATS_DIRICHLET_H_
 
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "util/random.h"
@@ -37,7 +39,14 @@ class Dirichlet {
   /// Draws `n` samples.
   std::vector<std::vector<double>> SampleMany(size_t n, Rng* rng) const;
 
+  /// Draws the `n` samples SampleMany draws, bit for bit, into one
+  /// row-major n × dim() matrix allocated once at its exact size.
+  std::vector<double> SampleRows(size_t n, Rng* rng) const;
+
  private:
+  // One sample into out[0, dim()).
+  void SampleInto(Rng* rng, double* out) const;
+
   std::vector<double> alpha_;
   double alpha_sum_;
   double log_norm_;  // log B(α)
@@ -58,10 +67,19 @@ struct DirichletMleOptions {
   bool use_newton = true;
 };
 
+/// Row i of the data FitDirichletMle reads, a point on the simplex. Rows
+/// are read in index order, so callers fit their own storage without
+/// copying it.
+using DataRow = std::function<std::span<const double>(size_t)>;
+
 /// Fits Dirichlet concentration parameters that maximize the likelihood of
-/// `data` (each row a point on the simplex) following Minka (2000).
-/// Fails when data is empty, rows disagree on dimension, or any row has a
-/// non-finite entry.
+/// rows 0 … num_rows − 1 following Minka (2000). Fails when there are no
+/// rows, rows disagree on dimension, or any row has a non-finite or
+/// negative entry.
+Result<Dirichlet> FitDirichletMle(size_t num_rows, const DataRow& row,
+                                  const DirichletMleOptions& options = {});
+
+/// The same fit over rows held one vector each.
 Result<Dirichlet> FitDirichletMle(const std::vector<std::vector<double>>& data,
                                   const DirichletMleOptions& options = {});
 

@@ -20,6 +20,10 @@ PropagationLog::PropagationLog(size_t num_users, size_t num_items)
   INFLEX_CHECK_GT(num_items, 0u);
 }
 
+void PropagationLog::Reserve(size_t num_records) {
+  activations_.reserve(num_records);
+}
+
 Status PropagationLog::Add(graph::NodeId user, ItemId item, double timestamp) {
   if (finalized_) {
     return Status::FailedPrecondition("log already finalized");
@@ -35,12 +39,16 @@ Status PropagationLog::Add(graph::NodeId user, ItemId item, double timestamp) {
 
 Status PropagationLog::Finalize() {
   if (finalized_) return Status::FailedPrecondition("log already finalized");
-  std::sort(activations_.begin(), activations_.end(),
-            [](const Activation& a, const Activation& b) {
-              if (a.item != b.item) return a.item < b.item;
-              if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-              return a.user < b.user;
-            });
+  const auto before = [](const Activation& a, const Activation& b) {
+    if (a.item != b.item) return a.item < b.item;
+    if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
+    return a.user < b.user;
+  };
+  // A writer that adds records in order (the synthetic generator does)
+  // skips the sort.
+  if (!std::is_sorted(activations_.begin(), activations_.end(), before)) {
+    std::sort(activations_.begin(), activations_.end(), before);
+  }
   // Keep only each user's earliest activation per item, compacting in place:
   // the write cursor never passes the read cursor, so a kept record moves
   // down over one already read or dropped.

@@ -40,6 +40,11 @@ class PropagationLog {
   size_t size() const { return activations_.size(); }
   bool finalized() const { return finalized_; }
 
+  /// Sizes the record array for `num_records` records, so a writer that
+  /// knows the deduplicated count adds them without regrowing and Finalize
+  /// leaves capacity equal to size.
+  void Reserve(size_t num_records);
+
   /// Appends a record. Fails on out-of-range user/item, a non-finite
   /// timestamp, or when already finalized.
   Status Add(graph::NodeId user, ItemId item, double timestamp);
@@ -53,6 +58,12 @@ class PropagationLog {
 
   /// Number of items with at least one activation. Requires finalized().
   size_t num_active_items() const;
+
+  /// Heap bytes the log holds, from its arrays' capacities.
+  size_t bytes() const {
+    return activations_.capacity() * sizeof(Activation) +
+           item_offsets_.capacity() * sizeof(uint64_t);
+  }
 
   /// Persists the (finalized) log to a binary artifact.
   Status Save(const std::string& path) const;

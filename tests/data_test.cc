@@ -211,6 +211,17 @@ TEST(SyntheticDatasetTest, DeterministicForFixedSeed) {
   }
 }
 
+// The log is written once, into an array reserved at its deduplicated
+// size: no slack is left after Finalize.
+TEST(SyntheticDatasetTest, LogCapacityEqualsItsSize) {
+  auto r = GenerateSyntheticDataset(SmallOptions(29));
+  ASSERT_TRUE(r.ok());
+  const tic::PropagationLog& log = r.ValueOrDie().log;
+  ASSERT_GT(log.size(), 0u);
+  EXPECT_EQ(log.bytes(), log.size() * sizeof(tic::Activation) +
+                             (log.num_items() + 1) * sizeof(uint64_t));
+}
+
 // The whole generated dataset pinned bit-for-bit: arcs with their per-topic
 // probabilities, the catalog, and every log record, whose cascades compute
 // each tested arc's item probability on demand. The constant was recorded

@@ -40,6 +40,72 @@ TEST(TopicGraphBuilderTest, RejectsDuplicateArcs) {
   EXPECT_FALSE(b.Build().ok());
 }
 
+// Build hands the staged arrays to the graph, permuting them in place when
+// arcs came out of (source, target) order. Every insertion order must build
+// the graph the sorted order builds, bit for bit, in both directions.
+TEST(TopicGraphBuilderTest, ShuffledInsertionBuildsTheSortedGraph) {
+  constexpr size_t kNodes = 40;
+  constexpr size_t kTopics = 3;
+  struct Arc {
+    NodeId u, v;
+    std::vector<double> probs;
+  };
+  Rng rng(17);
+  std::vector<Arc> sorted_arcs;
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (NodeId v = 0; v < kNodes; ++v) {
+      if (u == v || rng.Uniform() >= 0.2) continue;
+      Arc arc{u, v, {}};
+      for (size_t z = 0; z < kTopics; ++z) arc.probs.push_back(rng.Uniform());
+      sorted_arcs.push_back(arc);
+    }
+  }
+  const auto build = [](const std::vector<Arc>& arcs) {
+    TopicGraphBuilder b(kNodes, kTopics);
+    b.Reserve(arcs.size());
+    for (const Arc& arc : arcs) {
+      EXPECT_TRUE(b.AddArc(arc.u, arc.v, arc.probs).ok());
+    }
+    auto g = b.Build();
+    EXPECT_TRUE(g.ok());
+    EXPECT_EQ(b.num_arcs_added(), 0u);
+    return std::move(g).ValueOrDie();
+  };
+  const TopicGraph want = build(sorted_arcs);
+  ASSERT_EQ(want.num_arcs(), sorted_arcs.size());
+  for (size_t a = 0; a < sorted_arcs.size(); ++a) {
+    ASSERT_EQ(want.ArcTarget(static_cast<ArcId>(a)), sorted_arcs[a].v);
+  }
+
+  std::vector<std::vector<Arc>> orders;
+  // Reversal is a permutation of 2-cycles; shuffles have long cycles.
+  orders.emplace_back(sorted_arcs.rbegin(), sorted_arcs.rend());
+  for (int trial = 0; trial < 3; ++trial) {
+    orders.push_back(sorted_arcs);
+    rng.Shuffle(&orders.back());
+  }
+  for (const std::vector<Arc>& order : orders) {
+    const TopicGraph got = build(order);
+    ASSERT_EQ(got.num_nodes(), want.num_nodes());
+    ASSERT_EQ(got.num_arcs(), want.num_arcs());
+    for (NodeId u = 0; u < kNodes; ++u) {
+      EXPECT_EQ(got.OutArcBegin(u), want.OutArcBegin(u));
+      EXPECT_EQ(got.InDegree(u), want.InDegree(u));
+      for (size_t i = 0; i < want.InDegree(u); ++i) {
+        EXPECT_EQ(got.InNeighbors(u)[i], want.InNeighbors(u)[i]);
+        EXPECT_EQ(got.InArcIds(u)[i], want.InArcIds(u)[i]);
+      }
+    }
+    for (ArcId a = 0; a < want.num_arcs(); ++a) {
+      EXPECT_EQ(got.ArcTarget(a), want.ArcTarget(a));
+      for (size_t z = 0; z < kTopics; ++z) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.ArcTopicProb(a, z)),
+                  std::bit_cast<uint64_t>(want.ArcTopicProb(a, z)));
+      }
+    }
+  }
+}
+
 TEST(TopicGraphTest, BasicStructure) {
   const TopicGraph g = MakeTriangleGraph();
   EXPECT_EQ(g.num_nodes(), 3u);

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 
+#include "cluster/kmeans.h"
 #include "data/synthetic.h"
 #include "inflex/index_points.h"
 #include "inflex/inflex_index.h"
@@ -136,7 +137,7 @@ TEST(IndexPointsTest, PipelineProducesRequestedCount) {
   auto sel = SelectIndexPoints(ds.ValueOrDie().catalog, opts);
   ASSERT_TRUE(sel.ok()) << sel.status().ToString();
   EXPECT_EQ(sel.ValueOrDie().points.size(), 25u);
-  EXPECT_EQ(sel.ValueOrDie().samples.size(), 2000u);
+  EXPECT_EQ(sel.ValueOrDie().samples.size(), 2000u * 4u);  // 2000 × Z rows
   EXPECT_EQ(sel.ValueOrDie().dirichlet_alpha.size(), 4u);
   for (const auto& p : sel.ValueOrDie().points) {
     double sum = 0.0;
@@ -145,6 +146,75 @@ TEST(IndexPointsTest, PipelineProducesRequestedCount) {
       sum += v;
     }
     EXPECT_NEAR(sum, 1.0, 1e-9);
+  }
+}
+
+data::SyntheticDataset SmallDataset() {
+  data::SyntheticDatasetOptions dopts;
+  dopts.num_users = 150;
+  dopts.num_topics = 4;
+  dopts.num_items = 100;
+  dopts.seed = 3;
+  return data::GenerateSyntheticDataset(dopts).ValueOrDie();
+}
+
+// The Dirichlet sample is one row-major n × Z matrix, allocated once at its
+// exact size.
+TEST(IndexPointsTest, SampleIsOneMatrixOfExactSize) {
+  const data::SyntheticDataset ds = SmallDataset();
+  IndexPointOptions opts;
+  opts.num_index_points = 25;
+  opts.num_dirichlet_samples = 2000;
+  auto sel = SelectIndexPoints(ds.catalog, opts);
+  ASSERT_TRUE(sel.ok());
+  const std::vector<double>& samples = sel.ValueOrDie().samples;
+  EXPECT_EQ(samples.size(), 2000u * 4u);
+  EXPECT_EQ(samples.capacity() * sizeof(double), 2000u * 4u * 8u);
+}
+
+// The selection written against one vector per row: the fit reads a copy
+// of the catalog, the sample is n Dirichlet::Sample draws, and k-means
+// clusters those vectors. The flat pipeline must give its alpha, its
+// sample and its points bit for bit.
+TEST(IndexPointsTest, MatchesPerVectorReference) {
+  const data::SyntheticDataset ds = SmallDataset();
+  IndexPointOptions opts;
+  opts.num_index_points = 25;
+  opts.num_dirichlet_samples = 2000;
+  auto sel = SelectIndexPoints(ds.catalog, opts);
+  ASSERT_TRUE(sel.ok());
+  const IndexPointSelection& got = sel.ValueOrDie();
+
+  std::vector<simplex::TopicVector> raw;
+  for (const auto& item : ds.catalog) raw.push_back(item.probs());
+  auto fitted = stats::FitDirichletMle(raw);
+  ASSERT_TRUE(fitted.ok());
+  Rng rng(opts.seed);
+  std::vector<simplex::TopicVector> samples;
+  for (size_t i = 0; i < opts.num_dirichlet_samples; ++i) {
+    samples.push_back(fitted.ValueOrDie().Sample(&rng));
+  }
+  cluster::KMeansOptions kopts;
+  kopts.num_clusters = opts.num_index_points;
+  kopts.max_iterations = opts.kmeans_max_iterations;
+  kopts.divergence = cluster::BregmanDivergenceKind::kKl;
+  kopts.seed = rng.Next();
+  auto want = cluster::KMeansPlusPlus(samples, kopts);
+  ASSERT_TRUE(want.ok());
+
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<uint64_t> out;
+    for (double x : v) out.push_back(std::bit_cast<uint64_t>(x));
+    return out;
+  };
+  EXPECT_EQ(bits(got.dirichlet_alpha), bits(fitted.ValueOrDie().alpha()));
+  std::vector<double> packed;
+  for (const auto& s : samples) packed.insert(packed.end(), s.begin(), s.end());
+  EXPECT_EQ(bits(got.samples), bits(packed));
+  ASSERT_EQ(got.points.size(), want.ValueOrDie().centroids.size());
+  for (size_t c = 0; c < got.points.size(); ++c) {
+    EXPECT_EQ(bits(got.points[c]), bits(want.ValueOrDie().centroids[c]))
+        << "point " << c;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "rank/aggregators.h"
 #include "rank/kemeny.h"
@@ -677,6 +678,25 @@ TEST(AggregateRankingsTest, RejectsBadInput) {
       }
     }
   }
+}
+
+// A method outside the enum is rejected before the context is read. On a
+// fresh thread the thread_local context holds no scores for TopK to sort
+// by; a context that served an earlier call holds stale ones.
+TEST(AggregateRankingsTest, RejectsUnknownMethodOnAFreshThread) {
+  AggregationOptions unknown;
+  unknown.method = static_cast<AggregationMethod>(2);
+  const std::vector<RankedList> lists = {{1, 2, 3}, {3, 2, 1}, {2, 1, 3}};
+  Status fresh;
+  std::thread([&] {
+    fresh = AggregateRankings(lists, {}, 3, unknown).status();
+  }).join();
+  EXPECT_EQ(fresh.code(), StatusCode::kInvalidArgument);
+
+  AggregationContext ctx;
+  ASSERT_TRUE(AggregateRankings(lists, {}, 3, {}, &ctx).ok());
+  EXPECT_EQ(AggregateRankings({{4, 5}}, {}, 2, unknown, &ctx).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // One context serves a large union, then a small one: the small call

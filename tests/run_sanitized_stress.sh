@@ -7,8 +7,9 @@
 # phase runs cluster_test, data_test and im_test, whose k-means passes,
 # dataset arc probabilities and CELF++ first round fan out over the pool.
 # A second phase builds kernel_test, im_test, rank_test, extensions_test,
-# cluster_test, data_test, tic_test, bbtree_test, inflex_core_test and
-# maintenance_test under ASan+UBSan (-DINFLEX_SANITIZE=address):
+# cluster_test, data_test, tic_test, stats_test, graph_test, bbtree_test,
+# inflex_core_test and maintenance_test under ASan+UBSan
+# (-DINFLEX_SANITIZE=address):
 # the KL kernel layer works on raw pointers into flat SoA buffers that
 # Insert() reallocates, the seed selectors reuse per-thread oracle workspaces
 # across graphs of different sizes, snapshot sampling appends through a raw
@@ -17,7 +18,9 @@
 # kernels read padded per-list rank rows by slot out of reused per-thread
 # scratch, and the pooled
 # k-means and arc-probability passes write per-point slots, and the
-# propagation log compacts its records in place behind a read cursor, and
+# propagation log compacts its records in place behind a read cursor, the
+# Dirichlet sampler writes rows into one flat matrix, the graph builder
+# permutes its staged arcs in place, and
 # index generations share seed lists, bb-tree rows and bb-tree nodes that
 # must outlive every generation still holding them — exactly the kind of
 # code ASan exists for.
@@ -110,10 +113,10 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test tic_test bbtree_test inflex_core_test maintenance_test)"
+echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test tic_test stats_test graph_test bbtree_test inflex_core_test maintenance_test)"
 cmake --build "$BUILD_ASAN" --target kernel_test im_test rank_test \
-  extensions_test cluster_test data_test tic_test bbtree_test \
-  inflex_core_test maintenance_test -j "$(nproc)" > /dev/null
+  extensions_test cluster_test data_test tic_test stats_test graph_test \
+  bbtree_test inflex_core_test maintenance_test -j "$(nproc)" > /dev/null
 
 echo "== run KL kernel + SoA search tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
@@ -149,15 +152,21 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
   "$BUILD_ASAN/tests/rank_test"
 
-echo "== run clustering, dataset + propagation-log tests under ASan+UBSan"
-# Pooled k-means passes, the batched per-item arc-probability buffers and
-# the propagation log's in-place deduplication.
+echo "== run clustering, dataset, propagation-log, sampler + graph tests under ASan+UBSan"
+# Pooled k-means passes over one row-major matrix, the batched per-item
+# arc-probability buffers, the log staging and the propagation log's
+# in-place deduplication, the Dirichlet sampler's flat rows and the graph
+# builder's in-place permutation of its staged arcs.
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/cluster_test"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/data_test"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/tic_test"
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/stats_test"
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/graph_test"
 
 echo "== run index-generation tests under ASan+UBSan"
 # Copies of a bb-tree share its row block and nodes, and copies of an index
@@ -172,4 +181,4 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/maintenance_test"
 
-echo "ASan tests: OK (kernel, im and rank dispatched + forced-scalar, extensions, cluster, data, tic, bbtree, inflex_core, maintenance)"
+echo "ASan tests: OK (kernel, im and rank dispatched + forced-scalar, extensions, cluster, data, tic, stats, graph, bbtree, inflex_core, maintenance)"

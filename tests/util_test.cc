@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/heap.h"
 #include "util/random.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -215,6 +216,32 @@ TEST(RngTest, ShuffleIsPermutation) {
 }
 
 // ------------------------------------------------------------ ThreadPool ---
+
+TEST(ProcessMemoryTest, ParsesStatusText) {
+  const char* status =
+      "Name:\tinflex\nVmPeak:\t  200000 kB\nVmHWM:\t   15412 kB\n"
+      "VmRSS:\t   12648 kB\nThreads:\t5\n";
+  const auto memory = util::ParseProcessMemory(status);
+  ASSERT_TRUE(memory.has_value());
+  EXPECT_EQ(memory->rss_kb, 12648u);
+  EXPECT_EQ(memory->hwm_kb, 15412u);
+  EXPECT_FALSE(util::ParseProcessMemory("VmRSS:\t 12 kB\n").has_value());
+  EXPECT_FALSE(util::ParseProcessMemory("VmHWM:\t 12 kB\n").has_value());
+  EXPECT_FALSE(
+      util::ParseProcessMemory("VmRSS:\t kB\nVmHWM:\t 12 kB\n").has_value());
+  EXPECT_FALSE(util::ParseProcessMemory("").has_value());
+}
+
+TEST(ProcessMemoryTest, ReadsThisProcess) {
+#if defined(__linux__)
+  const auto memory = util::ReadProcessMemory();
+  ASSERT_TRUE(memory.has_value());
+  EXPECT_GT(memory->rss_kb, 0u);
+  EXPECT_GE(memory->hwm_kb, memory->rss_kb);
+#else
+  EXPECT_FALSE(util::ReadProcessMemory().has_value());
+#endif
+}
 
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
