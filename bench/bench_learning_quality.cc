@@ -59,6 +59,13 @@ int main() {
     return 1;
   }
   const Testbed& tb = *tb_r.ValueOrDie();
+  auto log_r = LoadTestbedLog();
+  if (!log_r.ok()) {
+    std::fprintf(stderr, "testbed log: %s\n",
+                 log_r.status().ToString().c_str());
+    return 1;
+  }
+  const tic::PropagationLog& log = log_r.ValueOrDie();
   PrintBanner("Learning quality — TIC EM vs ground truth (the Figure 1 "
               "prerequisite)", tb);
 
@@ -67,14 +74,14 @@ int main() {
   lopts.max_iterations = 25;
   Timer t;
   auto learned_r =
-      tic::LearnTicParameters(tb.graph(), tb.dataset->log, lopts);
+      tic::LearnTicParameters(tb.graph(), log, lopts);
   if (!learned_r.ok()) {
     std::fprintf(stderr, "%s\n", learned_r.status().ToString().c_str());
     return 1;
   }
   const auto& learned = learned_r.ValueOrDie();
   std::printf("\nEM: %d sweeps in %.1f s over %zu log records\n",
-              learned.iterations, t.ElapsedSeconds(), tb.dataset->log.size());
+              learned.iterations, t.ElapsedSeconds(), log.size());
 
   const size_t z = tb.graph().num_topics();
 
@@ -180,6 +187,6 @@ int main() {
               "the expected regime here; the rest of the benchmark suite "
               "uses ground-truth parameters, as the paper uses its "
               "separately-learned ones.\n",
-              tb.dataset->log.size());
+              log.size());
   return 0;
 }

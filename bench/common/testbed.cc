@@ -130,8 +130,11 @@ Result<std::shared_ptr<Testbed>> BuildTestbed(const TestbedConfig& config,
   dopts.num_items = config.num_items;
   dopts.avg_degree = config.avg_degree;
   dopts.seed = config.seed;
+  // The log is kept only until the cache is written; bench_learning_quality
+  // reads it back with LoadTestbedLog.
+  tic::PropagationLog log(1, 1);
   INFLEX_ASSIGN_OR_RETURN(data::SyntheticDataset ds,
-                          data::GenerateSyntheticDataset(dopts));
+                          data::GenerateSyntheticDataset(dopts, &log));
   tb->dataset = std::make_unique<data::SyntheticDataset>(std::move(ds));
 
   Progress("building INFLEX index: h=" +
@@ -189,6 +192,7 @@ Result<std::shared_ptr<Testbed>> BuildTestbed(const TestbedConfig& config,
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   INFLEX_RETURN_NOT_OK(data::SaveDataset(*tb->dataset, dir + "/dataset"));
+  INFLEX_RETURN_NOT_OK(log.Save(data::DatasetLogPath(dir + "/dataset")));
   INFLEX_RETURN_NOT_OK(tb->index->Save(dir + "/index.bin"));
   INFLEX_RETURN_NOT_OK(SaveAuxiliary(*tb, dir + "/aux.bin"));
   return tb;
@@ -223,6 +227,11 @@ Result<std::shared_ptr<Testbed>> GetTestbed() {
     }
   }
   return BuildTestbed(config, dir);
+}
+
+Result<tic::PropagationLog> LoadTestbedLog() {
+  return tic::PropagationLog::Load(
+      data::DatasetLogPath(CacheDir() + "/dataset"));
 }
 
 }  // namespace benchsupport

@@ -9,6 +9,7 @@
 #include "data/workload.h"
 #include "inflex/inflex_index.h"
 #include "rank/ranked_list.h"
+#include "tic/propagation_log.h"
 #include "util/status.h"
 
 namespace inflex {
@@ -64,6 +65,10 @@ struct Testbed {
 /// ./inflex_testbed_cache) or builds and caches it. Prints progress to
 /// stderr since the build can take a minute.
 Result<std::shared_ptr<Testbed>> GetTestbed();
+
+/// The test-bed's propagation log, which the test-bed does not hold (only
+/// TIC learning reads it): loaded from the cache that GetTestbed made.
+Result<tic::PropagationLog> LoadTestbedLog();
 
 }  // namespace benchsupport
 }  // namespace inflex

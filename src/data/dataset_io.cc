@@ -66,7 +66,6 @@ Status SaveDataset(const SyntheticDataset& dataset, const std::string& dir) {
   INFLEX_RETURN_NOT_OK(
       graph::SaveTopicGraph(dataset.graph, dir + "/graph.bin"));
   INFLEX_RETURN_NOT_OK(SaveCatalog(dataset.catalog, dir + "/catalog.bin"));
-  INFLEX_RETURN_NOT_OK(dataset.log.Save(dir + "/log.bin"));
   INFLEX_ASSIGN_OR_RETURN(BinaryWriter w,
                           BinaryWriter::Open(dir + "/communities.bin"));
   INFLEX_RETURN_NOT_OK(WriteHeader(&w, kCommunityMagic, kCommunityVersion));
@@ -78,8 +77,6 @@ Result<SyntheticDataset> LoadDataset(const std::string& dir) {
   SyntheticDataset ds;
   INFLEX_ASSIGN_OR_RETURN(ds.graph, graph::LoadTopicGraph(dir + "/graph.bin"));
   INFLEX_ASSIGN_OR_RETURN(ds.catalog, LoadCatalog(dir + "/catalog.bin"));
-  INFLEX_ASSIGN_OR_RETURN(ds.log,
-                          tic::PropagationLog::Load(dir + "/log.bin"));
   INFLEX_ASSIGN_OR_RETURN(BinaryReader r,
                           BinaryReader::Open(dir + "/communities.bin"));
   INFLEX_RETURN_NOT_OK(CheckHeader(&r, kCommunityMagic, kCommunityVersion));
@@ -89,6 +86,8 @@ Result<SyntheticDataset> LoadDataset(const std::string& dir) {
   }
   return ds;
 }
+
+std::string DatasetLogPath(const std::string& dir) { return dir + "/log.bin"; }
 
 }  // namespace data
 }  // namespace inflex

@@ -19,12 +19,18 @@ Status SaveCatalog(const std::vector<simplex::TopicDistribution>& catalog,
 Result<std::vector<simplex::TopicDistribution>> LoadCatalog(
     const std::string& path);
 
-/// Persists a full dataset into `dir` (created if missing):
-/// graph.bin, catalog.bin, log.bin, communities.bin.
+/// Persists a dataset into `dir` (created if missing): graph.bin,
+/// catalog.bin, communities.bin.
 Status SaveDataset(const SyntheticDataset& dataset, const std::string& dir);
 
 /// Loads a dataset saved by SaveDataset.
 Result<SyntheticDataset> LoadDataset(const std::string& dir);
+
+/// The propagation log's file in a dataset directory, `dir`/log.bin.
+/// SaveDataset and LoadDataset leave it alone: whoever made the log with
+/// the log call writes it (PropagationLog::Save), and only TIC learning
+/// reads it (PropagationLog::Load).
+std::string DatasetLogPath(const std::string& dir);
 
 }  // namespace data
 }  // namespace inflex

@@ -64,6 +64,11 @@ size_t SampleByCumulative(const std::vector<double>& cumulative, Rng* rng) {
 
 Result<SyntheticDataset> GenerateSyntheticDataset(
     const SyntheticDatasetOptions& options) {
+  return GenerateSyntheticDataset(options, nullptr);
+}
+
+Result<SyntheticDataset> GenerateSyntheticDataset(
+    const SyntheticDatasetOptions& options, tic::PropagationLog* log) {
   INFLEX_RETURN_NOT_OK(ValidateOptions(options));
   // A process that tore down an earlier dataset or index holds its freed
   // heap resident; hand it back before this one allocates (DESIGN.md
@@ -114,7 +119,7 @@ Result<SyntheticDataset> GenerateSyntheticDataset(
 
   // --- Arcs and per-topic probabilities -----------------------------------
   // The arc list and the builder's staging are scoped to this block, so
-  // they are freed before the propagation log is simulated.
+  // they are freed before the catalog and any log are made.
   {
     // For every user v draw ~avg_degree influencers u (arc u→v): mostly
     // authority-weighted members of v's community, the rest global. This
@@ -198,11 +203,13 @@ Result<SyntheticDataset> GenerateSyntheticDataset(
     ds.catalog.push_back(std::move(td).ValueOrDie());
   }
 
-  // --- Propagation log -------------------------------------------------------
-  INFLEX_ASSIGN_OR_RETURN(
-      ds.log, SimulatePropagationLog(ds.graph, ds.catalog, ds.user_community,
+  // --- Propagation log (the log call only) -----------------------------------
+  if (log != nullptr) {
+    INFLEX_ASSIGN_OR_RETURN(
+        *log, SimulatePropagationLog(ds.graph, ds.catalog, ds.user_community,
                                      options.cascades_per_item,
                                      options.seeds_per_cascade, &rng));
+  }
   return ds;
 }
 

@@ -26,9 +26,10 @@ namespace data {
 ///    on the topic, the property the whole paper rests on;
 ///  - an item catalog drawn from a peaked Dirichlet mixture (items
 ///    concentrate on a primary topic, as LDA-style learning produces);
-///  - a propagation log obtained by actually running TIC cascades of the
-///    catalog items, from which TIC parameters can be re-learned exactly as
-///    in the paper's pipeline (Figure 1).
+///  - on request, a propagation log obtained by actually running TIC
+///    cascades of the catalog items, from which TIC parameters can be
+///    re-learned exactly as in the paper's pipeline (Figure 1). Only that
+///    learning step reads it, so the dataset a server holds carries no log.
 struct SyntheticDatasetOptions {
   size_t num_users = 2000;
   size_t num_topics = 10;
@@ -63,34 +64,44 @@ struct SyntheticDatasetOptions {
   /// Dirichlet concentration of an item's primary topic and of the rest.
   double item_primary_alpha = 4.0;
   double item_background_alpha = 0.25;
-  /// TIC cascades recorded in the log for every catalog item. The paper's
-  /// Flixster log is enormous (millions of ratings); several cascades per
-  /// item keep the EM learner's signal comparable at synthetic scale.
+  /// TIC cascades recorded in the log for every catalog item (read only by
+  /// the log call). The paper's Flixster log is enormous (millions of
+  /// ratings); several cascades per item keep the EM learner's signal
+  /// comparable at synthetic scale.
   size_t cascades_per_item = 4;
-  /// Seeds per recorded cascade.
+  /// Seeds per recorded cascade (validated by both calls).
   size_t seeds_per_cascade = 4;
   uint64_t seed = 2024;
 };
 
-/// \brief The generated dataset: the three inputs of Figure 1.
+/// \brief The generated dataset as online queries read it: the graph with
+/// its topic probabilities and the item catalog. The third input of
+/// Figure 1, the propagation log, is read only by TIC learning and comes
+/// from the log call below, not with the dataset.
 struct SyntheticDataset {
   /// Social graph carrying the ground-truth per-topic probabilities.
   graph::TopicGraph graph;
   /// Ground-truth item-topic distributions (the "catalog" I).
   std::vector<simplex::TopicDistribution> catalog;
-  /// Simulated propagation traces.
-  tic::PropagationLog log{1, 1};
   /// Community (primary topic) of every user — kept for diagnostics.
   std::vector<uint32_t> user_community;
 };
 
-/// Generates a dataset. Fails on degenerate parameter combinations
-/// (zero users/topics/items, probability ranges outside (0,1), …).
+/// Generates a dataset: communities, graph and catalog. Fails on degenerate
+/// parameter combinations (zero users/topics/items, probability ranges
+/// outside (0,1), …).
 Result<SyntheticDataset> GenerateSyntheticDataset(
     const SyntheticDatasetOptions& options);
 
-/// The log stage of GenerateSyntheticDataset, which calls it with its own
-/// generator: for every catalog item in order, `cascades_per_item` TIC
+/// The log call: generates the same dataset, bit for bit, then, from the
+/// same generator right after the catalog, simulates its propagation log
+/// into `*log` (SimulatePropagationLog). A null `log` skips the simulation,
+/// which is what the one-argument call does.
+Result<SyntheticDataset> GenerateSyntheticDataset(
+    const SyntheticDatasetOptions& options, tic::PropagationLog* log);
+
+/// The log stage of the log call, which calls it with its own generator:
+/// for every catalog item in order, `cascades_per_item` TIC
 /// cascades on the item's Eq. 1 instance, each from `seeds_per_cascade`
 /// seeds drawn uniformly (with repeats) from the community of the item's
 /// largest topic. Cascade c's activations get timestamps c·10⁶, c·10⁶ + 1, …

@@ -18,9 +18,21 @@ echo "== generate"
 
 echo "== info (dataset only)"
 "$CLI" info --data data | grep -q "users: 300"
+"$CLI" info --data data | grep -q "log records:"
 
 echo "== learn"
 "$CLI" learn --data data --out learned --iters 5 | grep -q "learned model"
+# The learned model keeps the original log next to it.
+cmp data/log.bin learned/log.bin
+
+echo "== info (dataset without a log)"
+rm learned/log.bin
+"$CLI" info --data learned > info_nolog.txt
+grep -q "users: 300" info_nolog.txt
+if grep -q "log records:" info_nolog.txt; then
+  echo "info printed log records for a directory without log.bin" >&2
+  exit 1
+fi
 
 echo "== suggest-h"
 "$CLI" suggest-h --data data --target 0.5 | grep -q "suggested h"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <filesystem>
 #include <set>
 
 #include "data/dataset_io.h"
@@ -94,11 +95,12 @@ TEST(SyntheticDatasetTest, LogMatchesFullProbabilityReference) {
       SyntheticDatasetOptions o = SmallOptions(31 + cascades + seeds);
       o.cascades_per_item = cascades;
       o.seeds_per_cascade = seeds;
-      auto r = GenerateSyntheticDataset(o);
+      tic::PropagationLog generated(1, 1);
+      auto r = GenerateSyntheticDataset(o, &generated);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       const SyntheticDataset& ds = r.ValueOrDie();
       if (cascades == 0) {
-        EXPECT_EQ(ds.log.size(), 0u);
+        EXPECT_EQ(generated.size(), 0u);
       }
 
       Rng rng(97), ref_rng(97);
@@ -152,7 +154,8 @@ TEST(SyntheticDatasetTest, SimulatePropagationLogValidates) {
 }
 
 TEST(SyntheticDatasetTest, StructuralInvariants) {
-  auto ds_r = GenerateSyntheticDataset(SmallOptions(7));
+  tic::PropagationLog log(1, 1);
+  auto ds_r = GenerateSyntheticDataset(SmallOptions(7), &log);
   ASSERT_TRUE(ds_r.ok()) << ds_r.status().ToString();
   const SyntheticDataset& ds = ds_r.ValueOrDie();
 
@@ -161,9 +164,9 @@ TEST(SyntheticDatasetTest, StructuralInvariants) {
   EXPECT_GT(ds.graph.num_arcs(), 200u);  // several arcs per node on average
   EXPECT_EQ(ds.catalog.size(), 80u);
   EXPECT_EQ(ds.user_community.size(), 200u);
-  EXPECT_EQ(ds.log.num_users(), 200u);
-  EXPECT_EQ(ds.log.num_items(), 80u);
-  EXPECT_GT(ds.log.size(), 80u);  // cascades produced activity
+  EXPECT_EQ(log.num_users(), 200u);
+  EXPECT_EQ(log.num_items(), 80u);
+  EXPECT_GT(log.size(), 80u);  // cascades produced activity
 
   for (uint32_t c : ds.user_community) EXPECT_LT(c, 4u);
   for (const auto& item : ds.catalog) {
@@ -199,12 +202,13 @@ TEST(SyntheticDatasetTest, TopicStructureIsPresent) {
 }
 
 TEST(SyntheticDatasetTest, DeterministicForFixedSeed) {
-  auto a = GenerateSyntheticDataset(SmallOptions(13));
-  auto b = GenerateSyntheticDataset(SmallOptions(13));
+  tic::PropagationLog log_a(1, 1), log_b(1, 1);
+  auto a = GenerateSyntheticDataset(SmallOptions(13), &log_a);
+  auto b = GenerateSyntheticDataset(SmallOptions(13), &log_b);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.ValueOrDie().graph.num_arcs(), b.ValueOrDie().graph.num_arcs());
-  EXPECT_EQ(a.ValueOrDie().log.size(), b.ValueOrDie().log.size());
+  EXPECT_EQ(log_a.size(), log_b.size());
   for (size_t i = 0; i < 80; ++i) {
     EXPECT_EQ(a.ValueOrDie().catalog[i].probs(),
               b.ValueOrDie().catalog[i].probs());
@@ -214,18 +218,18 @@ TEST(SyntheticDatasetTest, DeterministicForFixedSeed) {
 // The log is written once, into an array reserved at its deduplicated
 // size: no slack is left after Finalize.
 TEST(SyntheticDatasetTest, LogCapacityEqualsItsSize) {
-  auto r = GenerateSyntheticDataset(SmallOptions(29));
-  ASSERT_TRUE(r.ok());
-  const tic::PropagationLog& log = r.ValueOrDie().log;
+  tic::PropagationLog log(1, 1);
+  ASSERT_TRUE(GenerateSyntheticDataset(SmallOptions(29), &log).ok());
   ASSERT_GT(log.size(), 0u);
   EXPECT_EQ(log.bytes(), log.size() * sizeof(tic::Activation) +
                              (log.num_items() + 1) * sizeof(uint64_t));
 }
 
 // The whole generated dataset pinned bit-for-bit: arcs with their per-topic
-// probabilities, the catalog, and every log record, whose cascades compute
-// each tested arc's item probability on demand. The constant was recorded
-// on the serial generator in the default (non-INFLEX_NATIVE) build.
+// probabilities, the catalog, and every record of the log call's log, whose
+// cascades compute each tested arc's item probability on demand. The
+// constant was recorded on the serial generator in the default
+// (non-INFLEX_NATIVE) build.
 TEST(SyntheticDatasetTest, MatchesPinnedDigest) {
 #ifdef __FMA__
   GTEST_SKIP() << "digests are pinned for builds without FMA contraction";
@@ -233,7 +237,8 @@ TEST(SyntheticDatasetTest, MatchesPinnedDigest) {
   SyntheticDatasetOptions o = SmallOptions(23);
   o.num_users = 300;
   o.num_items = 400;
-  auto r = GenerateSyntheticDataset(o);
+  tic::PropagationLog log(1, 1);
+  auto r = GenerateSyntheticDataset(o, &log);
   ASSERT_TRUE(r.ok());
   const SyntheticDataset& ds = r.ValueOrDie();
   uint64_t digest = 0xcbf29ce484222325ULL;
@@ -253,15 +258,53 @@ TEST(SyntheticDatasetTest, MatchesPinnedDigest) {
   for (const auto& item : ds.catalog) {
     for (double p : item.probs()) fold(std::bit_cast<uint64_t>(p));
   }
-  fold(ds.log.size());
-  for (tic::ItemId i = 0; i < ds.log.num_items(); ++i) {
-    for (const tic::Activation& act : ds.log.ItemActivations(i)) {
+  fold(log.size());
+  for (tic::ItemId i = 0; i < log.num_items(); ++i) {
+    for (const tic::Activation& act : log.ItemActivations(i)) {
       fold(act.user);
       fold(act.item);
       fold(std::bit_cast<uint64_t>(act.timestamp));
     }
   }
   EXPECT_EQ(digest, 0x3ec407a0023e049dULL) << std::hex << "digest 0x" << digest;
+}
+
+// The log is drawn after the catalog, so skipping it changes nothing the
+// one-argument call returns: graph, catalog and communities are the log
+// call's, bit for bit.
+TEST(SyntheticDatasetTest, OneArgumentCallDrawsTheLogCallsDataset) {
+  const SyntheticDatasetOptions o = SmallOptions(41);
+  tic::PropagationLog log(1, 1);
+  auto with_log = GenerateSyntheticDataset(o, &log);
+  auto without = GenerateSyntheticDataset(o);
+  ASSERT_TRUE(with_log.ok());
+  ASSERT_TRUE(without.ok());
+  ASSERT_GT(log.size(), 0u);
+  const SyntheticDataset& a = with_log.ValueOrDie();
+  const SyntheticDataset& b = without.ValueOrDie();
+  EXPECT_EQ(a.user_community, b.user_community);
+  ASSERT_EQ(a.graph.num_nodes(), b.graph.num_nodes());
+  ASSERT_EQ(a.graph.num_topics(), b.graph.num_topics());
+  ASSERT_EQ(a.graph.num_arcs(), b.graph.num_arcs());
+  for (graph::NodeId u = 0; u < a.graph.num_nodes(); ++u) {
+    EXPECT_EQ(a.graph.OutArcBegin(u), b.graph.OutArcBegin(u));
+    const auto ta = a.graph.OutNeighbors(u);
+    const auto tb = b.graph.OutNeighbors(u);
+    EXPECT_TRUE(std::equal(ta.begin(), ta.end(), tb.begin(), tb.end()));
+  }
+  for (graph::ArcId e = 0; e < a.graph.num_arcs(); ++e) {
+    for (size_t z = 0; z < a.graph.num_topics(); ++z) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(a.graph.ArcTopicProb(e, z)),
+                std::bit_cast<uint64_t>(b.graph.ArcTopicProb(e, z)));
+    }
+  }
+  ASSERT_EQ(a.catalog.size(), b.catalog.size());
+  for (size_t i = 0; i < a.catalog.size(); ++i) {
+    for (size_t z = 0; z < a.catalog[i].num_topics(); ++z) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(a.catalog[i][z]),
+                std::bit_cast<uint64_t>(b.catalog[i][z]));
+    }
+  }
 }
 
 TEST(SyntheticDatasetTest, DifferentSeedsDiffer) {
@@ -277,14 +320,16 @@ TEST(DatasetIoTest, FullRoundTrip) {
   auto ds_r = GenerateSyntheticDataset(SmallOptions(19));
   ASSERT_TRUE(ds_r.ok());
   const std::string dir = testing::TempDir() + "/dataset_roundtrip";
+  std::filesystem::remove_all(dir);
   ASSERT_TRUE(SaveDataset(ds_r.ValueOrDie(), dir).ok());
+  // The log is not part of the dataset: the log call's caller writes it.
+  EXPECT_FALSE(std::filesystem::exists(DatasetLogPath(dir)));
   auto loaded = LoadDataset(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const SyntheticDataset& a = ds_r.ValueOrDie();
   const SyntheticDataset& b = loaded.ValueOrDie();
   EXPECT_EQ(a.graph.num_arcs(), b.graph.num_arcs());
   EXPECT_EQ(a.catalog.size(), b.catalog.size());
-  EXPECT_EQ(a.log.size(), b.log.size());
   EXPECT_EQ(a.user_community, b.user_community);
   for (size_t i = 0; i < a.catalog.size(); ++i) {
     EXPECT_EQ(a.catalog[i].probs(), b.catalog[i].probs());

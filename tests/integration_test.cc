@@ -34,7 +34,8 @@ class EndToEndTest : public ::testing::Test {
     dopts.num_topics = kTopics;
     dopts.num_items = kItems;
     dopts.seed = 71;
-    auto ds = data::GenerateSyntheticDataset(dopts);
+    log_ = new tic::PropagationLog(1, 1);
+    auto ds = data::GenerateSyntheticDataset(dopts, log_);
     ASSERT_TRUE(ds.ok());
     dataset_ = new data::SyntheticDataset(std::move(ds).ValueOrDie());
 
@@ -53,15 +54,19 @@ class EndToEndTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete index_;
     delete dataset_;
+    delete log_;
     index_ = nullptr;
     dataset_ = nullptr;
+    log_ = nullptr;
   }
 
   static data::SyntheticDataset* dataset_;
+  static tic::PropagationLog* log_;
   static core::InflexIndex* index_;
 };
 
 data::SyntheticDataset* EndToEndTest::dataset_ = nullptr;
+tic::PropagationLog* EndToEndTest::log_ = nullptr;
 core::InflexIndex* EndToEndTest::index_ = nullptr;
 
 TEST_F(EndToEndTest, InflexApproximatesOfflineTicSeeds) {
@@ -181,7 +186,7 @@ TEST_F(EndToEndTest, LearnedParametersSupportTheFullPipeline) {
   tic::TicLearnerOptions lopts;
   lopts.num_topics = kTopics;
   lopts.max_iterations = 10;
-  auto learned = tic::LearnTicParameters(dataset_->graph, dataset_->log, lopts);
+  auto learned = tic::LearnTicParameters(dataset_->graph, *log_, lopts);
   ASSERT_TRUE(learned.ok());
 
   graph::TopicGraph learned_graph = dataset_->graph;

@@ -1,12 +1,13 @@
 #!/bin/sh
 # Loopback smoke test of the network serving front end: builds a small
 # dataset + index with inflex_cli, boots the inflex_serve daemon on an
-# ephemeral port, and drives it with the inflex_serve client mode — ping,
-# single query, a pipelined query run, and a catalog delta — then sends
-# SIGTERM and asserts the graceful-shutdown markers. Before that it checks
-# that bad daemon options fail fast: non-zero exit, an `error:` line, and
-# no bound port. Registered as a CTest test; $1 is the path to inflex_cli
-# and $2 the path to inflex_serve.
+# ephemeral port with no propagation log in its dataset directory, and
+# drives it with the inflex_serve client mode — ping, single query, a
+# pipelined query run, and a catalog delta — then sends SIGTERM and asserts
+# the graceful-shutdown markers. Before that it checks that bad daemon
+# options fail fast: non-zero exit, an `error:` line, and no bound port.
+# Registered as a CTest test; $1 is the path to inflex_cli and $2 the path
+# to inflex_serve.
 set -eu
 
 CLI="$1"
@@ -25,6 +26,8 @@ echo "== generate + build-index"
   > /dev/null
 "$CLI" build-index --data data --out index.bin --h 16 --ell 10 \
   --snapshots 30 > /dev/null
+# Only TIC learning reads the propagation log: the daemon serves without it.
+rm data/log.bin
 
 echo "== bad daemon options fail fast"
 # `timeout` bounds a regression that would start serving instead of failing.

@@ -244,7 +244,8 @@ TEST_P(DatasetSweepTest, GeneratorInvariantsAcrossShapes) {
   opts.num_topics = topics;
   opts.num_items = 60;
   opts.seed = users + topics;
-  auto ds = data::GenerateSyntheticDataset(opts);
+  tic::PropagationLog log(1, 1);
+  auto ds = data::GenerateSyntheticDataset(opts, &log);
   ASSERT_TRUE(ds.ok());
   const auto& d = ds.ValueOrDie();
   EXPECT_EQ(d.graph.num_nodes(), users);
@@ -253,7 +254,7 @@ TEST_P(DatasetSweepTest, GeneratorInvariantsAcrossShapes) {
   // item.
   for (tic::ItemId i = 0; i < 60; ++i) {
     double prev = -1.0;
-    for (const auto& a : d.log.ItemActivations(i)) {
+    for (const auto& a : log.ItemActivations(i)) {
       EXPECT_LT(a.user, users);
       EXPECT_GE(a.timestamp, prev);
       prev = a.timestamp;

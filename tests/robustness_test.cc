@@ -56,7 +56,8 @@ class ArtifactFuzzTest : public ::testing::Test {
     dopts.num_topics = 3;
     dopts.num_items = 40;
     dopts.seed = 777;
-    auto ds = data::GenerateSyntheticDataset(dopts);
+    tic::PropagationLog log(1, 1);
+    auto ds = data::GenerateSyntheticDataset(dopts, &log);
     ASSERT_TRUE(ds.ok());
     dataset_ = new data::SyntheticDataset(std::move(ds).ValueOrDie());
 
@@ -71,11 +72,20 @@ class ArtifactFuzzTest : public ::testing::Test {
     ASSERT_TRUE(graph::SaveTopicGraph(dataset_->graph,
                                       TempPath("fuzz_graph.bin"))
                     .ok());
-    ASSERT_TRUE(dataset_->log.Save(TempPath("fuzz_log.bin")).ok());
+    ASSERT_TRUE(log.Save(TempPath("fuzz_log.bin")).ok());
     ASSERT_TRUE(
         data::SaveCatalog(dataset_->catalog, TempPath("fuzz_catalog.bin"))
             .ok());
     ASSERT_TRUE(index.ValueOrDie().Save(TempPath("fuzz_index.bin")).ok());
+    // communities.bin is read only by LoadDataset: damaged copies are loaded
+    // from a dataset directory whose graph and catalog are sound.
+    ASSERT_TRUE(data::SaveDataset(*dataset_, CommunitiesProbeDir()).ok());
+    std::filesystem::copy_file(CommunitiesProbeDir() + "/communities.bin",
+                               TempPath("fuzz_communities.bin"));
+  }
+
+  static std::string CommunitiesProbeDir() {
+    return TempPath("communities_probe");
   }
 
   static void TearDownTestSuite() {
@@ -88,6 +98,12 @@ class ArtifactFuzzTest : public ::testing::Test {
   // (any Status) without crashing, and must NOT return OK for files that
   // were damaged in the header or truncated mid-payload.
   static bool TryLoad(const std::string& path) {
+    if (path.find("communities") != std::string::npos) {
+      std::filesystem::copy_file(
+          path, CommunitiesProbeDir() + "/communities.bin",
+          std::filesystem::copy_options::overwrite_existing);
+      return data::LoadDataset(CommunitiesProbeDir()).ok();
+    }
     if (path.find("graph") != std::string::npos) {
       return graph::LoadTopicGraph(path).ok();
     }
@@ -108,7 +124,7 @@ data::SyntheticDataset* ArtifactFuzzTest::dataset_ = nullptr;
 TEST_F(ArtifactFuzzTest, TruncationAlwaysFailsCleanly) {
   for (const char* name :
        {"fuzz_graph.bin", "fuzz_log.bin", "fuzz_catalog.bin",
-        "fuzz_index.bin"}) {
+        "fuzz_communities.bin", "fuzz_index.bin"}) {
     const std::string orig = TempPath(name);
     const std::vector<char> bytes = ReadAll(orig);
     ASSERT_GT(bytes.size(), 16u);
@@ -125,7 +141,7 @@ TEST_F(ArtifactFuzzTest, TruncationAlwaysFailsCleanly) {
 TEST_F(ArtifactFuzzTest, HeaderCorruptionDetected) {
   for (const char* name :
        {"fuzz_graph.bin", "fuzz_log.bin", "fuzz_catalog.bin",
-        "fuzz_index.bin"}) {
+        "fuzz_communities.bin", "fuzz_index.bin"}) {
     const std::string orig = TempPath(name);
     std::vector<char> bytes = ReadAll(orig);
     bytes[0] ^= 0x5a;  // break the magic
@@ -142,7 +158,7 @@ TEST_F(ArtifactFuzzTest, RandomByteFlipsNeverCrash) {
   Rng rng(4242);
   for (const char* name :
        {"fuzz_graph.bin", "fuzz_log.bin", "fuzz_catalog.bin",
-        "fuzz_index.bin"}) {
+        "fuzz_communities.bin", "fuzz_index.bin"}) {
     const std::string orig = TempPath(name);
     const std::vector<char> bytes = ReadAll(orig);
     for (int trial = 0; trial < 40; ++trial) {
@@ -184,8 +200,10 @@ TEST_F(ArtifactFuzzTest, CrossArtifactConfusionRejected) {
 TEST_F(ArtifactFuzzTest, DatasetDirectoryWithMissingPiecesFails) {
   const std::string dir = TempPath("partial_dataset");
   ASSERT_TRUE(data::SaveDataset(*dataset_, dir).ok());
+  // A dataset directory needs no log: only TIC learning reads one.
+  ASSERT_FALSE(std::filesystem::exists(data::DatasetLogPath(dir)));
   ASSERT_TRUE(data::LoadDataset(dir).ok());
-  std::filesystem::remove(dir + "/log.bin");
+  std::filesystem::remove(dir + "/communities.bin");
   EXPECT_FALSE(data::LoadDataset(dir).ok());
 }
 

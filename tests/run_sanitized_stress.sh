@@ -8,7 +8,7 @@
 # dataset arc probabilities and CELF++ first round fan out over the pool.
 # A second phase builds kernel_test, im_test, rank_test, extensions_test,
 # cluster_test, data_test, tic_test, stats_test, graph_test, bbtree_test,
-# inflex_core_test and maintenance_test under ASan+UBSan
+# inflex_core_test, maintenance_test and robustness_test under ASan+UBSan
 # (-DINFLEX_SANITIZE=address):
 # the KL kernel layer works on raw pointers into flat SoA buffers that
 # Insert() reallocates, the seed selectors reuse per-thread oracle workspaces
@@ -22,8 +22,9 @@
 # Dirichlet sampler writes rows into one flat matrix, the graph builder
 # permutes its staged arcs in place, and
 # index generations share seed lists, bb-tree rows and bb-tree nodes that
-# must outlive every generation still holding them — exactly the kind of
-# code ASan exists for.
+# must outlive every generation still holding them, and the artifact
+# loaders (dataset, log, index) read truncated and corrupted files —
+# exactly the kind of code ASan exists for.
 #
 # Usage: tests/run_sanitized_stress.sh [source-dir] [build-dir] [asan-dir]
 # (defaults: the repo root containing this script, <source>/build-tsan,
@@ -113,10 +114,11 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test tic_test stats_test graph_test bbtree_test inflex_core_test maintenance_test)"
+echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test tic_test stats_test graph_test bbtree_test inflex_core_test maintenance_test robustness_test)"
 cmake --build "$BUILD_ASAN" --target kernel_test im_test rank_test \
   extensions_test cluster_test data_test tic_test stats_test graph_test \
-  bbtree_test inflex_core_test maintenance_test -j "$(nproc)" > /dev/null
+  bbtree_test inflex_core_test maintenance_test robustness_test \
+  -j "$(nproc)" > /dev/null
 
 echo "== run KL kernel + SoA search tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
@@ -181,4 +183,11 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/maintenance_test"
 
-echo "ASan tests: OK (kernel, im and rank dispatched + forced-scalar, extensions, cluster, data, tic, stats, graph, bbtree, inflex_core, maintenance)"
+echo "== run artifact-loader tests under ASan+UBSan"
+# The graph, catalog, communities, log and index loaders on truncated,
+# corrupted and oversized files: a Status every time, never a read past a
+# buffer or an allocation sized by a damaged length field.
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/robustness_test"
+
+echo "ASan tests: OK (kernel, im and rank dispatched + forced-scalar, extensions, cluster, data, tic, stats, graph, bbtree, inflex_core, maintenance, robustness)"

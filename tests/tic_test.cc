@@ -243,14 +243,14 @@ TEST(TicLearnerTest, OutputShapesAndRanges) {
   dopts.num_topics = 3;
   dopts.num_items = 60;
   dopts.seed = 5;
-  auto ds = data::GenerateSyntheticDataset(dopts);
+  PropagationLog log(1, 1);
+  auto ds = data::GenerateSyntheticDataset(dopts, &log);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
 
   TicLearnerOptions opts;
   opts.num_topics = 3;
   opts.max_iterations = 8;
-  auto learned = LearnTicParameters(ds.ValueOrDie().graph,
-                                    ds.ValueOrDie().log, opts);
+  auto learned = LearnTicParameters(ds.ValueOrDie().graph, log, opts);
   ASSERT_TRUE(learned.ok()) << learned.status().ToString();
   const auto& r = learned.ValueOrDie();
   EXPECT_EQ(r.item_topics.size(), 60u);
@@ -276,15 +276,15 @@ TEST(TicLearnerTest, LikelihoodImprovesOverIterations) {
   dopts.num_topics = 4;
   dopts.num_items = 80;
   dopts.seed = 9;
-  auto ds = data::GenerateSyntheticDataset(dopts);
+  PropagationLog log(1, 1);
+  auto ds = data::GenerateSyntheticDataset(dopts, &log);
   ASSERT_TRUE(ds.ok());
 
   TicLearnerOptions opts;
   opts.num_topics = 4;
   opts.max_iterations = 12;
   opts.tolerance = 0.0;  // run all sweeps
-  auto learned = LearnTicParameters(ds.ValueOrDie().graph,
-                                    ds.ValueOrDie().log, opts);
+  auto learned = LearnTicParameters(ds.ValueOrDie().graph, log, opts);
   ASSERT_TRUE(learned.ok());
   const auto& ll = learned.ValueOrDie().log_likelihood;
   ASSERT_GE(ll.size(), 3u);
@@ -301,15 +301,15 @@ TEST(TicLearnerTest, RandomInitializationPathWorks) {
   dopts.num_topics = 3;
   dopts.num_items = 50;
   dopts.seed = 21;
-  auto ds = data::GenerateSyntheticDataset(dopts);
+  PropagationLog log(1, 1);
+  auto ds = data::GenerateSyntheticDataset(dopts, &log);
   ASSERT_TRUE(ds.ok());
   TicLearnerOptions opts;
   opts.num_topics = 3;
   opts.max_iterations = 5;
   opts.cluster_initialization = false;  // the pure random-restart variant
   opts.gamma_freeze_iterations = 0;
-  auto learned = LearnTicParameters(ds.ValueOrDie().graph,
-                                    ds.ValueOrDie().log, opts);
+  auto learned = LearnTicParameters(ds.ValueOrDie().graph, log, opts);
   ASSERT_TRUE(learned.ok()) << learned.status().ToString();
   EXPECT_EQ(learned.ValueOrDie().item_topics.size(), 50u);
 }
@@ -325,7 +325,8 @@ TEST(TicLearnerTest, ClusterInitImprovesTopicRecovery) {
   dopts.strong_prob_hi = 0.4;
   dopts.generalist_fraction = 0.0;
   dopts.seed = 23;
-  auto ds_r = data::GenerateSyntheticDataset(dopts);
+  PropagationLog log(1, 1);
+  auto ds_r = data::GenerateSyntheticDataset(dopts, &log);
   ASSERT_TRUE(ds_r.ok());
   const auto& ds = ds_r.ValueOrDie();
 
@@ -357,8 +358,8 @@ TEST(TicLearnerTest, ClusterInitImprovesTopicRecovery) {
   TicLearnerOptions without_init = with_init;
   without_init.cluster_initialization = false;
   without_init.gamma_freeze_iterations = 0;
-  auto a = LearnTicParameters(ds.graph, ds.log, with_init);
-  auto b = LearnTicParameters(ds.graph, ds.log, without_init);
+  auto a = LearnTicParameters(ds.graph, log, with_init);
+  auto b = LearnTicParameters(ds.graph, log, without_init);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   const double acc_with = accuracy(a.ValueOrDie().item_topics);
@@ -384,7 +385,8 @@ TEST(TicLearnerTest, RecoversTopicStructure) {
   dopts.strong_prob_hi = 0.4;
   dopts.generalist_fraction = 0.0;
   dopts.seed = 17;
-  auto ds_r = data::GenerateSyntheticDataset(dopts);
+  PropagationLog log(1, 1);
+  auto ds_r = data::GenerateSyntheticDataset(dopts, &log);
   ASSERT_TRUE(ds_r.ok());
   const auto& ds = ds_r.ValueOrDie();
 
@@ -392,7 +394,7 @@ TEST(TicLearnerTest, RecoversTopicStructure) {
   opts.num_topics = 3;
   opts.max_iterations = 20;
   opts.seed = 3;
-  auto learned = LearnTicParameters(ds.graph, ds.log, opts);
+  auto learned = LearnTicParameters(ds.graph, log, opts);
   ASSERT_TRUE(learned.ok());
   const auto& gammas = learned.ValueOrDie().item_topics;
 

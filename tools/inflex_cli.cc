@@ -10,6 +10,7 @@
 //   inflex_cli evaluate    --data data/ --index index.bin --queries 20
 //   inflex_cli info        --data data/ [--index index.bin]
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <string>
 
@@ -21,6 +22,7 @@
 #include "oracle/celfpp_oracle.h"
 #include "rank/kendall_tau.h"
 #include "stats/descriptive.h"
+#include "tic/propagation_log.h"
 #include "tic/tic_learner.h"
 #include "tic/tic_model.h"
 #include "util/args.h"
@@ -80,9 +82,13 @@ int CmdGenerate(ArgParser& args) {
   opts.seed = static_cast<uint64_t>(seed);
 
   Timer t;
-  auto ds = data::GenerateSyntheticDataset(opts);
+  tic::PropagationLog log(1, 1);
+  auto ds = data::GenerateSyntheticDataset(opts, &log);
   if (!ds.ok()) return Fail(ds.status());
   if (auto st = data::SaveDataset(ds.ValueOrDie(), out); !st.ok()) {
+    return Fail(st);
+  }
+  if (auto st = log.Save(data::DatasetLogPath(out)); !st.ok()) {
     return Fail(st);
   }
   std::printf("generated %zu users / %zu arcs / Z=%zu / %zu items with a "
@@ -90,8 +96,8 @@ int CmdGenerate(ArgParser& args) {
               ds.ValueOrDie().graph.num_nodes(),
               ds.ValueOrDie().graph.num_arcs(),
               ds.ValueOrDie().graph.num_topics(),
-              ds.ValueOrDie().catalog.size(), ds.ValueOrDie().log.size(),
-              t.ElapsedSeconds(), out.c_str());
+              ds.ValueOrDie().catalog.size(), log.size(), t.ElapsedSeconds(),
+              out.c_str());
   return 0;
 }
 
@@ -108,6 +114,8 @@ int CmdLearn(ArgParser& args) {
   }
   auto ds = data::LoadDataset(data_dir);
   if (!ds.ok()) return Fail(ds.status());
+  auto log = tic::PropagationLog::Load(data::DatasetLogPath(data_dir));
+  if (!log.ok()) return Fail(log.status());
 
   tic::TicLearnerOptions lopts;
   lopts.num_topics = topics > 0 ? static_cast<size_t>(topics)
@@ -115,7 +123,7 @@ int CmdLearn(ArgParser& args) {
   lopts.max_iterations = static_cast<int>(iters);
   Timer t;
   auto learned = tic::LearnTicParameters(ds.ValueOrDie().graph,
-                                         ds.ValueOrDie().log, lopts);
+                                         log.ValueOrDie(), lopts);
   if (!learned.ok()) return Fail(learned.status());
   std::printf("EM converged after %d sweeps in %.1f s (final expected "
               "log-likelihood %.1f)\n",
@@ -132,9 +140,11 @@ int CmdLearn(ArgParser& args) {
     return Fail(st);
   }
   out_ds.catalog = learned.ValueOrDie().item_topics;
-  out_ds.log = std::move(ds.ValueOrDie().log);
   out_ds.user_community = ds.ValueOrDie().user_community;
   if (auto st = data::SaveDataset(out_ds, out); !st.ok()) return Fail(st);
+  if (auto st = log.ValueOrDie().Save(data::DatasetLogPath(out)); !st.ok()) {
+    return Fail(st);
+  }
   std::printf("learned model written to %s\n", out.c_str());
   return 0;
 }
@@ -363,10 +373,17 @@ int CmdInfo(ArgParser& args) {
   if (!ds.ok()) return Fail(ds.status());
   const auto& d = ds.ValueOrDie();
   std::printf("dataset %s:\n  users: %zu\n  arcs: %zu\n  topics: %zu\n"
-              "  items: %zu\n  log records: %zu (%zu active items)\n",
+              "  items: %zu\n",
               data_dir.c_str(), d.graph.num_nodes(), d.graph.num_arcs(),
-              d.graph.num_topics(), d.catalog.size(), d.log.size(),
-              d.log.num_active_items());
+              d.graph.num_topics(), d.catalog.size());
+  // Serving needs no log, so a dataset directory may come without one.
+  const std::string log_path = data::DatasetLogPath(data_dir);
+  if (std::filesystem::exists(log_path)) {
+    auto log = tic::PropagationLog::Load(log_path);
+    if (!log.ok()) return Fail(log.status());
+    std::printf("  log records: %zu (%zu active items)\n",
+                log.ValueOrDie().size(), log.ValueOrDie().num_active_items());
+  }
   if (!index_path.empty()) {
     auto index = core::InflexIndex::Load(index_path, &d.graph);
     if (!index.ok()) return Fail(index.status());
