@@ -245,55 +245,69 @@ BENCHMARK(BM_SyntheticLog)->Unit(benchmark::kMillisecond);
 
 // One index point's transients in bytes, from the capacities of the arrays
 // SnapshotSpreadOracle::Create holds for the test-bed's first item at W =
-// 100 and the given seed (exact, not an allocator's count): `transient_bytes` is Create's
-// high-water mark (probabilities with draws, or the sampler's peak),
-// `draws_bytes` the draws alone (12 per drawn arc, 4 per node) and
-// `arrays_bytes` the snapshot arrays the oracle keeps.
+// 100 and the given seed, sampled as the seed-list path does (from the
+// item's mixture, against a shared arc-source index; exact, not an
+// allocator's count): `transient_bytes` is Create's high-water mark (the
+// sampler's peak), `planes_bytes` the item's planes alone (96 per 64 arcs)
+// and `arrays_bytes` the snapshot arrays the oracle keeps. `draws` counts
+// the stream words one point's sampling takes and `fallback_blocks` the
+// (snapshot, block) pairs it settles past the stream's digits.
 void SetTransientCounters(benchmark::State& state, uint64_t seed) {
   const auto& ds = TestbedDataset();
-  const auto probs = ds.graph.ItemArcProbabilities(ds.catalog[0]);
-  const auto draws = im::internal::PrepareDraws(ds.graph, probs);
-  const size_t draws_bytes = draws.bytes();
-  const auto arrays = im::internal::ActiveSnapshotSampler()(draws, 100, seed);
+  const auto sources = im::internal::IndexArcSources(ds.graph);
+  auto planes = im::internal::PlanesFromMixture(ds.graph, ds.catalog[0]);
+  const size_t planes_bytes = planes.bytes();
+  const auto arrays = im::internal::ActiveSnapshotSampler()(
+      ds.graph, sources, std::move(planes), 100, seed);
   im::SnapshotSpreadOracle::Options oopts;
   oopts.num_snapshots = 100;
   oopts.seed = seed;
-  auto created = im::SnapshotSpreadOracle::Create(ds.graph, probs, oopts);
+  auto created = im::SnapshotSpreadOracle::Create(ds.graph, ds.catalog[0],
+                                                  oopts, &sources);
   INFLEX_CHECK(created.ok());
   state.counters["transient_bytes"] =
       static_cast<double>(created.ValueOrDie().create_peak_bytes());
-  state.counters["draws_bytes"] = static_cast<double>(draws_bytes);
+  state.counters["planes_bytes"] = static_cast<double>(planes_bytes);
   state.counters["arrays_bytes"] = static_cast<double>(arrays.bytes());
+  state.counters["draws"] = static_cast<double>(arrays.draws);
+  state.counters["fallback_blocks"] =
+      static_cast<double>(arrays.fallback_blocks);
 }
 
 // Sampling the W = 100 live-edge snapshots of one item's IC instance, as
-// SnapshotSpreadOracle::Create does: Arg(0) pins the scalar reference
-// sampler, Arg(1) runs the process's active variant (the four-lane AVX2
-// sampler on AVX2 CPUs unless INFLEX_FORCE_SCALAR is set).
+// SnapshotSpreadOracle::Create does on the seed-list path (the planes from
+// the item's mixture, the graph's arc sources built once outside the loop):
+// Arg(0) pins the scalar reference sampler, Arg(1) runs the process's
+// active variant (the four-lane AVX2 sampler on AVX2 CPUs unless
+// INFLEX_FORCE_SCALAR is set).
 void BM_SnapshotCreate(benchmark::State& state) {
   const auto& ds = TestbedDataset();
-  const auto probs = ds.graph.ItemArcProbabilities(ds.catalog[0]);
+  const auto sources = im::internal::IndexArcSources(ds.graph);
   const im::internal::SnapshotSampler sample =
       state.range(0) == 0 ? im::internal::ResolveSnapshotSampler(true)
                           : im::internal::ActiveSnapshotSampler();
   for (auto _ : state) {
-    const auto arrays =
-        sample(im::internal::PrepareDraws(ds.graph, probs), 100, 7);
+    const auto arrays = sample(
+        ds.graph, sources,
+        im::internal::PlanesFromMixture(ds.graph, ds.catalog[0]), 100, 7);
     benchmark::DoNotOptimize(arrays.targets.data());
   }
   SetTransientCounters(state, 7);
 }
 BENCHMARK(BM_SnapshotCreate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// One index point's precompute as InflexIndex::Build runs it: snapshots,
-// then a serial CELF run for an ℓ = 50 seed list.
+// One index point's precompute as InflexIndex::Build runs it: snapshots
+// (against the build's shared arc-source index), then a serial CELF run for
+// an ℓ = 50 seed list.
 void BM_OfflineTicSeeds(benchmark::State& state) {
   const auto& ds = TestbedDataset();
+  const auto sources = im::internal::IndexArcSources(ds.graph);
   oracle::OfflineImOptions opts;
   opts.num_snapshots = 100;
   opts.selection.parallel_first_iteration = false;
   for (auto _ : state) {
-    auto seeds = oracle::OfflineTicSeeds(ds.graph, ds.catalog[0], 50, opts);
+    auto seeds = oracle::OfflineTicSeeds(ds.graph, ds.catalog[0], 50, opts,
+                                         &sources);
     benchmark::DoNotOptimize(seeds.ok());
   }
   SetTransientCounters(state, opts.seed);
@@ -311,8 +325,8 @@ void BM_CelfSeeds(benchmark::State& state) {
   im::SnapshotSpreadOracle::Options oopts;
   oopts.num_snapshots = 100;
   oopts.seed = oracle::OfflineImOptions{}.seed;
-  auto created = im::SnapshotSpreadOracle::Create(
-      ds.graph, ds.graph.ItemArcProbabilities(ds.catalog[0]), oopts);
+  auto created =
+      im::SnapshotSpreadOracle::Create(ds.graph, ds.catalog[0], oopts);
   INFLEX_CHECK(created.ok());
   im::SnapshotSpreadOracle& snapshots = created.ValueOrDie();
   im::SnapshotSpreadOracle::Workspace* ws = snapshots.ThreadWorkspace();

@@ -16,13 +16,22 @@ ArcProbabilities TopicGraph::ItemArcProbabilities(
 
 void TopicGraph::ItemArcProbabilitiesInto(
     const simplex::TopicDistribution& item, ArcProbabilities* out) const {
+  out->resize(num_arcs());
+  ItemArcProbabilitiesRange(item, 0, static_cast<ArcId>(num_arcs()),
+                            out->data());
+}
+
+void TopicGraph::ItemArcProbabilitiesRange(
+    const simplex::TopicDistribution& item, ArcId begin, ArcId end,
+    double* out) const {
   INFLEX_CHECK_EQ(item.num_topics(), num_topics_);
-  const size_t m = num_arcs();
-  out->resize(m);
-  const double* probs = arc_topic_probs_.data();
+  INFLEX_CHECK_LE(begin, end);
+  INFLEX_CHECK_LE(end, num_arcs());
   const double* gamma = item.probs().data();
   const size_t z_count = num_topics_;
-  double* dst = out->data();
+  const size_t m = end - begin;
+  const double* probs = arc_topic_probs_.data() + begin * z_count;
+  double* dst = out;
   // Four arcs' sums in flight hide the add latency; each sum still runs in
   // topic order, so every arc gets ItemArcProbability's bits.
   size_t a = 0;
@@ -44,7 +53,9 @@ void TopicGraph::ItemArcProbabilitiesInto(
     dst[a + 2] = p2;
     dst[a + 3] = p3;
   }
-  for (; a < m; ++a) dst[a] = ItemArcProbability(static_cast<ArcId>(a), item);
+  for (; a < m; ++a) {
+    dst[a] = ItemArcProbability(static_cast<ArcId>(begin + a), item);
+  }
 }
 
 Status TopicGraph::SetArcTopicProbabilities(std::vector<double> probs) {

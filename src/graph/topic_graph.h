@@ -105,6 +105,12 @@ class TopicGraph {
   void ItemArcProbabilitiesInto(const simplex::TopicDistribution& item,
                                 ArcProbabilities* out) const;
 
+  /// Eq. 1 for arcs [begin, end) only, written to out[0 .. end − begin):
+  /// the bits ItemArcProbabilitiesInto writes for them, with no per-arc
+  /// vector. Requires begin <= end <= num_arcs().
+  void ItemArcProbabilitiesRange(const simplex::TopicDistribution& item,
+                                 ArcId begin, ArcId end, double* out) const;
+
   /// Replaces every arc's probability row. `probs` must be
   /// num_arcs() × num_topics(), arc-major. Used by the TIC learner to load
   /// learned parameters back into the graph.

@@ -11,21 +11,39 @@ namespace inflex {
 namespace im {
 
 Result<SnapshotSpreadOracle> SnapshotSpreadOracle::Create(
-    const graph::TopicGraph& g, graph::ArcProbabilities arc_probs,
+    const graph::TopicGraph& g, std::span<const double> arc_probs,
     const Options& options) {
   if (arc_probs.size() != g.num_arcs()) {
     return Status::InvalidArgument("arc probability vector size mismatch");
   }
+  INFLEX_RETURN_NOT_OK(internal::CheckSnapshotShape(
+      g.num_nodes(), g.num_arcs(), options.num_snapshots));
+  return Sample(g, internal::IndexArcSources(g),
+                internal::PlanesFromProbabilities(arc_probs), options);
+}
+
+Result<SnapshotSpreadOracle> SnapshotSpreadOracle::Create(
+    const graph::TopicGraph& g, const simplex::TopicDistribution& item,
+    const Options& options, const internal::ArcSources* sources) {
+  if (item.num_topics() != g.num_topics()) {
+    return Status::InvalidArgument("item dimension does not match the graph");
+  }
+  INFLEX_RETURN_NOT_OK(internal::CheckSnapshotShape(
+      g.num_nodes(), g.num_arcs(), options.num_snapshots));
+  if (sources != nullptr) {
+    return Sample(g, *sources, internal::PlanesFromMixture(g, item), options);
+  }
+  return Sample(g, internal::IndexArcSources(g),
+                internal::PlanesFromMixture(g, item), options);
+}
+
+SnapshotSpreadOracle SnapshotSpreadOracle::Sample(
+    const graph::TopicGraph& g, const internal::ArcSources& sources,
+    internal::SnapshotPlanes planes, const Options& options) {
   const size_t n = g.num_nodes();
   const size_t w = options.num_snapshots;
-  INFLEX_RETURN_NOT_OK(internal::CheckSnapshotShape(n, g.num_arcs(), w));
-
-  internal::SnapshotDraws draws = internal::PrepareDraws(g, arc_probs);
-  const size_t prepare_bytes =
-      internal::CapacityBytes(arc_probs) + draws.bytes();
-  graph::ArcProbabilities().swap(arc_probs);
-  internal::SnapshotArrays arrays =
-      internal::ActiveSnapshotSampler()(std::move(draws), w, options.seed);
+  internal::SnapshotArrays arrays = internal::ActiveSnapshotSampler()(
+      g, sources, std::move(planes), w, options.seed);
   SnapshotSpreadOracle oracle;
   oracle.num_nodes_ = n;
   oracle.num_snapshots_ = w;
@@ -33,7 +51,7 @@ Result<SnapshotSpreadOracle> SnapshotSpreadOracle::Create(
   oracle.word_ranks_ = std::move(arrays.word_ranks);
   oracle.pair_offsets_ = std::move(arrays.pair_offsets);
   oracle.targets_ = std::move(arrays.targets);
-  oracle.create_peak_bytes_ = std::max(prepare_bytes, arrays.peak_bytes);
+  oracle.create_peak_bytes_ = arrays.peak_bytes;
   oracle.covered_.assign((w * n + 63) / 64, 0);
   oracle.covered_count_.assign(n, 0);
   oracle.total_covered_ = 0;

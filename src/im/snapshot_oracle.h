@@ -8,10 +8,16 @@
 
 #include "graph/topic_graph.h"
 #include "im/spread_estimator.h"
+#include "simplex/topic_distribution.h"
 #include "util/status.h"
 
 namespace inflex {
 namespace im {
+
+namespace internal {
+struct ArcSources;
+struct SnapshotPlanes;
+}  // namespace internal
 
 /// \brief Live-edge snapshot spread oracle (Kempe et al.'s equivalence):
 /// pre-samples W deterministic subgraphs by keeping each arc with its
@@ -31,27 +37,35 @@ class SnapshotSpreadOracle {
     uint64_t seed = 7;
   };
 
-  /// Samples the W snapshots of the IC instance: in snapshot order, each arc
-  /// with p > 0 takes one draw and is kept when it lands below p; arcs with
-  /// p <= 0 or NaN take none. Every sampler variant (im/snapshot_sampler.h)
-  /// yields the same snapshots. Fails on a probability vector of the wrong
-  /// size, or on a shape internal::CheckSnapshotShape rejects (zero
-  /// snapshots, n > 2³¹ because a kept target's top bit is its sink flag,
-  /// or W · max(m, 1) > UINT32_MAX because targets and pair offsets are
-  /// 32-bit), before allocating. The probabilities are released once the
-  /// draws are laid out, so a caller that moves them in does not hold them
-  /// through sampling.
+  /// Samples the W snapshots of the IC instance `arc_probs` (one per arc of
+  /// g): in each snapshot, arc a is kept with probability
+  /// floor(p_a · 2⁶⁴) / 2⁶⁴, independently; p >= 1 always keeps, p <= 0 and
+  /// NaN never do (the digit rule, internal::SnapshotPlanes). Every sampler
+  /// variant (im/snapshot_sampler.h) yields the same snapshots. Fails on a
+  /// probability vector of the wrong size, or on a shape
+  /// internal::CheckSnapshotShape rejects (zero snapshots, n > 2³¹ because a
+  /// kept target's top bit is its sink flag, or W · max(m, 1) > UINT32_MAX
+  /// because targets and pair offsets are 32-bit), before allocating.
   static Result<SnapshotSpreadOracle> Create(const graph::TopicGraph& g,
-                                             graph::ArcProbabilities arc_probs,
+                                             std::span<const double> arc_probs,
                                              const Options& options);
+
+  /// The same snapshots for the IC instance of `item` (Eq. 1, the bits of
+  /// g.ItemArcProbabilities(item)), without materializing its probability
+  /// vector. `sources` is g's internal::IndexArcSources, built here when
+  /// null; one index serves any number of Creates on g. Also fails on an
+  /// item whose dimension is not g's.
+  static Result<SnapshotSpreadOracle> Create(
+      const graph::TopicGraph& g, const simplex::TopicDistribution& item,
+      const Options& options, const internal::ArcSources* sources = nullptr);
 
   size_t num_nodes() const { return num_nodes_; }
   size_t num_snapshots() const { return num_snapshots_; }
 
   /// Create's high-water mark in bytes, from the capacities of the arrays
   /// that coexist there (one index point's transients in the offline
-  /// phase): the larger of the arc probabilities with the draws, and the
-  /// sampler's peak (internal::SnapshotArrays::peak_bytes).
+  /// phase): the sampler's peak (internal::SnapshotArrays::peak_bytes). The
+  /// arc-source index, shared by a build's points, is not counted.
   size_t create_peak_bytes() const { return create_peak_bytes_; }
 
   /// \brief Per-caller scratch (BFS stamps + a frontier of active pairs);
@@ -111,6 +125,12 @@ class SnapshotSpreadOracle {
 
  private:
   SnapshotSpreadOracle() = default;
+
+  // Samples g's snapshots against `planes` and adopts the arrays.
+  static SnapshotSpreadOracle Sample(const graph::TopicGraph& g,
+                                     const internal::ArcSources& sources,
+                                     internal::SnapshotPlanes planes,
+                                     const Options& options);
 
   // How many nodes v newly reaches in snapshot s, v included, by BFS over
   // the uncovered nodes (v must be uncovered and active in s, with pair

@@ -6,9 +6,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/topic_graph.h"
+#include "simplex/topic_distribution.h"
 #include "util/status.h"
 
 namespace inflex {
@@ -21,39 +23,85 @@ size_t CapacityBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
-/// What a sampler draws against: the arcs that take a draw, compacted in arc
-/// order (so grouped by ascending source). Rng::Bernoulli(p) is Uniform() <
-/// p with Uniform() = (Next() >> 11) · 2⁻⁵³; scaling by 2⁵³ is exact, so for
-/// u = Next() >> 11 the test is u < ceil(p · 2⁵³). p >= 1 (+inf included)
-/// keeps at threshold 2⁵³; p <= 0 and NaN take no draw and are left out.
-/// Snapshot s starts at draw s · num_drawn() of the stream. No draw stores
-/// its source: bit j of last_bits is set iff draw j is its source's last,
-/// last_ranks[i] counts the set bits of the words before word i, and the
-/// nodes that have a draw are `sources`, ascending, so draw j's source is
-/// sources[PairIndex(last_bits, last_ranks, j)] (SourceOf).
-struct SnapshotDraws {
-  size_t num_nodes = 0;
-  std::vector<uint64_t> threshold;
-  std::vector<graph::NodeId> target;
+/// Binary digits of a trial that a sampler takes from the point's xoshiro
+/// stream, one 64-bit word per digit per block of 64 arcs. Fixed, so the
+/// stream position of every word depends only on the shape.
+inline constexpr size_t kStreamDigits = 12;
+
+/// The graph's arc → source lookup, the same for every item, so one serves
+/// all of a build's index points: bit a of last_bits is set iff arc a is its
+/// source's last out-arc, last_ranks[i] counts the set bits of the words
+/// before word i, and `sources` are the nodes with an out-arc, ascending, so
+/// arc a's source is sources[PairIndex(last_bits, last_ranks, a)]
+/// (SourceOf).
+struct ArcSources {
   std::vector<uint64_t> last_bits;
   std::vector<uint32_t> last_ranks;
   std::vector<graph::NodeId> sources;
-  /// Expected kept arcs in one snapshot.
-  double expected_kept = 0.0;
 
-  size_t num_drawn() const { return threshold.size(); }
-  /// 12 bytes per drawn arc, 12 per 64 of them (rounded up) and 4 per
-  /// source.
+  /// 12 bytes per 64 arcs (rounded up) and 4 per source.
   size_t bytes() const {
-    return CapacityBytes(threshold) + CapacityBytes(target) +
-           CapacityBytes(last_bits) + CapacityBytes(last_ranks) +
+    return CapacityBytes(last_bits) + CapacityBytes(last_ranks) +
            CapacityBytes(sources);
   }
 };
 
-/// Lays out the drawn arcs, each array sized to them exactly.
-SnapshotDraws PrepareDraws(const graph::TopicGraph& g,
-                           const graph::ArcProbabilities& arc_probs);
+/// Indexes the sources of g's arcs, each array sized exactly.
+ArcSources IndexArcSources(const graph::TopicGraph& g);
+
+/// What a sampler draws against: arc a of snapshot s is a trial u < T with
+/// T = floor(p · 2⁶⁴) and u a uniform 64-bit integer, settled one binary
+/// digit at a time from the top; p >= 1 (+inf included) always keeps, p <= 0
+/// and NaN never do. Arcs go in blocks of 64 (arc a is bit a % 64 of block
+/// a / 64); word b · kStreamDigits + d of `planes` holds digit d of T for
+/// block b's arcs (all ones for p >= 1, zero past the last arc). The first
+/// kStreamDigits digits of a block's 64 trials are one stream word each;
+/// the trials they leave undecided read their later digits from
+/// FallbackWord, and their T from the probability, recomputed
+/// (Probability).
+struct SnapshotPlanes {
+  size_t num_arcs = 0;
+  std::vector<uint64_t> planes;
+  /// Expected kept arcs in one snapshot.
+  double expected_kept = 0.0;
+  /// Where Probability reads: probs[a] when set, else Eq. 1 of arc a's row
+  /// of *graph and *item. Either must outlive the sampling.
+  const double* probs = nullptr;
+  const graph::TopicGraph* graph = nullptr;
+  const simplex::TopicDistribution* item = nullptr;
+
+  size_t num_blocks() const { return (num_arcs + 63) / 64; }
+  double Probability(size_t a) const {
+    return probs != nullptr
+               ? probs[a]
+               : graph->ItemArcProbability(static_cast<graph::ArcId>(a),
+                                           *item);
+  }
+  /// 8 bytes per plane word: kStreamDigits words per 64 arcs.
+  size_t bytes() const { return CapacityBytes(planes); }
+};
+
+/// The planes of an arc-probability vector; it must outlive the sampling.
+SnapshotPlanes PlanesFromProbabilities(std::span<const double> probs);
+
+/// The planes of g's IC instance for `item` (Eq. 1), computed block by block
+/// with ItemArcProbabilitiesRange's bits, so they equal those of
+/// g.ItemArcProbabilities(item) without holding that vector. g and item
+/// must outlive the sampling.
+SnapshotPlanes PlanesFromMixture(const graph::TopicGraph& g,
+                                 const simplex::TopicDistribution& item);
+
+/// The random word of digit `digit` (kStreamDigits .. 63) of block `block`
+/// in snapshot `snapshot`: a counter-based hash of the four, so a trial's
+/// later digits do not depend on which sampler or lane reaches them.
+uint64_t FallbackWord(uint64_t seed, uint64_t snapshot, uint64_t block,
+                      unsigned digit);
+
+/// The digit rule past the stream's digits: settles the `open` trials of
+/// block `block` in snapshot `snapshot` (those whose first kStreamDigits
+/// digits equal T's) from FallbackWord, and returns those it keeps.
+uint64_t SettleOpenTrials(const SnapshotPlanes& planes, uint64_t seed,
+                          size_t snapshot, size_t block, uint64_t open);
 
 /// A kept target with this bit set is a sink in its snapshot (it keeps no
 /// out-arc there), so a BFS counts it without expanding it. Node ids must
@@ -77,11 +125,15 @@ struct SnapshotArrays {
   std::vector<uint32_t> word_ranks;
   std::vector<uint32_t> pair_offsets;
   std::vector<graph::NodeId> targets;
-  /// The sampler's high-water mark in bytes: the larger of the draws, the
+  /// The sampler's high-water mark in bytes: the larger of the planes, the
   /// kept-index buffer and the snapshot bounds while drawing, and the same
-  /// without the thresholds plus the bitmap, word ranks and pair offsets
-  /// while building.
+  /// without the planes plus the bitmap, word ranks and pair offsets while
+  /// building. The shared ArcSources are not counted.
   size_t peak_bytes = 0;
+  /// Stream words taken (W · B · kStreamDigits) and (snapshot, block) pairs
+  /// that left a trial open for SettleOpenTrials.
+  uint64_t draws = 0;
+  uint64_t fallback_blocks = 0;
 
   /// 12 bytes per bitmap word, 4 per active pair (plus 4) and 4 per entry
   /// of the targets' capacity.
@@ -109,10 +161,9 @@ inline uint32_t PairIndex(const uint64_t* bits, const uint32_t* word_ranks,
   return word_ranks[bit >> 6] + PopCount64(bits[bit >> 6] & below);
 }
 
-/// The source of draw j (SnapshotDraws): the sources whose last draw lies
-/// below j come before it.
-inline graph::NodeId SourceOf(const SnapshotDraws& d, size_t j) {
-  return d.sources[PairIndex(d.last_bits.data(), d.last_ranks.data(), j)];
+/// The source of arc a.
+inline graph::NodeId SourceOf(const ArcSources& d, size_t a) {
+  return d.sources[PairIndex(d.last_bits.data(), d.last_ranks.data(), a)];
 }
 
 /// Checks the shape (n nodes, m arcs, W snapshots) against what the arrays
@@ -121,23 +172,31 @@ inline graph::NodeId SourceOf(const SnapshotDraws& d, size_t j) {
 Status CheckSnapshotShape(size_t num_nodes, size_t num_arcs,
                           size_t num_snapshots);
 
-/// Every sampler returns the same arrays: those of one Rng(seed) stream
-/// consumed in snapshot and draw order. A sampler consumes its draws: it
-/// releases the thresholds once every draw is taken, before it allocates
-/// the bitmap, the word ranks and the pair offsets.
-using SnapshotSampler = SnapshotArrays (*)(SnapshotDraws draws,
+/// Every sampler returns the same arrays: those of the digit rule
+/// (SnapshotPlanes) with one Rng(seed) stream, whose word (s · B + b) ·
+/// kStreamDigits + d is digit d of block b's trials in snapshot s (B blocks
+/// per snapshot). A sampler consumes its planes: it releases them once
+/// every trial is settled, before it allocates the bitmap, the word ranks
+/// and the pair offsets. Kept arcs' targets are read from g.
+using SnapshotSampler = SnapshotArrays (*)(const graph::TopicGraph& g,
+                                           const ArcSources& sources,
+                                           SnapshotPlanes planes,
                                            size_t num_snapshots,
                                            uint64_t seed);
 
-/// The reference loop: one stream, one draw at a time.
-SnapshotArrays SampleSnapshotsScalar(SnapshotDraws draws,
+/// The reference loop: one stream, one block of one snapshot at a time.
+SnapshotArrays SampleSnapshotsScalar(const graph::TopicGraph& g,
+                                     const ArcSources& sources,
+                                     SnapshotPlanes planes,
                                      size_t num_snapshots, uint64_t seed);
 
 /// The four-lane AVX2 sampler with each lane's target region holding
 /// `region` entries; a lane that would overrun it falls back to the scalar
 /// loop. Exposed so tests can force that fallback. Requires an AVX2 CPU on
 /// x86 builds; elsewhere it is the scalar loop.
-SnapshotArrays SampleSnapshotsLanes(SnapshotDraws draws,
+SnapshotArrays SampleSnapshotsLanes(const graph::TopicGraph& g,
+                                    const ArcSources& sources,
+                                    SnapshotPlanes planes,
                                     size_t num_snapshots, uint64_t seed,
                                     size_t region);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 
+#include "im/snapshot_sampler.h"
 #include "oracle/celfpp_oracle.h"
 #include "simplex/topic_distribution.h"
 #include "util/check.h"
@@ -59,7 +60,9 @@ Result<InflexIndex> BuildParts(
   util::ReleaseFreedHeap("INFLEX build, before the seed lists");
 
   // Phase 2: one CELF run per index point — the heavy offline stage, so
-  // it is parallelized across points (each task owns its oracle).
+  // it is parallelized across points (each task owns its oracle). The arc
+  // sources depend on the graph alone; every point reads the one index.
+  const im::internal::ArcSources sources = im::internal::IndexArcSources(graph);
   std::vector<rank::RankedList> seed_lists(h);
   std::vector<Status> statuses(h);
   ParallelFor(
@@ -76,8 +79,9 @@ Result<InflexIndex> BuildParts(
         // The outer loop already spreads the points across the pool, so
         // each selection stays serial.
         oopts.selection.parallel_first_iteration = false;
-        auto seeds = oracle::OfflineTicSeeds(
-            graph, item.ValueOrDie(), options.seed_list_length, oopts);
+        auto seeds =
+            oracle::OfflineTicSeeds(graph, item.ValueOrDie(),
+                                    options.seed_list_length, oopts, &sources);
         if (!seeds.ok()) {
           statuses[i] = seeds.status();
           return;

@@ -8,17 +8,15 @@ namespace oracle {
 
 Result<im::SeedSelectionResult> OfflineTicSeeds(
     const graph::TopicGraph& g, const simplex::TopicDistribution& item,
-    size_t k, const OfflineImOptions& options) {
-  if (item.num_topics() != g.num_topics()) {
-    return Status::InvalidArgument("item dimension does not match the graph");
-  }
+    size_t k, const OfflineImOptions& options,
+    const im::internal::ArcSources* sources) {
   im::SnapshotSpreadOracle::Options oopts;
   oopts.num_snapshots = options.num_snapshots;
   oopts.seed = options.seed;
-  // Moved in, the probabilities are freed before the snapshots are sampled.
+  // Sampled from the item's mixture: no per-arc probability vector.
   INFLEX_ASSIGN_OR_RETURN(
       im::SnapshotSpreadOracle snapshots,
-      im::SnapshotSpreadOracle::Create(g, g.ItemArcProbabilities(item), oopts));
+      im::SnapshotSpreadOracle::Create(g, item, oopts, sources));
   return im::SelectSeedsCelf(&snapshots, k, options.selection);
 }
 

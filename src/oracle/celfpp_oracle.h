@@ -5,6 +5,10 @@
 #include "oracle/spread_oracle.h"
 
 namespace inflex {
+namespace im::internal {
+struct ArcSources;
+}  // namespace im::internal
+
 namespace oracle {
 
 /// \brief Options of the offline seed computation.
@@ -17,8 +21,8 @@ struct OfflineImOptions {
   im::SeedSelectionOptions selection;
 };
 
-/// "offline TIC": the ground truth of every experiment — materialize Eq. 1
-/// arc probabilities, sample `num_snapshots` live-edge subgraphs, run lazy
+/// "offline TIC": the ground truth of every experiment — sample
+/// `num_snapshots` live-edge subgraphs of the Eq. 1 instance, run lazy
 /// greedy. This is what INFLEX approximates in milliseconds and what took the
 /// authors ~60 hours per item at full scale. It is the one exact precompute
 /// in the repo: InflexIndex::Build runs it per index point, CelfPpOracle per
@@ -29,9 +33,14 @@ struct OfflineImOptions {
 /// exact snapshot oracle both select, in every round, the largest gain with
 /// ties to the lowest node id, so they return the same seeds and gains, and
 /// CELF skips CELF++'s pair evaluations (DESIGN.md, "Offline phase").
+///
+/// `sources` is g's arc-source index (im::internal::IndexArcSources), built
+/// per call when null; InflexIndex::Build builds one and shares it across
+/// its index points.
 Result<im::SeedSelectionResult> OfflineTicSeeds(
     const graph::TopicGraph& g, const simplex::TopicDistribution& item,
-    size_t k, const OfflineImOptions& options = {});
+    size_t k, const OfflineImOptions& options = {},
+    const im::internal::ArcSources* sources = nullptr);
 
 /// "offline IC": the topic-blind baseline — OfflineTicSeeds with a uniform
 /// topic distribution (Table 2 shows it reaching less than half the TIC spread).

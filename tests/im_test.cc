@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 
 #include "graph/topic_graph.h"
@@ -15,6 +17,7 @@
 #include "im/snapshot_oracle.h"
 #include "im/snapshot_sampler.h"
 #include "im/spread_estimator.h"
+#include "simplex/topic_distribution.h"
 #include "util/cpu_features.h"
 #include "util/random.h"
 
@@ -189,11 +192,57 @@ TEST(SnapshotOracleTest, DeterministicGraphExactSpread) {
   EXPECT_DOUBLE_EQ(o.CurrentSpread(), 2.0);
 }
 
-// Snapshot sampling keeps arc a exactly when the Bernoulli draw the reference
-// loop below makes would: one draw per arc with p > 0 (none for p <= 0 or
-// NaN), kept when Uniform() < p. Each edge-case arc sits alone behind its own
-// source, followed by a p = 0.5 probe arc, so a draw taken or skipped wrongly
-// shifts every later probe; SpreadOf({source}) exposes each arc's keep count.
+// The digit rule one trial at a time, from its definition: trial (s, a) is
+// a uniform 64-bit u whose first 12 binary digits are bit a % 64 of stream
+// words (s · B + a / 64) · 12 + d, d < 12, of one Rng(seed) stream (B =
+// ⌈m / 64⌉ blocks per snapshot), and whose digits d >= 12 are bit a % 64 of
+// internal::FallbackWord(seed, s, a / 64, d). Arc a is kept iff p >= 1 or
+// u < floor(p · 2⁶⁴); p <= 0 and NaN never are.
+class ReferenceTrials {
+ public:
+  ReferenceTrials(size_t num_arcs, uint64_t seed)
+      : rng_(seed), seed_(seed), words_((num_arcs + 63) / 64 * kDigits) {}
+
+  // Takes snapshot s's stream words; call for s = 0, 1, ... in turn.
+  void Draw(size_t s) {
+    snapshot_ = s;
+    for (uint64_t& word : words_) word = rng_.Next();
+  }
+
+  bool Kept(size_t a, double p) const {
+    if (p >= 1.0) return true;
+    if (!(p > 0.0)) return false;
+    const uint64_t t = static_cast<uint64_t>(std::ldexp(p, 64));
+    const size_t block = a / 64;
+    const size_t bit = a % 64;
+    uint64_t u = 0;
+    for (size_t d = 0; d < kDigits; ++d) {
+      u |= ((words_[block * kDigits + d] >> bit) & 1) << (63 - d);
+    }
+    // The later digits decide only when the first 12 tie.
+    if ((u >> 52) == (t >> 52)) {
+      for (unsigned d = kDigits; d < 64; ++d) {
+        const uint64_t word =
+            internal::FallbackWord(seed_, snapshot_, block, d);
+        u |= ((word >> bit) & 1) << (63 - d);
+      }
+    }
+    return u < t;
+  }
+
+ private:
+  static constexpr size_t kDigits = 12;
+  Rng rng_;
+  uint64_t seed_;
+  std::vector<uint64_t> words_;
+  size_t snapshot_ = 0;
+};
+
+// Snapshot sampling keeps arc a exactly when the reference trial of the
+// digit rule does (ReferenceTrials). Each edge-case arc sits alone behind
+// its own source, followed by a p = 0.5 probe arc, so a digit read from the
+// wrong word or bit shows in the probes; SpreadOf({source}) exposes each
+// arc's keep count.
 TEST(SnapshotOracleTest, EdgeProbabilitiesMatchBernoulliReference) {
   const double edge[] = {0.0,
                          -0.25,
@@ -223,11 +272,12 @@ TEST(SnapshotOracleTest, EdgeProbabilitiesMatchBernoulliReference) {
     ASSERT_TRUE(oracle.ok());
     auto ws = oracle.ValueOrDie().MakeWorkspace();
 
-    Rng rng(seed);
+    ReferenceTrials trials(probs.size(), seed);
     std::vector<size_t> kept(probs.size(), 0);
     for (size_t s = 0; s < opts.num_snapshots; ++s) {
+      trials.Draw(s);
       for (size_t a = 0; a < probs.size(); ++a) {
-        if (probs[a] > 0.0 && rng.Bernoulli(probs[a])) ++kept[a];
+        kept[a] += trials.Kept(a, probs[a]);
       }
     }
     for (size_t a = 0; a < probs.size(); ++a) {
@@ -256,8 +306,8 @@ TEST(SnapshotOracleTest, RejectsSnapshotCountBeyondOffsetRange) {
   }
 }
 
-// Random probabilities mixing every sampler case: p <= 0 and NaN (no
-// draw, so m_d < m), p >= 1 (always kept) and ordinary p.
+// Random probabilities mixing every sampler case: p <= 0 and NaN (never
+// kept), p >= 1 (always kept) and ordinary p.
 ArcProbabilities MixedProbs(const TopicGraph& g, uint64_t seed) {
   Rng rng(seed);
   ArcProbabilities p(g.num_arcs());
@@ -397,23 +447,23 @@ void ExpectSameSnapshots(const internal::SnapshotArrays& got,
   EXPECT_EQ(d.targets, want.targets) << what;
 }
 
-// The snapshot arrays straight from their definition: one Rng(seed) stream
-// consumed in snapshot, node and arc order, one Bernoulli draw per arc with
-// p > 0 (none for p <= 0 or NaN).
+// The snapshot arrays straight from their definition: one reference trial
+// (ReferenceTrials) per arc and snapshot, in snapshot, node and arc order.
 DenseSnapshots ReferenceSnapshots(const TopicGraph& g,
                                   const ArcProbabilities& probs, size_t w,
                                   uint64_t seed) {
   const size_t n = g.num_nodes();
   DenseSnapshots ref;
   ref.num_nodes = n;
-  Rng rng(seed);
+  ReferenceTrials trials(g.num_arcs(), seed);
   for (size_t s = 0; s < w; ++s) {
+    trials.Draw(s);
     for (NodeId u = 0; u < n; ++u) {
       ref.offsets.push_back(static_cast<uint32_t>(ref.targets.size()));
       const auto out = g.OutNeighbors(u);
       for (size_t j = 0; j < out.size(); ++j) {
-        const double p = probs[g.OutArcBegin(u) + j];
-        if (p > 0.0 && rng.Bernoulli(p)) ref.targets.push_back(out[j]);
+        const size_t a = g.OutArcBegin(u) + j;
+        if (trials.Kept(a, probs[a])) ref.targets.push_back(out[j]);
       }
     }
     ref.offsets.push_back(static_cast<uint32_t>(ref.targets.size()));
@@ -421,9 +471,18 @@ DenseSnapshots ReferenceSnapshots(const TopicGraph& g,
   return ref;
 }
 
+// Runs `sample` on the planes of `probs`, against g's arc sources.
+internal::SnapshotArrays SampleProbs(internal::SnapshotSampler sample,
+                                     const TopicGraph& g,
+                                     const ArcProbabilities& probs, size_t w,
+                                     uint64_t seed) {
+  return sample(g, internal::IndexArcSources(g),
+                internal::PlanesFromProbabilities(probs), w, seed);
+}
+
 // The active sampler (four AVX2 lanes on AVX2 CPUs) and the scalar loop
-// both expand to the reference: no lanes (W < 4), whole blocks (W % 4 ==
-// 0) and leftover snapshots, and a graph whose arcs all skip the draw. At
+// both expand to the reference: no lanes (W < 4), whole lane runs (W % 4
+// == 0) and leftover snapshots, and a graph whose arcs are never kept. At
 // n = 150 most snapshot rows straddle a bitmap word.
 TEST(SnapshotSamplerTest, LanesMatchScalar) {
   const internal::SnapshotSampler scalar =
@@ -434,40 +493,44 @@ TEST(SnapshotSamplerTest, LanesMatchScalar) {
     const TopicGraph g = MakeRandomGraph(150, 900, 0.1, 0.5, 300 + seed);
     ArcProbabilities probs = MixedProbs(g, seed);
     if (seed == 4) std::fill(probs.begin(), probs.end(), 0.0);
-    const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);
     for (const size_t w : {1, 3, 4, 5, 7, 8, 100, 101, 150}) {
       const std::string what =
           "seed " + std::to_string(seed) + " W " + std::to_string(w);
       const DenseSnapshots want = ReferenceSnapshots(g, probs, w, seed);
-      ExpectSameSnapshots(active(draws, w, seed), want, w, what);
-      ExpectSameSnapshots(scalar(draws, w, seed), want, w, what);
+      ExpectSameSnapshots(SampleProbs(active, g, probs, w, seed), want, w,
+                          what);
+      ExpectSameSnapshots(SampleProbs(scalar, g, probs, w, seed), want, w,
+                          what);
     }
   }
 }
 
 // A lane that would overrun its region falls back to the scalar loop: at
-// once (region below the out-degree bound) and part way through.
+// once (region below one block's 64 arcs) and part way through.
 TEST(SnapshotSamplerTest, LaneRegionOverflowFallsBackToScalar) {
   if (!util::CpuHasAvx2()) GTEST_SKIP() << "no AVX2";
   const TopicGraph g = MakeRandomGraph(150, 900, 0.1, 0.5, 310);
   const ArcProbabilities probs = MixedProbs(g, 11);
-  const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);
+  const internal::ArcSources sources = internal::IndexArcSources(g);
   const DenseSnapshots want = ReferenceSnapshots(g, probs, 101, 5);
   for (const size_t region : {size_t{1}, size_t{64}, size_t{2000}}) {
     ExpectSameSnapshots(
-        internal::SampleSnapshotsLanes(draws, 101, 5, region), want, 101,
-        "region " + std::to_string(region));
+        internal::SampleSnapshotsLanes(
+            g, sources, internal::PlanesFromProbabilities(probs), 101, 5,
+            region),
+        want, 101, "region " + std::to_string(region));
   }
 }
 
-// The samplers draw over the drawn arcs compacted, in chunks, with no
-// per-node loop. Node 34's out-list has draw-free arcs (p <= 0 and NaN) at
-// its start, middle and end; nodes 0, 33 and 69 have no out-arcs and sit at
-// the first node, at the 256-draw mark (nodes 1..32 draw eight arcs each)
-// and at the last node, where each snapshot and so each lane block begins
-// or ends; they are active in no snapshot, and node 34 (a p = 1 arc) in
-// every one. n = 70 puts each snapshot row across a bitmap word boundary.
-// Every sampler must still match the scalar stream's definition.
+// The samplers settle arcs in blocks of 64, with no per-node loop; an arc
+// that is never kept (p <= 0, NaN) still has its bit in its block's words.
+// Node 34's out-list has such arcs at its start, middle and end; nodes 0,
+// 33 and 69 have no out-arcs and sit at the first node, at the 256-arc mark
+// (nodes 1..32 have eight arcs each, so a block boundary) and at the last
+// node, where each snapshot and so each lane run begins or ends; they are
+// active in no snapshot, and node 34 (a p = 1 arc) in every one. n = 70
+// puts each snapshot row across a bitmap word boundary. Every sampler must
+// still match the reference trials.
 TEST(SnapshotSamplerTest, DrawFreeArcsAndSinksKeepTheStreamOrder) {
   constexpr size_t kNodes = 70;
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -493,8 +556,6 @@ TEST(SnapshotSamplerTest, DrawFreeArcsAndSinksKeepTheStreamOrder) {
   }
   const TopicGraph g = b.Build().ValueOrDie();
   ASSERT_EQ(g.OutArcBegin(33), 256u);
-  const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);
-  ASSERT_EQ(draws.num_drawn(), probs.size() - 5);
   for (const size_t w : {1, 4, 5, 8, 9, 101}) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       const std::string what =
@@ -507,12 +568,232 @@ TEST(SnapshotSamplerTest, DrawFreeArcsAndSinksKeepTheStreamOrder) {
       };
       for (const NodeId sink : {0, 33, 69}) ASSERT_EQ(num_active(sink), 0u);
       ASSERT_EQ(num_active(34), w);
-      ExpectSameSnapshots(internal::SampleSnapshotsScalar(draws, w, seed),
-                          want, w, what);
-      ExpectSameSnapshots(internal::ActiveSnapshotSampler()(draws, w, seed),
-                          want, w, what);
+      ExpectSameSnapshots(
+          SampleProbs(internal::SampleSnapshotsScalar, g, probs, w, seed),
+          want, w, what);
+      ExpectSameSnapshots(
+          SampleProbs(internal::ActiveSnapshotSampler(), g, probs, w, seed),
+          want, w, what);
     }
   }
+}
+
+// The four lanes reproduce the scalar loop and the reference on every block
+// shape: m below one block, one short of it, exactly one and one over, a
+// multiple of 64 and not, at W = 1 and 3 (no lanes), 100 (whole lane runs)
+// and 130 (two leftover snapshots).
+TEST(SnapshotSamplerTest, LanesMatchScalarAcrossBlockShapes) {
+  const internal::SnapshotSampler scalar =
+      internal::ResolveSnapshotSampler(true);
+  const internal::SnapshotSampler active =
+      internal::ResolveSnapshotSampler(false);
+  for (const size_t m : {1, 63, 64, 65, 640, 1001}) {
+    const TopicGraph g = MakeRandomGraph(60, m, 0.1, 0.5, 900 + m);
+    ASSERT_EQ(g.num_arcs(), m);
+    const ArcProbabilities probs = MixedProbs(g, m);
+    for (const size_t w : {1, 3, 100, 130}) {
+      const uint64_t seed = m * 7 + w;
+      const std::string what = "m " + std::to_string(m) + " W " +
+                               std::to_string(w);
+      const DenseSnapshots want = ReferenceSnapshots(g, probs, w, seed);
+      ExpectSameSnapshots(SampleProbs(active, g, probs, w, seed), want, w,
+                          what);
+      ExpectSameSnapshots(SampleProbs(scalar, g, probs, w, seed), want, w,
+                          what);
+    }
+  }
+}
+
+// 64 arcs of each probability, each arc its own source and target, so a
+// kept target counts its arc.
+struct FrequencyGraph {
+  TopicGraph g;
+  ArcProbabilities probs;
+};
+
+FrequencyGraph MakeFrequencyGraph(std::span<const double> kinds) {
+  const size_t m = 64 * kinds.size();
+  TopicGraphBuilder b(2 * m, 1);
+  FrequencyGraph out;
+  for (size_t a = 0; a < m; ++a) {
+    EXPECT_TRUE(b.AddArc(static_cast<NodeId>(a), static_cast<NodeId>(m + a),
+                         {0.5})
+                    .ok());
+    out.probs.push_back(kinds[a / 64]);
+  }
+  out.g = b.Build().ValueOrDie();
+  return out;
+}
+
+// Whether `count` keeps in `trials` is within six binomial standard
+// deviations, plus one, of keep probability q.
+::testing::AssertionResult WithinBinomialBounds(size_t count, size_t trials,
+                                                double q) {
+  const double mean = static_cast<double>(trials) * q;
+  const double bound = 6.0 * std::sqrt(mean * (1.0 - q)) + 1.0;
+  if (std::abs(static_cast<double>(count) - mean) <= bound) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << count << " keeps in " << trials << " trials, expected " << mean
+         << " ± " << bound;
+}
+
+// Each arc is kept with probability floor(p · 2⁶⁴) / 2⁶⁴: per-probability
+// keep counts over many snapshots and seeds stay within binomial bounds,
+// for the scalar loop and the four lanes. p = 2⁻¹² sets only T's last
+// stream digit; 2⁻¹³ and 3 · 2⁻¹⁴ set none, so only the fallback keeps
+// them; 1 − 2⁻⁵³ sets all 12 and misses only past them; a denormal's T is
+// 0; 0.3 and 0.3 + 2⁻³⁰ share their first 30 digits.
+TEST(SnapshotSamplerTest, KeepFrequenciesMatchProbabilities) {
+  const double kinds[] = {0x1p-12, 0.5, 1.0 - 0x1p-53,
+                          std::numeric_limits<double>::denorm_min(),
+                          0x1p-13, 0x3p-14, 0.3, 0.3 + 0x1p-30};
+  constexpr size_t kKinds = sizeof(kinds) / sizeof(kinds[0]);
+  const FrequencyGraph fg = MakeFrequencyGraph(kinds);
+  const size_t m = fg.g.num_arcs();
+  constexpr size_t kW = 2000;
+  constexpr uint64_t kSeeds = 8;
+  const size_t trials = 64 * kW * kSeeds;
+  const internal::ArcSources sources = internal::IndexArcSources(fg.g);
+  // The lanes get a region no lane can overrun, so they never hand the
+  // sampling to the scalar loop.
+  const auto lanes = [&](uint64_t seed) {
+    return internal::SampleSnapshotsLanes(
+        fg.g, sources, internal::PlanesFromProbabilities(fg.probs), kW, seed,
+        kW * m);
+  };
+  const auto scalar = [&](uint64_t seed) {
+    return internal::SampleSnapshotsScalar(
+        fg.g, sources, internal::PlanesFromProbabilities(fg.probs), kW, seed);
+  };
+  std::vector<std::function<internal::SnapshotArrays(uint64_t)>> samplers = {
+      scalar};
+  if (util::CpuHasAvx2()) samplers.push_back(lanes);
+  for (const auto& sample : samplers) {
+    std::vector<size_t> kept(kKinds, 0);
+    uint64_t fallback_blocks = 0;
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      const internal::SnapshotArrays a = sample(seed);
+      fallback_blocks += a.fallback_blocks;
+      for (const NodeId entry : a.targets) {
+        ++kept[((entry & ~internal::kSinkFlag) - m) / 64];
+      }
+    }
+    EXPECT_GT(fallback_blocks, 0u);
+    for (size_t k = 0; k < kKinds; ++k) {
+      const double q = std::ldexp(std::floor(std::ldexp(kinds[k], 64)), -64);
+      EXPECT_TRUE(WithinBinomialBounds(kept[k], trials, q))
+          << "p " << kinds[k];
+    }
+  }
+}
+
+// SettleOpenTrials, handed trials whose first 12 digits tied with T's,
+// keeps each with probability (T mod 2⁵²) / 2⁵², the chance that u's 52
+// remaining digits fall below T's: forced here on every trial of one block
+// whose probabilities share their first 12 digits with k / 4096 and differ
+// after them. p >= 1 is always kept; p <= 0, NaN and T mod 2⁵² = 0 never.
+TEST(SnapshotSamplerTest, OpenTrialsSettleOnTheirLaterDigits) {
+  const double kinds[] = {0.0,
+                          -1.0,
+                          std::numeric_limits<double>::quiet_NaN(),
+                          1.0,
+                          std::numeric_limits<double>::infinity(),
+                          0x1p-12,
+                          0.5,
+                          0x1p-13,
+                          0x3p-14,
+                          0.3,
+                          0.3 + 0x1p-30,
+                          1.0 - 0x1p-53,
+                          1.0 / 3.0};
+  constexpr size_t kKinds = sizeof(kinds) / sizeof(kinds[0]);
+  ArcProbabilities probs(64);
+  for (size_t i = 0; i < 64; ++i) probs[i] = kinds[i % kKinds];
+  const internal::SnapshotPlanes planes =
+      internal::PlanesFromProbabilities(probs);
+  constexpr size_t kSnapshots = 20000;
+  std::vector<size_t> kept(kKinds, 0);
+  std::vector<size_t> trials(kKinds, 0);
+  for (size_t s = 0; s < kSnapshots; ++s) {
+    const uint64_t keep =
+        internal::SettleOpenTrials(planes, 3, s, 0, ~uint64_t{0});
+    for (size_t i = 0; i < 64; ++i) {
+      kept[i % kKinds] += (keep >> i) & 1;
+      ++trials[i % kKinds];
+    }
+  }
+  for (size_t k = 0; k < kKinds; ++k) {
+    const double p = kinds[k];
+    double q = 0.0;
+    if (p >= 1.0) {
+      q = 1.0;
+    } else if (p > 0.0) {
+      const uint64_t t = static_cast<uint64_t>(std::ldexp(p, 64));
+      q = std::ldexp(static_cast<double>(t & ((uint64_t{1} << 52) - 1)), -52);
+    }
+    EXPECT_TRUE(WithinBinomialBounds(kept[k], trials[k], q)) << "p " << p;
+  }
+}
+
+// The seed-list path samples from the item's mixture with no probability
+// vector: its planes, expectation and recomputed probabilities are those of
+// g.ItemArcProbabilities(item) bit for bit, and so are its snapshots,
+// fallback trials included, and its oracle's gains.
+TEST(SnapshotSamplerTest, MixturePlanesMatchTheProbabilityVector) {
+  Rng rng(17);
+  TopicGraphBuilder b(200, 3);
+  std::set<std::pair<NodeId, NodeId>> used;
+  while (used.size() < 1500) {
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(200));
+    const NodeId v = static_cast<NodeId>(rng.UniformInt(200));
+    if (u == v || !used.insert({u, v}).second) continue;
+    std::vector<double> topic(3);
+    for (double& x : topic) {
+      const uint64_t kind = rng.UniformInt(5);
+      x = kind == 0 ? 0.0 : kind == 1 ? 1.0 : rng.Uniform();
+    }
+    ASSERT_TRUE(b.AddArc(u, v, topic).ok());
+  }
+  const TopicGraph g = b.Build().ValueOrDie();
+  const simplex::TopicDistribution item =
+      simplex::TopicDistribution::Create({0.2, 0.5, 0.3}).ValueOrDie();
+  const ArcProbabilities probs = g.ItemArcProbabilities(item);
+  const internal::SnapshotPlanes mixture = internal::PlanesFromMixture(g, item);
+  const internal::SnapshotPlanes vector =
+      internal::PlanesFromProbabilities(probs);
+  EXPECT_EQ(mixture.planes, vector.planes);
+  EXPECT_EQ(mixture.expected_kept, vector.expected_kept);
+  for (size_t a = 0; a < g.num_arcs(); ++a) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(mixture.Probability(a)),
+              std::bit_cast<uint64_t>(probs[a]))
+        << "arc " << a;
+  }
+  const internal::ArcSources sources = internal::IndexArcSources(g);
+  const internal::SnapshotArrays from_mixture =
+      internal::ActiveSnapshotSampler()(g, sources, mixture, 301, 9);
+  EXPECT_GT(from_mixture.fallback_blocks, 0u);
+  ExpectSameSnapshots(from_mixture, ReferenceSnapshots(g, probs, 301, 9), 301,
+                      "mixture");
+  SnapshotSpreadOracle::Options opts;
+  opts.num_snapshots = 301;
+  opts.seed = 9;
+  auto by_item = SnapshotSpreadOracle::Create(g, item, opts, &sources);
+  auto by_vector = SnapshotSpreadOracle::Create(g, probs, opts);
+  ASSERT_TRUE(by_item.ok());
+  ASSERT_TRUE(by_vector.ok());
+  auto ws = by_item.ValueOrDie().MakeWorkspace();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(by_item.ValueOrDie().MarginalGain(v, &ws),
+              by_vector.ValueOrDie().MarginalGain(v, &ws))
+        << "v " << v;
+  }
+  EXPECT_EQ(SnapshotSpreadOracle::Create(
+                g, simplex::TopicDistribution::Uniform(2), opts)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotOracleTest, MarginalGainMatchesSpreadDifference) {
@@ -716,8 +997,8 @@ TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
     const auto scaled = [w](double x) { return std::llround(w * x); };
 
     const DenseSnapshots ref = ReferenceSnapshots(g, probs, k.w, opts.seed);
-    ExpectSameSnapshots(internal::ActiveSnapshotSampler()(
-                            internal::PrepareDraws(g, probs), k.w, opts.seed),
+    ExpectSameSnapshots(SampleProbs(internal::ActiveSnapshotSampler(), g,
+                                    probs, k.w, opts.seed),
                         ref, k.w, "case " + std::to_string(c));
     std::vector<NodeId> committed;
     const auto check_gains = [&](const std::string& what) {
@@ -764,23 +1045,25 @@ TEST(SnapshotOracleTest, GainsMatchAllSnapshotReference) {
 }
 
 // One index point's transients, pinned in bytes against the shape: n
-// nodes (n_s of them with a drawn arc), m arcs, m_d drawn arcs, W
+// nodes (n_s of them with an out-arc), m arcs in B = ⌈m / 64⌉ blocks, W
 // snapshots, P active pairs and a kept-index buffer of K entries (K >= the
-// kept targets; the targets keep its capacity). The draws hold 12 bytes per
-// drawn arc, 12 per 64 of them and 4 per node with one; the arrays 12 per
-// bitmap word of W · n bits, 4 per active pair plus 4 and 4 per buffer
-// entry. Create's high-water mark is the largest of three stages:
-// the probabilities (8 per arc) with the draws; the draws, the buffer and
-// the W + 1 snapshot bounds while drawing; and those without the thresholds
-// plus the bitmap, word ranks and pair offsets while building. Both structs
-// are pinned to their members, so a per-arc or per-pair array added back to
-// either fails here even if bytes() does not count it.
+// kept targets; the targets keep its capacity). The planes hold 96 bytes
+// per block (12 words), whatever the probabilities; the shared arc sources
+// 12 per block and 4 per node with an out-arc; the arrays 12 per bitmap
+// word of W · n bits, 4 per active pair plus 4 and 4 per buffer entry.
+// Create's high-water mark is the larger of two stages: the planes, the
+// buffer and the W + 1 snapshot bounds while sampling; and those without
+// the planes plus the bitmap, word ranks and pair offsets while building.
+// The structs are pinned to their members, so a per-arc or per-pair array
+// added back to one fails here even if bytes() does not count it.
 TEST(SnapshotOracleTest, TransientBytesPinnedToTheShape) {
-  EXPECT_EQ(sizeof(internal::SnapshotDraws),
-            5 * sizeof(std::vector<uint32_t>) + sizeof(size_t) +
-                sizeof(double));
+  EXPECT_EQ(sizeof(internal::SnapshotPlanes),
+            sizeof(std::vector<uint64_t>) + sizeof(size_t) + sizeof(double) +
+                3 * sizeof(void*));
+  EXPECT_EQ(sizeof(internal::ArcSources), 3 * sizeof(std::vector<uint32_t>));
   EXPECT_EQ(sizeof(internal::SnapshotArrays),
-            4 * sizeof(std::vector<uint32_t>) + sizeof(size_t));
+            4 * sizeof(std::vector<uint32_t>) + sizeof(size_t) +
+                2 * sizeof(uint64_t));
   struct Case {
     size_t n, degree;
     double p_lo, p_hi;
@@ -798,42 +1081,39 @@ TEST(SnapshotOracleTest, TransientBytesPinnedToTheShape) {
     ArcProbabilities probs;
     const TopicGraph g =
         MakeGraphWithSinks(k.n, k.degree, k.p_lo, k.p_hi, 80 + c, &probs);
-    // Every fifth arc takes no draw.
+    // Every fifth arc is never kept; it still has its planes' bits.
     for (size_t a = 0; a < probs.size(); a += 5) probs[a] = 0.0;
     const size_t m = probs.size();
-    const size_t m_d = m - (m + 4) / 5;
+    const size_t blocks = (m + 63) / 64;
     size_t n_s = 0;
-    for (NodeId u = 0; u < k.n; ++u) {
-      const size_t begin = g.OutArcBegin(u);
-      n_s += std::any_of(probs.begin() + begin,
-                         probs.begin() + begin + g.OutNeighbors(u).size(),
-                         [](double p) { return p > 0.0; });
-    }
+    for (NodeId u = 0; u < k.n; ++u) n_s += g.OutDegree(u) > 0;
     const size_t words = (k.w * k.n + 63) / 64;
-    const internal::SnapshotDraws draws = internal::PrepareDraws(g, probs);
-    ASSERT_EQ(draws.num_drawn(), m_d);
-    const size_t draws_bytes = 12 * m_d + 12 * ((m_d + 63) / 64) + 4 * n_s;
-    EXPECT_EQ(draws.bytes(), draws_bytes) << "case " << c;
+    const internal::ArcSources sources = internal::IndexArcSources(g);
+    EXPECT_EQ(sources.bytes(), 12 * blocks + 4 * n_s) << "case " << c;
+    const size_t planes_bytes = 96 * blocks;
+    EXPECT_EQ(internal::PlanesFromProbabilities(probs).bytes(), planes_bytes)
+        << "case " << c;
     for (const internal::SnapshotSampler sample : samplers) {
-      const internal::SnapshotArrays a = sample(draws, k.w, 5);
+      const internal::SnapshotArrays a =
+          sample(g, sources, internal::PlanesFromProbabilities(probs), k.w, 5);
+      EXPECT_EQ(a.draws, k.w * blocks * 12) << "case " << c;
       const size_t pairs = a.pair_offsets.size() - 1;
       const size_t buffer = a.targets.capacity();
       ASSERT_GE(buffer, a.targets.size());
       EXPECT_EQ(a.bytes(), 12 * words + 4 * (pairs + 1) + 4 * buffer)
           << "case " << c;
-      const size_t drawing = draws_bytes + 4 * (k.w + 1) + 4 * buffer;
+      const size_t drawing = planes_bytes + 4 * (k.w + 1) + 4 * buffer;
       const size_t building =
-          drawing - 8 * m_d + 12 * words + 4 * (pairs + 1);
+          drawing - planes_bytes + 12 * words + 4 * (pairs + 1);
       EXPECT_EQ(a.peak_bytes, std::max(drawing, building)) << "case " << c;
       if (sample != internal::ActiveSnapshotSampler()) continue;
       SnapshotSpreadOracle::Options opts;
       opts.num_snapshots = k.w;
       opts.seed = 5;
-      auto created =
-          SnapshotSpreadOracle::Create(g, ArcProbabilities(probs), opts);
+      auto created = SnapshotSpreadOracle::Create(g, probs, opts);
       ASSERT_TRUE(created.ok());
       EXPECT_EQ(created.ValueOrDie().create_peak_bytes(),
-                std::max({8 * m + draws_bytes, drawing, building}))
+                std::max(drawing, building))
           << "case " << c;
     }
   }
@@ -974,7 +1254,7 @@ TEST(SeedSelectorTest, ParallelSelectionAcrossGraphSizesInOneProcess) {
 // CELF's own and are pinned separately. Serial and parallel first rounds
 // must both match.
 TEST(SeedSelectorTest, CelfMatchesPinnedDigest) {
-  constexpr size_t kEvaluations[] = {1042, 1119, 826};
+  constexpr size_t kEvaluations[] = {1011, 1111, 852};
   for (const bool parallel : {false, true}) {
     uint64_t digest = 0xcbf29ce484222325ULL;
     const auto fold = [&digest](uint64_t v) {
@@ -1008,7 +1288,7 @@ TEST(SeedSelectorTest, CelfMatchesPinnedDigest) {
       EXPECT_EQ(result.num_evaluations, kEvaluations[seed - 1])
           << "parallel " << parallel << " seed " << seed;
     }
-    EXPECT_EQ(digest, 0xba5bc224ca748673ULL)
+    EXPECT_EQ(digest, 0x3907e4c9f93b512eULL)
         << "parallel " << parallel << std::hex << " digest 0x" << digest;
   }
 }

@@ -349,10 +349,8 @@ TEST_F(InflexIndexTest, BuildProducesExpectedShape) {
 
 // The offline phase pinned bit-for-bit: every index point and seed list of
 // the fixture's index (n = 300 users; 3000 samples × 30 clusters puts
-// k-means past its parallel threshold). The constant was recorded before
-// the reach-once CELF++ first round, the integer-threshold snapshot sampler
-// and the parallel k-means and arc-probability stages landed, in the
-// default (non-INFLEX_NATIVE) build.
+// k-means past its parallel threshold). The constant was recorded with the
+// bit-plane snapshot sampler, in the default (non-INFLEX_NATIVE) build.
 TEST_F(InflexIndexTest, BuildMatchesPinnedDigest) {
 #ifdef __FMA__
   GTEST_SKIP() << "digests are pinned for builds without FMA contraction";
@@ -365,7 +363,7 @@ TEST_F(InflexIndexTest, BuildMatchesPinnedDigest) {
     for (double x : index_->index_point(i)) fold(std::bit_cast<uint64_t>(x));
     for (rank::Item v : index_->seed_list(i)) fold(v);
   }
-  EXPECT_EQ(digest, 0xa6978481fe8ad5cbULL) << std::hex << "digest 0x" << digest;
+  EXPECT_EQ(digest, 0x49e66e90e0b7353dULL) << std::hex << "digest 0x" << digest;
 }
 
 TEST_F(InflexIndexTest, QueryReturnsRequestedK) {

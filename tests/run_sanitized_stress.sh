@@ -6,14 +6,16 @@
 # IndexMaintainer generation-swap pipeline fails this script. The same
 # phase runs cluster_test, data_test and im_test, whose k-means passes,
 # dataset arc probabilities and CELF++ first round fan out over the pool.
-# A second phase builds kernel_test, im_test, rank_test, extensions_test,
-# cluster_test, data_test, tic_test, stats_test, graph_test, bbtree_test,
-# inflex_core_test, maintenance_test and robustness_test under ASan+UBSan
+# A second phase builds kernel_test, im_test, oracle_test, rank_test,
+# extensions_test, cluster_test, data_test, tic_test, stats_test,
+# graph_test, bbtree_test, inflex_core_test, maintenance_test and
+# robustness_test under ASan+UBSan
 # (-DINFLEX_SANITIZE=address):
 # the KL kernel layer works on raw pointers into flat SoA buffers that
 # Insert() reallocates, the seed selectors reuse per-thread oracle workspaces
-# across graphs of different sizes, snapshot sampling appends through a raw
-# pointer past the kept count, the counting build and the reach BFS index
+# across graphs of different sizes, snapshot sampling (im_test, and
+# oracle_test through OfflineTicSeeds) writes through a raw pointer past the
+# kept count, the counting build and the reach BFS index
 # the sparse snapshot adjacency by bitmap rank, rank aggregation's vote
 # kernels read padded per-list rank rows by slot out of reused per-thread
 # scratch, and the pooled
@@ -114,8 +116,8 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test im_test rank_test extensions_test cluster_test data_test tic_test stats_test graph_test bbtree_test inflex_core_test maintenance_test robustness_test)"
-cmake --build "$BUILD_ASAN" --target kernel_test im_test rank_test \
+echo "== build (kernel_test im_test oracle_test rank_test extensions_test cluster_test data_test tic_test stats_test graph_test bbtree_test inflex_core_test maintenance_test robustness_test)"
+cmake --build "$BUILD_ASAN" --target kernel_test im_test oracle_test rank_test \
   extensions_test cluster_test data_test tic_test stats_test graph_test \
   bbtree_test inflex_core_test maintenance_test robustness_test \
   -j "$(nproc)" > /dev/null
@@ -134,12 +136,22 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
 echo "== run influence-maximization tests under ASan+UBSan"
 # One process runs parallel seed selection on a small graph, then a large
 # one: each pool thread's workspace must follow the oracle's node count.
-# The forced-scalar pass feeds the counting build from the scalar sampler's
+# The forced-scalar pass feeds the array build from the scalar sampler's
 # buffer instead of the four AVX2 lane regions.
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/im_test"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
   "$BUILD_ASAN/tests/im_test"
+
+echo "== run spread-oracle tests under ASan+UBSan"
+# OfflineTicSeeds samples each item's snapshots from its mixture's bit
+# planes: the four AVX2 lanes write their kept arcs into one buffer's
+# regions past their lengths, and the forced-scalar pass grows the scalar
+# loop's buffer instead.
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/oracle_test"
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
+  "$BUILD_ASAN/tests/oracle_test"
 
 echo "== run rank-aggregation tests under ASan+UBSan"
 # Copeland, Local Kemenization and the Kemeny functions all index the
@@ -190,4 +202,4 @@ echo "== run artifact-loader tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/robustness_test"
 
-echo "ASan tests: OK (kernel, im and rank dispatched + forced-scalar, extensions, cluster, data, tic, stats, graph, bbtree, inflex_core, maintenance, robustness)"
+echo "ASan tests: OK (kernel, im, oracle and rank dispatched + forced-scalar, extensions, cluster, data, tic, stats, graph, bbtree, inflex_core, maintenance, robustness)"
